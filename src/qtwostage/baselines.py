@@ -77,18 +77,6 @@ def expected_cost(x, test: TestScenarioSet, params: UcpParams) -> float:
     return float(startup + recourse)
 
 
-def solve_rp(test: TestScenarioSet, params: UcpParams):
-    """Exhaustive minimum of expected_cost over all commitment vectors."""
-    best_x = None
-    best_value = np.inf
-    for x in itertools.product((0, 1), repeat=params.n_units):
-        value = expected_cost(x, test, params)
-        if value < best_value:
-            best_value = value
-            best_x = x
-    return best_x, float(best_value)
-
-
 def solve_ev(xi_mean: float, params: UcpParams):
     """Best commitment when the uncertainty collapses to its mean."""
     best_x = None
@@ -104,23 +92,17 @@ def solve_ev(xi_mean: float, params: UcpParams):
     return best_x, float(best_value)
 
 
-def eev(test: TestScenarioSet, params: UcpParams) -> float:
-    """Expected cost of the mean-scenario solution under full uncertainty."""
-    x_ev, _ = solve_ev(float(np.mean(test.xi_tilde)), params)
-    return expected_cost(x_ev, test, params)
-
-
 def evaluate(test: TestScenarioSet, params: UcpParams) -> EvaluationReport:
     """All baselines for one lambda in a single report row."""
     per_x = {
         x: expected_cost(x, test, params)
         for x in itertools.product((0, 1), repeat=params.n_units)
     }
-    rp_solution, rp_value = solve_rp(test, params)
+    rp_solution = min(per_x, key=per_x.get)  # the first of tied minima
     ev_solution, _ = solve_ev(float(np.mean(test.xi_tilde)), params)
     return EvaluationReport(
         lam=params.lam,
-        rp_value=rp_value,
+        rp_value=per_x[rp_solution],
         rp_solution=rp_solution,
         ev_solution=ev_solution,
         eev_value=per_x[ev_solution],

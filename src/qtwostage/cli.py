@@ -243,7 +243,10 @@ def _read_column(path: Path, column: str) -> np.ndarray:
         reader = csv.DictReader(fh)
         if column not in (reader.fieldnames or ()):
             raise StructureError(f"{path} lacks a {column!r} column")
-        values = [float(row[column]) for row in reader]
+        try:
+            values = [float(row[column]) for row in reader]
+        except (TypeError, ValueError) as exc:  # short row or non-number
+            raise OSError(f"{path} line {reader.line_num}: {exc}") from exc
     if not values:
         raise StructureError(f"{path} has no data rows")
     return np.array(values)
@@ -378,7 +381,10 @@ def cmd_resources(cfg: ExperimentConfig, args) -> int:
 def cmd_report(cfg: ExperimentConfig, args) -> int:
     path = Path(args.records) if args.records else cfg.out_dir / "records.jsonl"
     with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        try:
+            records = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:  # a truncated or garbled line
+            raise OSError(f"{path}: {exc}") from exc
     if not records:
         raise FileNotFoundError(f"{path} contains no records")
     by_lam: dict = {}

@@ -134,6 +134,16 @@ def _cost_gates(poly: ZPolynomial, gamma: float) -> list:
     ]
 
 
+def stage_layers(polys, gammas, betas, qubits) -> list:
+    """Per (gamma, beta): the cost layers of ``polys``, then the RX mixer."""
+    gates: list = []
+    for gamma, beta in zip(gammas, betas):
+        for poly in polys:
+            gates.extend(_cost_gates(poly, gamma))
+        gates.extend(sv.RX(q, -2.0 * beta) for q in qubits)
+    return gates
+
+
 def assemble(
     gen: TrainedGenerator,
     ham: ProblemHamiltonian,
@@ -154,18 +164,10 @@ def assemble(
         gates.append(sv.H(q))
     for q in layout.second_stage_qubits:
         gates.append(sv.H(q))
-
-    for layer in range(vp.p1):
-        gates.extend(_cost_gates(ham.h1, vp.gamma1[layer]))
-        for q in layout.first_stage_qubits:
-            gates.append(sv.RX(q, -2.0 * vp.beta1[layer]))
-
-    for layer in range(vp.p2):
-        gates.extend(_cost_gates(ham.h2_dep, vp.gamma2[layer]))
-        gates.extend(_cost_gates(ham.h2_indep, vp.gamma2[layer]))
-        for q in layout.second_stage_qubits:
-            gates.append(sv.RX(q, -2.0 * vp.beta2[layer]))
-
+    gates += stage_layers([ham.h1], vp.gamma1, vp.beta1,
+                          layout.first_stage_qubits)
+    gates += stage_layers([ham.h2_dep, ham.h2_indep], vp.gamma2, vp.beta2,
+                          layout.second_stage_qubits)
     return sv.Circuit(layout.n_total, gates)
 
 
@@ -310,8 +312,6 @@ def verify_prop1(
     simulated dispatch-register circuit with the commitment bits and the
     scenario value substituted as plain numbers.
     """
-    if layout.bits_per_unit != 1:
-        raise StructureError("factorized check supports one bit per unit")
     n_xi, m = layout.n_xi, layout.n_units
 
     lhs = objective(gen, ham, vp, layout)
@@ -321,10 +321,7 @@ def verify_prop1(
         m, {mask >> n_xi: c for mask, c in ham.h1.terms.items() if mask != 0}
     )
     gates1 = [sv.H(q) for q in range(m)]
-    for layer in range(vp.p1):
-        gates1.extend(_cost_gates(h1_local, vp.gamma1[layer]))
-        for q in range(m):
-            gates1.append(sv.RX(q, -2.0 * vp.beta1[layer]))
+    gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
     first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
 
     scenario_probs = generator_probs(gen.spec())
@@ -344,10 +341,7 @@ def verify_prop1(
             ])
             poly2 = fwht_expand(diag2)
             gates2 = [sv.H(q) for q in range(m)]
-            for layer in range(vp.p2):
-                gates2.extend(_cost_gates(poly2, vp.gamma2[layer]))
-                for q in range(m):
-                    gates2.append(sv.RX(q, -2.0 * vp.beta2[layer]))
+            gates2 += stage_layers([poly2], vp.gamma2, vp.beta2, range(m))
             state2 = sv.run_circuit(sv.Circuit(m, gates2))
             expected_second += scenario_probs[s] * sv.expectation_diagonal(
                 state2, diag2

@@ -196,8 +196,12 @@ class Adam:
 # generator gradient via the parameter-shift rule
 # ---------------------------------------------------------------------------
 
-def probability_jacobian(spec: GeneratorSpec) -> np.ndarray:
-    """d p_s / d theta_j by the parameter-shift rule; shape (params, 2^n)."""
+def probability_jacobian(spec: GeneratorSpec,
+                         probs=generator_probs) -> np.ndarray:
+    """d p_s / d theta_j by the parameter-shift rule; shape (params, 2^n).
+
+    ``probs`` maps a spec to its output distribution, exact by default.
+    """
     shift = np.pi / 2
     jac = np.empty((len(spec.theta), 2**spec.n_xi))
     for j in range(len(spec.theta)):
@@ -205,8 +209,8 @@ def probability_jacobian(spec: GeneratorSpec) -> np.ndarray:
         plus[j] += shift
         minus = spec.theta.copy()
         minus[j] -= shift
-        p_plus = generator_probs(GeneratorSpec(spec.n_xi, spec.reps, plus))
-        p_minus = generator_probs(GeneratorSpec(spec.n_xi, spec.reps, minus))
+        p_plus = probs(GeneratorSpec(spec.n_xi, spec.reps, plus))
+        p_minus = probs(GeneratorSpec(spec.n_xi, spec.reps, minus))
         jac[j] = (p_plus - p_minus) / 2.0
     return jac
 
@@ -306,21 +310,7 @@ def train(
                    [gr + gf for gr, gf in zip(grads_real, grads_fake)])
 
         _, input_grad = disc.backward(fake, 1.0)
-        if cfg.use_shots:
-            # parameter-shift with sampled probabilities on both shifts
-            grad = np.empty_like(theta)
-            for j in range(len(theta)):
-                plus = theta.copy()
-                plus[j] += np.pi / 2
-                minus = theta.copy()
-                minus[j] -= np.pi / 2
-                dp = (
-                    observed_probs(GeneratorSpec(n_xi, reps, plus))
-                    - observed_probs(GeneratorSpec(n_xi, reps, minus))
-                ) / 2.0
-                grad[j] = dp @ input_grad
-        else:
-            grad = probability_jacobian(spec) @ input_grad
+        grad = probability_jacobian(spec, observed_probs) @ input_grad
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)

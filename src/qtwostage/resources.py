@@ -27,6 +27,7 @@ import numpy as np
 
 from . import statevec as sv
 from .errors import StructureError, UnsupportedGateError
+from .qaoa import stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import RegisterLayout, UcpParams, build_hamiltonian, default_params
 
@@ -201,25 +202,12 @@ def sweep_params(n_units: int, lam: float = 30.0) -> UcpParams:
     )
 
 
-def _phase_gates(poly, gamma: float) -> list:
-    return [
-        sv.ZPhase(mask, gamma * coef)
-        for mask, coef in sorted(poly.terms.items())
-        if mask != 0
-    ]
-
-
 def build_sweep_circuit(
-    n_xi: int,
-    n_units: int,
-    p1: int,
-    p2: int,
-    include_qgan: bool,
-    lam: float = 30.0,
-    xi_max: float = 2500.0,
+    n_xi: int, n_units: int, p1: int, p2: int, include_qgan: bool
 ) -> sv.Circuit:
-    """Assembly with zero angles for one sweep configuration.
+    """Two-stage circuit with zero angles for one sweep configuration.
 
+    The layers come from ``qaoa.stage_layers``, as in ``qaoa.assemble``.
     ``n_units == 0`` selects the generator-block-only circuit (requires
     ``include_qgan`` and zero depths).  Stage preparation H gates are
     emitted only for stages with non-zero depth, so single-stage rows
@@ -237,7 +225,7 @@ def build_sweep_circuit(
         return generator_circuit(default_spec(n_xi))
 
     layout = RegisterLayout(n_xi, n_units)
-    ham = build_hamiltonian(sweep_params(n_units, lam), layout, 0.0, xi_max)
+    ham = build_hamiltonian(sweep_params(n_units), layout, 0.0, 2500.0)
 
     gates: list = []
     if include_qgan:
@@ -246,13 +234,10 @@ def build_sweep_circuit(
         gates.extend(sv.H(q) for q in layout.first_stage_qubits)
     if p2 > 0:
         gates.extend(sv.H(q) for q in layout.second_stage_qubits)
-    for _ in range(p1):
-        gates.extend(_phase_gates(ham.h1, 0.0))
-        gates.extend(sv.RX(q, 0.0) for q in layout.first_stage_qubits)
-    for _ in range(p2):
-        gates.extend(_phase_gates(ham.h2_dep, 0.0))
-        gates.extend(_phase_gates(ham.h2_indep, 0.0))
-        gates.extend(sv.RX(q, 0.0) for q in layout.second_stage_qubits)
+    gates += stage_layers([ham.h1], [0.0] * p1, [0.0] * p1,
+                          layout.first_stage_qubits)
+    gates += stage_layers([ham.h2_dep, ham.h2_indep], [0.0] * p2, [0.0] * p2,
+                          layout.second_stage_qubits)
     return sv.Circuit(layout.n_total, gates)
 
 

@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CapacityError, StructureError, UndefinedConditionError
+from .walsh import parity
 
 MAX_QUBITS = 28
 
@@ -130,28 +131,6 @@ def _indices(n_qubits: int) -> np.ndarray:
     return idx
 
 
-# parity-of-(index & mask) vectors recur for every Hamiltonian term on every
-# objective evaluation, so they are cached per (register size, mask)
-_PARITY_CACHE: dict = {}
-_PARITY_CACHE_MAX = 8192
-
-
-def _parity(n_qubits: int, mask: int) -> np.ndarray:
-    key = (n_qubits, mask)
-    hit = _PARITY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    v = _indices(n_qubits) & np.int64(mask)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    par = (v & 1).astype(bool)
-    par.setflags(write=False)
-    if len(_PARITY_CACHE) >= _PARITY_CACHE_MAX:
-        _PARITY_CACHE.clear()
-    _PARITY_CACHE[key] = par
-    return par
-
-
 # ---------------------------------------------------------------------------
 # gate application
 # ---------------------------------------------------------------------------
@@ -225,7 +204,7 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     elif isinstance(gate, ZPhase):
         if not 0 < gate.mask < 2**n:
             raise StructureError(f"ZPhase mask {gate.mask} invalid for {n} qubits")
-        par = _parity(n, gate.mask)
+        par = parity(n, gate.mask)
         f_even = np.exp(-1j * gate.angle)
         amps *= np.where(par, np.conj(f_even), f_even)
     elif isinstance(gate, DiagPhase):

@@ -4,15 +4,14 @@ Register layout (little-endian over the whole machine word):
 
     qubits [0, n_xi)                      scenario register (PV output)
     qubits [n_xi, n_xi + M)               first stage: commitment bit per unit
-    qubits [n_xi + M, ...)                second stage: output-level bits
+    qubits [n_xi + M, n_xi + 2M)          second stage: output-level bit per unit
 
-A first-stage bit x_i switches unit i on; second-stage bits select its
-output level through the x-controlled encoding
+A first-stage bit x_i switches unit i on; the second-stage bit b_i selects
+its output level through the x-controlled encoding
 
-    y_i = x_i * (p_min_i + delta_i * sum_j 2^j b_ij),
-    delta_i = (p_max_i - p_min_i) / (2^bits - 1),
+    y_i = x_i * (p_min_i + (p_max_i - p_min_i) * b_i),
 
-so y_i is 0 for an off unit and lands in [p_min_i, p_max_i] otherwise.
+so y_i is 0 for an off unit and one of p_min_i, p_max_i otherwise.
 The cost Hamiltonian replaces the L1 imbalance penalty with a quadratic
 surrogate so it stays a low-degree polynomial in Z operators:
 
@@ -61,6 +60,10 @@ class UcpParams:
         if not (len(self.p_min) == len(self.p_max) == len(self.startup_cost)
                 == len(self.unit_cost) == m):
             raise StructureError("parameter arrays must all have length n_units")
+        if not np.all(np.isfinite([self.demand, self.lam, *self.p_min,
+                                   *self.p_max, *self.startup_cost,
+                                   *self.unit_cost])):
+            raise StructureError("problem data must be finite")
         for i in range(m):
             if not self.p_min[i] < self.p_max[i]:
                 raise StructureError(f"unit {i}: p_min must be < p_max")
@@ -86,21 +89,18 @@ def default_params(lam: float) -> UcpParams:
 
 @dataclass(frozen=True)
 class RegisterLayout:
+    """Scenario qubits, then one commitment and one output-level bit per unit."""
+
     n_xi: int
     n_units: int
-    bits_per_unit: int = 1
 
     def __post_init__(self):
-        if self.n_xi < 1 or self.n_units < 1 or self.bits_per_unit < 1:
+        if self.n_xi < 1 or self.n_units < 1:
             raise StructureError("register sizes must be positive")
 
     @property
-    def n_second(self) -> int:
-        return self.n_units * self.bits_per_unit
-
-    @property
     def n_total(self) -> int:
-        return self.n_xi + self.n_units + self.n_second
+        return self.n_xi + 2 * self.n_units
 
     @property
     def first_stage_offset(self) -> int:
@@ -132,11 +132,11 @@ class RegisterLayout:
             raise StructureError(f"unit index {i} out of range")
         return self.n_xi + i
 
-    def level_qubit(self, i: int, j: int = 0) -> int:
-        """Second-stage bit j of unit i."""
-        if not 0 <= i < self.n_units or not 0 <= j < self.bits_per_unit:
-            raise StructureError(f"level bit ({i},{j}) out of range")
-        return self.second_stage_offset + i * self.bits_per_unit + j
+    def level_qubit(self, i: int) -> int:
+        """Second-stage qubit of unit i (0-based)."""
+        if not 0 <= i < self.n_units:
+            raise StructureError(f"unit index {i} out of range")
+        return self.second_stage_offset + i
 
 
 @dataclass(frozen=True)
@@ -158,21 +158,14 @@ def _occupancy(qubit: int, n_total: int) -> ZPolynomial:
     return ZPolynomial(n_total, {0: 0.5, 1 << qubit: -0.5})
 
 
-def unit_level_step(params: UcpParams, layout: RegisterLayout, i: int) -> float:
-    """Output increment per encoded level of unit i."""
-    return (params.p_max[i] - params.p_min[i]) / (2**layout.bits_per_unit - 1)
-
-
 def build_y_operator(i: int, params: UcpParams, layout: RegisterLayout) -> ZPolynomial:
     """Output operator y_i on the full register (degree <= 2)."""
     if not 0 <= i < params.n_units:
         raise StructureError(f"unit index {i} out of range")
     n = layout.n_total
-    level = constant(n, params.p_min[i])
-    step = unit_level_step(params, layout, i)
-    for j in range(layout.bits_per_unit):
-        bit = _occupancy(layout.level_qubit(i, j), n)
-        level = zpoly_add(level, zpoly_scale(bit, step * 2**j))
+    bit = _occupancy(layout.level_qubit(i), n)
+    level = zpoly_add(constant(n, params.p_min[i]),
+                      zpoly_scale(bit, params.p_max[i] - params.p_min[i]))
     return zpoly_mul(_occupancy(layout.commit_qubit(i), n), level)
 
 
@@ -212,7 +205,7 @@ def build_hamiltonian(
 # ---------------------------------------------------------------------------
 
 def outputs_from_bits(x, b, params: UcpParams):
-    """Map commitment bits and level bits to output levels (1 bit per unit)."""
+    """Map commitment bits and level bits to output levels."""
     return tuple(
         x[i] * (params.p_min[i] + (params.p_max[i] - params.p_min[i]) * b[i])
         for i in range(params.n_units)
@@ -253,16 +246,12 @@ def classical_l1_cost(x, y, xi: float, params: UcpParams) -> float:
 
 
 def decode_basis(index: int, layout: RegisterLayout):
-    """Split a basis index into (scenario index, x bits, level values)."""
+    """Split a basis index into (scenario index, x bits, level bits)."""
     if not 0 <= index < 2**layout.n_total:
         raise StructureError(f"basis index {index} out of range")
     s = index & layout.scenario_mask
     x = tuple((index >> layout.commit_qubit(i)) & 1 for i in range(layout.n_units))
-    level_mask = (1 << layout.bits_per_unit) - 1
-    b = tuple(
-        (index >> layout.level_qubit(i, 0)) & level_mask
-        for i in range(layout.n_units)
-    )
+    b = tuple((index >> layout.level_qubit(i)) & 1 for i in range(layout.n_units))
     return s, x, b
 
 
@@ -272,14 +261,10 @@ def encode_basis(s: int, x, b, layout: RegisterLayout) -> int:
     index = s
     for i in range(layout.n_units):
         index |= (x[i] & 1) << layout.commit_qubit(i)
-        index |= (b[i] & ((1 << layout.bits_per_unit) - 1)) << layout.level_qubit(i, 0)
+        index |= (b[i] & 1) << layout.level_qubit(i)
     return index
 
 
 def bits_to_string(bits) -> str:
     """Display order: unit 1 leftmost."""
     return "".join(str(int(v)) for v in bits)
-
-
-def string_to_bits(text: str) -> tuple:
-    return tuple(int(ch) for ch in text)

@@ -87,7 +87,8 @@ def test_expected_cost_monotone_in_lambda():
 def test_solve_rp_is_exhaustive_minimum():
     params = default_params(60.0)
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, 2500.0, seed=7), 100)
-    x_rp, rp = bl.solve_rp(test, params)
+    report = bl.evaluate(test, params)
+    x_rp, rp = report.rp_solution, report.rp_value
     costs = {
         x: bl.expected_cost(x, test, params)
         for x in [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -99,8 +100,8 @@ def test_solve_rp_is_exhaustive_minimum():
 
 def test_solve_rp_zero_lambda_commits_nothing():
     params = default_params(0.0)
-    test = single_scenario(750.0)
-    x_rp, rp = bl.solve_rp(test, params)
+    report = bl.evaluate(single_scenario(750.0), params)
+    x_rp, rp = report.rp_solution, report.rp_value
     assert x_rp == (0, 0, 0)
     assert rp == pytest.approx(0.0)
 
@@ -124,7 +125,8 @@ def test_solve_ev_edges():
 
 def test_eev_degenerate_test_set_equals_ev():
     params = default_params(30.0)
-    assert bl.eev(single_scenario(750.0), params) == pytest.approx(40250.0)
+    report = bl.evaluate(single_scenario(750.0), params)
+    assert report.eev_value == pytest.approx(40250.0)
 
 
 def test_report_invariants_across_lambda_grid():

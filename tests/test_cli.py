@@ -139,8 +139,11 @@ def test_explicit_flags_beat_paper():
     assert cfg.master_seed == 123
 
 
-def test_missing_config_file_is_exit_2(capsys):
+def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert main(["gen-data", "--config", "/nonexistent/c.ini"]) == 2
+    assert "config error" in capsys.readouterr().err
+    path = write_config(tmp_path, "[problem]\ndemand = nan\n")
+    assert main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -195,6 +198,13 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["train-qgan", "--config", cfg_path]) == 2
     assert "i/o error" in capsys.readouterr().err
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    dist = tmp_path / "results" / "dist_03.csv"
+    header, first, *rest = dist.read_text().splitlines()
+    bad = first.split(",")[0] + ",not-a-number"
+    dist.write_text("\n".join([header, bad, *rest]) + "\n")
+    assert main(["train-qgan", "--config", cfg_path]) == 2
+    assert "dist_03.csv line 2" in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -286,6 +296,9 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
     (tmp_path / "results").mkdir()
     (tmp_path / "results" / "records.jsonl").write_text("")
     assert main(["report", "--config", cfg_path]) == 2
+    (tmp_path / "results" / "records.jsonl").write_text('{"lam": 30.0, "se')
+    assert main(["report", "--config", cfg_path]) == 2
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_report_accepts_explicit_path(tmp_path, capsys):

@@ -197,6 +197,16 @@ def test_train_is_deterministic_per_seed():
     assert got_a.best_epoch == got_b.best_epoch
 
 
+def test_train_with_shots_is_deterministic_per_seed():
+    target = np.array([0.6, 0.2, 0.15, 0.05])
+    cfg = TrainConfig(epochs=10, lr_g=0.05, lr_d=0.05, shots=500,
+                      use_shots=True)
+    got_a = train([target], [target], cfg, np.random.default_rng(42))
+    got_b = train([target], [target], cfg, np.random.default_rng(42))
+    np.testing.assert_array_equal(got_a.theta_star, got_b.theta_star)
+    assert got_a.best_epoch > 0  # the sampled gradients moved theta
+
+
 def test_train_one_hot_targets():
     # a point mass is exactly representable, so training should get close
     target = np.array([0.0, 1.0, 0.0, 0.0])

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qtwostage import statevec as sv
 from qtwostage.errors import StructureError, UnsupportedGateError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
-from qtwostage.qgan import TrainedGenerator
+from qtwostage.qgan import TrainedGenerator, default_spec
 from qtwostage.resources import (
     SWEEP_FIELDS,
     ResourceReport,
@@ -330,6 +332,30 @@ def test_sweep_rejects_bad_scenario_counts():
         sweep_scaling([4], [0], 1, 1)
     with pytest.raises(StructureError):
         sweep_scaling([4], [3], 0, 1)
+
+
+@pytest.mark.parametrize("n_xi,n_units,p1,p2", [(2, 3, 1, 1), (3, 4, 2, 3)])
+def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
+    """Gate for gate, the counted circuit is the one ``run`` simulates."""
+    spec = default_spec(n_xi)
+    gen = TrainedGenerator(spec.theta, n_xi, spec.reps, 0, 1.0, 1.0)
+    layout = RegisterLayout(n_xi, n_units)
+    ham = build_hamiltonian(sweep_params(n_units), layout, 0.0, 2500.0)
+    zero = VariationalParams(np.zeros(p1), np.zeros(p1), np.zeros(p2),
+                             np.zeros(p2))
+
+    def skeleton(circuit):  # gate types, qubits and masks; no angles
+        return [
+            (type(g).__name__,
+             *(getattr(g, f.name) for f in dataclasses.fields(g)
+               if f.name != "angle"))
+            for g in circuit.gates
+        ]
+
+    counted = build_sweep_circuit(n_xi, n_units, p1, p2, True)
+    simulated = assemble(gen, ham, zero, layout)
+    assert counted.n_qubits == simulated.n_qubits
+    assert skeleton(counted) == skeleton(simulated)
 
 
 def test_full_assembly_counts_grow_with_units():
