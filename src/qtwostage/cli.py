@@ -28,13 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import evaluate, expected_cost, lambda_grid
-from .errors import (
-    CapacityError,
-    StructureError,
-    UndefinedConditionError,
-    UnsupportedGateError,
-)
+from .baselines import evaluate, lambda_grid
+from .errors import CapacityError, StructureError, UnsupportedGateError
 from .qaoa import QaoaConfig, optimize
 from .qgan import TrainConfig, load_generator, save_generator, train
 from .resources import SWEEP_FIELDS, sweep_scaling
@@ -50,12 +45,7 @@ from .ucp import RegisterLayout, UcpParams, bits_to_string, build_hamiltonian
 N_TRAIN_SETS = 10
 N_TEST_SETS = 5
 
-_DOMAIN_ERRORS = (
-    StructureError,
-    CapacityError,
-    UndefinedConditionError,
-    UnsupportedGateError,
-)
+_DOMAIN_ERRORS = (StructureError, CapacityError, UnsupportedGateError)
 
 
 def derive_seed(master: int, role: str, index: int) -> int:
@@ -239,16 +229,23 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _read_column(path: Path, column: str) -> np.ndarray:
+    """One column of finite numbers; any malformed file is an OSError."""
+    values = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if column not in (reader.fieldnames or ()):
-            raise StructureError(f"{path} lacks a {column!r} column")
-        try:
-            values = [float(row[column]) for row in reader]
-        except (TypeError, ValueError) as exc:  # short row or non-number
-            raise OSError(f"{path} line {reader.line_num}: {exc}") from exc
+            raise OSError(f"{path} lacks a {column!r} column")
+        for row in reader:
+            try:
+                value = float(row[column])
+            except (TypeError, ValueError) as exc:  # short row or non-number
+                raise OSError(f"{path} line {reader.line_num}: {exc}") from exc
+            if not np.isfinite(value):
+                raise OSError(f"{path} line {reader.line_num}: {value} "
+                              f"is not a finite number")
+            values.append(value)
     if not values:
-        raise StructureError(f"{path} has no data rows")
+        raise OSError(f"{path} has no data rows")
     return np.array(values)
 
 
@@ -316,7 +313,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
             result = optimize(gen, ham, layout, qaoa_cfg, rng)
-            cost_map = expected_cost(result.map_solution, test, params)
+            cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))
             if cost_map < report.rp_value - tol:
                 raise StructureError(
@@ -378,13 +375,26 @@ def cmd_resources(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+_REPORT_FIELDS = ("lam", "cost_map", "rp", "eev")
+
+
 def cmd_report(cfg: ExperimentConfig, args) -> int:
     path = Path(args.records) if args.records else cfg.out_dir / "records.jsonl"
+    records = []
     with open(path) as fh:
-        try:
-            records = [json.loads(line) for line in fh if line.strip()]
-        except ValueError as exc:  # a truncated or garbled line
-            raise OSError(f"{path}: {exc}") from exc
+        for num, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:  # a truncated or garbled line
+                raise OSError(f"{path} line {num}: {exc}") from exc
+            if not isinstance(record, dict) or not all(
+                    isinstance(record.get(key), (int, float))
+                    for key in _REPORT_FIELDS):
+                raise OSError(f"{path} line {num}: a record needs numeric "
+                              f"{', '.join(_REPORT_FIELDS)}")
+            records.append(record)
     if not records:
         raise FileNotFoundError(f"{path} contains no records")
     by_lam: dict = {}

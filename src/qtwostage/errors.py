@@ -9,9 +9,5 @@ class StructureError(ValueError):
     """Malformed input: bad index, register mismatch, wrong array shape."""
 
 
-class UndefinedConditionError(ValueError):
-    """Conditioning on an event of zero probability."""
-
-
 class UnsupportedGateError(ValueError):
     """Gate has no rewrite rule in the target basis."""

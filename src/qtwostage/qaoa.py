@@ -195,7 +195,10 @@ def _estimate(
     if rng is None:
         raise StructureError("shots mode needs an rng")
     counts = sv.sample(state, shots, rng)
-    total = sum(c * diag[i] for i, c in counts.counts.items())
+    nz = np.nonzero(counts)[0]
+    # a left-to-right sum over observed outcomes; ``counts @ diag`` rounds
+    # differently and would change the sampled objective values
+    total = sum(counts[nz] * diag[nz])
     return float(total / shots)
 
 
@@ -247,11 +250,12 @@ def optimize(
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, best["x"])
     state = final_state(gen, ham, vp_best, layout)
     if cfg.shots is None:
-        marginal = sv.marginal_probs(state, layout.first_stage_qubits)
+        marginal = sv.marginal_probs(sv.probabilities(state),
+                                     layout.first_stage_qubits)
     else:
-        marginal = _counts_marginal(
-            sv.sample(state, cfg.shots, rng), layout
-        )
+        counts = sv.sample(state, cfg.shots, rng)
+        marginal = (sv.marginal_probs(counts, layout.first_stage_qubits)
+                    / cfg.shots)
     return RunResult(
         best_params=vp_best,
         best_objective=best["value"],
@@ -265,23 +269,8 @@ def optimize(
 # solution extraction
 # ---------------------------------------------------------------------------
 
-def _counts_marginal(counts: sv.ShotCounts, layout: RegisterLayout) -> np.ndarray:
-    freq = np.zeros(2**layout.n_units)
-    off = layout.first_stage_offset
-    mask = (1 << layout.n_units) - 1
-    for index, c in counts.counts.items():
-        freq[(index >> off) & mask] += c
-    return freq / counts.total_shots
-
-
-def map_solution(source, layout: RegisterLayout) -> tuple:
+def map_solution(marginal: np.ndarray, layout: RegisterLayout) -> tuple:
     """Most probable first-stage outcome; ties go to the smallest index."""
-    if isinstance(source, sv.StateVector):
-        marginal = sv.marginal_probs(source, layout.first_stage_qubits)
-    elif isinstance(source, sv.ShotCounts):
-        marginal = _counts_marginal(source, layout)
-    else:
-        marginal = np.asarray(source, dtype=float)
     if len(marginal) != 2**layout.n_units:
         raise StructureError(
             f"marginal length {len(marginal)} does not match "
@@ -355,14 +344,12 @@ def verify_nonanticipativity(
     state: sv.StateVector, layout: RegisterLayout
 ) -> float:
     """Max |P(first-stage | scenario) - P(first-stage)| over live scenarios."""
-    marginal = sv.marginal_probs(state, layout.first_stage_qubits)
-    scenario = sv.marginal_probs(state, layout.scenario_qubits)
-    deviation = 0.0
-    for s in range(2**layout.n_xi):
-        if scenario[s] <= 1e-12:
-            continue
-        conditional = sv.conditional_marginal(
-            state, layout.first_stage_qubits, layout.scenario_qubits, s
-        )
-        deviation = max(deviation, float(np.max(np.abs(conditional - marginal))))
-    return deviation
+    joint = sv.marginal_probs(
+        sv.probabilities(state),
+        [*layout.scenario_qubits, *layout.first_stage_qubits],
+    ).reshape(2**layout.n_units, 2**layout.n_xi)  # [first stage, scenario]
+    scenario = joint.sum(axis=0)
+    marginal = joint.sum(axis=1)
+    live = scenario > 1e-12
+    conditional = joint[:, live] / scenario[live]
+    return float(np.max(np.abs(conditional - marginal[:, None]), initial=0.0))

@@ -81,11 +81,7 @@ def generator_probs(
         return sv.probabilities(state)
     if rng is None:
         raise StructureError("sampled mode needs an rng")
-    counts = sv.sample(state, shots, rng)
-    freq = np.zeros(2**spec.n_xi)
-    for i, c in counts.counts.items():
-        freq[i] = c / shots
-    return freq
+    return sv.sample(state, shots, rng) / shots
 
 
 # ---------------------------------------------------------------------------

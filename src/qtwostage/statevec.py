@@ -16,12 +16,11 @@ cross-checking synthesized phase blocks; production circuits use ZPhase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import CapacityError, StructureError, UndefinedConditionError
+from .errors import CapacityError, StructureError
 from .walsh import parity
 
 MAX_QUBITS = 28
@@ -124,13 +123,6 @@ def new_zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-@lru_cache(maxsize=32)
-def _indices(n_qubits: int) -> np.ndarray:
-    idx = np.arange(2**n_qubits, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # gate application
 # ---------------------------------------------------------------------------
@@ -179,28 +171,31 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         _check_qubit(gate.qubit, n)
         a, b = 0.5 + 0.5j, 0.5 - 0.5j
         _apply_single(amps, n, gate.qubit, a, b, b, a)
-    elif isinstance(gate, CX):
+    elif isinstance(gate, (CX, CZ)):
         c, t = gate.control, gate.target
         _check_qubit(c, n)
         _check_qubit(t, n)
         if c == t:
-            raise StructureError("CX control and target must differ")
-        idx = _indices(n)
-        sel = (((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 0)
-        src = idx[sel]
-        dst = src | (1 << t)
-        tmp = amps[src]
-        amps[src] = amps[dst]
-        amps[dst] = tmp
-    elif isinstance(gate, CZ):
-        c, t = gate.control, gate.target
-        _check_qubit(c, n)
-        _check_qubit(t, n)
-        if c == t:
-            raise StructureError("CZ control and target must differ")
-        idx = _indices(n)
-        sel = (((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 1)
-        amps[sel] *= -1.0
+            raise StructureError(
+                f"{type(gate).__name__} control and target must differ"
+            )
+        # axis n-1-q of the (2,)*n view is qubit q; slicing (not integer
+        # indexing, which yields a scalar at n=2) keeps every part a view
+        view = amps.reshape((2,) * n)
+        sel = [slice(None)] * n
+        sel[n - 1 - c] = slice(1, 2)
+        sel[n - 1 - t] = slice(1, 2)
+        one = view[tuple(sel)]
+        if isinstance(gate, CZ):
+            one *= -1.0
+        else:
+            sel[n - 1 - t] = slice(0, 1)
+            zero = view[tuple(sel)]
+            tmp = zero.copy()
+            # a ufunc resolves the interleaved slices' overlap exactly, where
+            # plain assignment would stage ``one`` in a second temporary
+            np.positive(one, out=zero)
+            one[...] = tmp
     elif isinstance(gate, ZPhase):
         if not 0 < gate.mask < 2**n:
             raise StructureError(f"ZPhase mask {gate.mask} invalid for {n} qubits")
@@ -250,70 +245,31 @@ def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
     return float(probabilities(state) @ diag)
 
 
-@dataclass
-class ShotCounts:
-    counts: dict
-    total_shots: int
-
-
-def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotCounts:
-    """Aggregate counts of ``shots`` i.i.d. basis measurements."""
+def sample(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of ``shots`` i.i.d. basis measurements, indexed by basis state."""
     if shots < 1:
         raise StructureError(f"shots must be >= 1, got {shots}")
     p = probabilities(state)
-    p = p / p.sum()
-    drawn = rng.multinomial(shots, p)
-    nz = np.nonzero(drawn)[0]
-    return ShotCounts({int(i): int(drawn[i]) for i in nz}, shots)
+    return rng.multinomial(shots, p / p.sum())
 
 
-def marginal_probs(state: StateVector, qubits) -> np.ndarray:
-    """Marginal over the given qubits, ascending index = ascending bit weight."""
+def marginal_probs(dist: np.ndarray, qubits) -> np.ndarray:
+    """Marginal of a probability or count vector over the given qubits.
+
+    ``dist`` is indexed by basis state; in the result, ascending index =
+    ascending bit weight of the kept qubits.  Sums of integer counts stay
+    exact integers.
+    """
+    dist = np.asarray(dist)
+    n = dist.size.bit_length() - 1
+    if dist.shape != (2**n,):
+        raise StructureError(f"need a vector of length 2^n, got {dist.shape}")
     qs = sorted(set(int(q) for q in qubits))
     if not qs:
         raise StructureError("marginal over empty qubit set")
-    n = state.n_qubits
     for q in qs:
         _check_qubit(q, n)
-    p = probabilities(state).reshape([2] * n)
     drop = tuple(n - 1 - q for q in range(n) if q not in qs)
     # remaining axes run from the highest kept qubit down, so a C-order ravel
     # puts the highest qubit in the most significant outcome bit
-    return p.sum(axis=drop).ravel()
-
-
-def conditional_marginal(
-    state: StateVector, target, given, outcome: int
-) -> np.ndarray:
-    """Marginal of ``target`` after conditioning ``given`` on ``outcome``.
-
-    ``outcome`` indexes the given qubits in ascending-index significance,
-    matching ``marginal_probs``.
-    """
-    tgt = sorted(set(int(q) for q in target))
-    giv = sorted(set(int(q) for q in given))
-    if not tgt or not giv:
-        raise StructureError("target and given sets must be non-empty")
-    if set(tgt) & set(giv):
-        raise StructureError("target and given sets overlap")
-    n = state.n_qubits
-    for q in tgt + giv:
-        _check_qubit(q, n)
-    if not 0 <= outcome < 2 ** len(giv):
-        raise StructureError(f"outcome {outcome} invalid for {len(giv)} given qubits")
-
-    idx = _indices(n)
-    sel = np.ones(idx.shape, dtype=bool)
-    for j, q in enumerate(giv):
-        sel &= ((idx >> q) & 1) == ((outcome >> j) & 1)
-    p = probabilities(state)
-    total = float(p[sel].sum())
-    if total <= 0.0:
-        raise UndefinedConditionError(
-            f"conditioning outcome {outcome} has zero probability"
-        )
-    out_bits = np.zeros(idx.shape, dtype=np.int64)
-    for j, q in enumerate(tgt):
-        out_bits |= ((idx >> q) & 1) << j
-    hist = np.bincount(out_bits[sel], weights=p[sel], minlength=2 ** len(tgt))
-    return hist / total
+    return dist.reshape([2] * n).sum(axis=drop).ravel()

@@ -103,10 +103,6 @@ class RegisterLayout:
         return self.n_xi + 2 * self.n_units
 
     @property
-    def first_stage_offset(self) -> int:
-        return self.n_xi
-
-    @property
     def second_stage_offset(self) -> int:
         return self.n_xi + self.n_units
 

@@ -205,6 +205,12 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
     dist.write_text("\n".join([header, bad, *rest]) + "\n")
     assert main(["train-qgan", "--config", cfg_path]) == 2
     assert "dist_03.csv line 2" in capsys.readouterr().err
+    x0 = first.split(",")[0]
+    # a non-finite cell, a header without rows, a missing column
+    for body in (f"{header}\n{x0},nan\n", f"{header}\n", f"xi,p\n{x0},1\n"):
+        dist.write_text(body)
+        assert main(["train-qgan", "--config", cfg_path]) == 2
+        assert "dist_03.csv" in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -277,6 +283,17 @@ def test_baselines_csv(tmp_path):
         assert set(cells[3]) <= {"0", "1"}
 
 
+def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    (tmp_path / "results").mkdir()
+    scenarios = tmp_path / "results" / "test_scenarios.csv"
+    for body in ("xi_tilde\nnan\n100.0\n", "xi_tilde\ninf\n",
+                 "xi_tilde\n", "xi\n100.0\n"):
+        scenarios.write_text(body)
+        assert main(["baselines", "--config", cfg_path]) == 2
+        assert "test_scenarios.csv" in capsys.readouterr().err
+
+
 def test_resources_csv(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["resources", "--config", cfg_path]) == 0
@@ -299,6 +316,12 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
     (tmp_path / "results" / "records.jsonl").write_text('{"lam": 30.0, "se')
     assert main(["report", "--config", cfg_path]) == 2
     assert "i/o error" in capsys.readouterr().err
+    # valid JSON without the numeric fields the table needs
+    for line in ('{"seed": 0}', '[30.0]', '{"lam": "30", "cost_map": 1, '
+                 '"rp": 1, "eev": 1}'):
+        (tmp_path / "results" / "records.jsonl").write_text(line + "\n")
+        assert main(["report", "--config", cfg_path]) == 2
+        assert "records.jsonl line 1" in capsys.readouterr().err
 
 
 def test_report_accepts_explicit_path(tmp_path, capsys):

@@ -214,9 +214,12 @@ def test_map_solution():
     tie[5] = 0.5
     assert map_solution(tie, layout) == (1, 1, 0)
 
-    counts = sv.ShotCounts({0b11_011_10: 3, 0b00_110_01: 7}, 10)
+    counts = np.zeros(2**layout.n_total, dtype=np.int64)
+    counts[0b11_011_10] = 3
+    counts[0b00_110_01] = 7
     # first-stage bits sit in the middle register (qubits 2..4)
-    assert map_solution(counts, layout) == (0, 1, 1)
+    marginal = sv.marginal_probs(counts, layout.first_stage_qubits)
+    assert map_solution(marginal, layout) == (0, 1, 1)
 
     with pytest.raises(StructureError):
         map_solution(np.zeros(4), layout)
@@ -227,7 +230,9 @@ def test_map_solution_from_state():
     gen = make_generator(2)
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
     state = final_state(gen, ham, vp, layout)
-    bits = map_solution(state, layout)
+    marginal = sv.marginal_probs(sv.probabilities(state),
+                                 layout.first_stage_qubits)
+    bits = map_solution(marginal, layout)
     assert bits == (0, 0, 0)  # uniform marginal, smallest-index tie
 
 
