@@ -333,7 +333,8 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                 "trace_best": float(np.min(result.trace)),
             })
             print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
-                  f"C(map)={cost_map:.1f} RP={report.rp_value:.1f}")
+                  f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
+                  f"evals={len(result.trace)} stop: {result.message}")
     path = out / "records.jsonl"
     with open(path, "w") as fh:
         for record in records:

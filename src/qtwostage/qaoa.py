@@ -11,7 +11,8 @@ distribution factorizes exactly; `verify_prop1` and
 
 Optimization is derivative-free (COBYLA) from random angles, tracking the
 best objective seen across all evaluations rather than trusting the
-optimizer's final iterate.
+optimizer's final iterate.  scipy is imported by the first `minimize` call,
+so the stages that never optimize start with numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import statevec as sv
 from .errors import StructureError
@@ -119,6 +119,7 @@ class RunResult:
     first_stage_marginal: np.ndarray
     map_solution: tuple
     trace: np.ndarray
+    message: str  # the optimizer's stop reason
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,16 @@ def objective(
 # optimization
 # ---------------------------------------------------------------------------
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    `optimize` looks this name up at call time, so a wrapper installed as
+    ``qaoa.minimize`` sees every objective evaluation.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def optimize(
     gen: TrainedGenerator,
     ham: ProblemHamiltonian,
@@ -242,10 +253,15 @@ def optimize(
         return value
 
     x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
-    minimize(
+    opt = minimize(
         fun, x0, method="COBYLA", tol=cfg.tol,
         options={"maxiter": cfg.maxiter, "rhobeg": cfg.rhobeg},
     )
+    if best["x"] is None:
+        raise StructureError(
+            f"none of {len(trace)} objective evaluations was finite "
+            f"({opt.message})"
+        )
 
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, best["x"])
     state = final_state(gen, ham, vp_best, layout)
@@ -262,6 +278,7 @@ def optimize(
         first_stage_marginal=marginal,
         map_solution=map_solution(marginal, layout),
         trace=np.asarray(trace),
+        message=str(opt.message),
     )
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qtwostage import qaoa
 from qtwostage.cli import (
     ExperimentConfig,
     apply_flags,
@@ -228,6 +233,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         for line in (out / "records.jsonl").read_text().splitlines()
     ]
     assert len(records) == 1  # one lambda, one seed
+    assert f"evals={records[0]['evals']} stop: " in capsys.readouterr().out
     record = records[0]
     assert record["lam"] == 30.0
     assert len(record["map"]) == 3
@@ -246,6 +252,16 @@ def test_run_without_generator_is_exit_2(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["run", "--config", cfg_path]) == 2
+
+
+def test_run_without_finite_objective_is_exit_1(tmp_path, capsys,
+                                                monkeypatch):
+    cfg_path = tiny_config(tmp_path)
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train-qgan", "--config", cfg_path]) == 0
+    monkeypatch.setattr(qaoa, "_estimate", lambda *args: float("nan"))
+    assert main(["run", "--config", cfg_path]) == 1
+    assert "invariant violation" in capsys.readouterr().err
 
 
 def test_run_respects_lambda_and_seed_flags(tmp_path):
@@ -322,6 +338,36 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
         (tmp_path / "results" / "records.jsonl").write_text(line + "\n")
         assert main(["report", "--config", cfg_path]) == 2
         assert "records.jsonl line 1" in capsys.readouterr().err
+
+
+_NO_SCIPY_STAGES = """
+import json, sys
+import qtwostage.cli as cli
+config, records = sys.argv[1:]
+for stage in ("gen-data", "train-qgan", "baselines", "resources"):
+    assert cli.main([stage, "--config", config]) == 0, stage
+assert cli.main(["report", records]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_stages_other_than_run_do_not_import_scipy(tmp_path):
+    # each CLI stage is its own process, and only ``run`` optimizes
+    records = tmp_path / "r.jsonl"
+    records.write_text(json.dumps({"lam": 30.0, "cost_map": 2.0, "rp": 1.0,
+                                   "eev": 3.0}) + "\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_STAGES, tiny_config(tmp_path),
+         str(records)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_report_accepts_explicit_path(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtwostage import qaoa
 from qtwostage import statevec as sv
 from qtwostage.errors import StructureError
 from qtwostage.qaoa import (
@@ -247,6 +248,39 @@ def test_optimize_is_deterministic():
                                   b.best_params.to_vector())
     assert a.best_objective == min(a.trace)
     assert abs(a.first_stage_marginal.sum() - 1.0) < 1e-9
+    assert a.message and a.message == b.message
+
+
+def test_optimize_calls_module_minimize(monkeypatch):
+    # the optimizer is looked up as ``qaoa.minimize`` on every call, so a
+    # wrapper installed there sees each objective evaluation
+    calls = {"minimize": 0, "objective": 0}
+    scipy_backed = qaoa.minimize
+
+    def counting_minimize(fun, x0, **kwargs):
+        calls["minimize"] += 1
+
+        def counted(x):
+            calls["objective"] += 1
+            return fun(x)
+        return scipy_backed(counted, x0, **kwargs)
+
+    monkeypatch.setattr(qaoa, "minimize", counting_minimize)
+    _, layout, ham = toy_problem()
+    result = optimize(make_generator(1), ham, layout,
+                      QaoaConfig(p1=1, p2=1, maxiter=30),
+                      np.random.default_rng(5))
+    assert calls["minimize"] == 1
+    assert calls["objective"] == len(result.trace) > 0
+
+
+def test_optimize_without_finite_evaluation_is_structure_error(monkeypatch):
+    monkeypatch.setattr(qaoa, "_estimate", lambda *args: float("nan"))
+    _, layout, ham = toy_problem()
+    with pytest.raises(StructureError, match="finite"):
+        optimize(make_generator(1), ham, layout,
+                 QaoaConfig(p1=1, p2=1, maxiter=20),
+                 np.random.default_rng(3))
 
 
 def test_optimize_constant_objective():
