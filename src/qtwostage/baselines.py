@@ -37,31 +37,30 @@ class EvaluationReport:
             raise StructureError("rp_value cannot exceed eev_value")
 
 
-def second_stage_best(x, xi: float, params: UcpParams):
-    """Cheapest dispatch for a fixed commitment and one scenario.
+def second_stage_best(x, xi, params: UcpParams):
+    """Cheapest dispatch for a fixed commitment in each scenario of xi.
 
-    Returns (y, cost) with cost = generation + lam * |imbalance|; ties are
-    broken toward the lexicographically smallest level vector.
+    Scores every level combination of the committed units against every
+    scenario in one (scenario, combination) array.  Returns (y, cost) of
+    shapes (S, M) and (S,) with cost = generation + lam * |imbalance|;
+    combinations run in itertools.product order and argmin keeps the
+    first minimum, so ties go to the lexicographically smallest y.
     """
     if len(x) != params.n_units:
         raise StructureError("x must have one bit per unit")
     committed = [i for i in range(params.n_units) if x[i]]
-    options = [(params.p_min[i], params.p_max[i]) for i in committed]
-    best_y = None
-    best_cost = np.inf
-    for levels in itertools.product(*options):
-        y = [0.0] * params.n_units
-        for i, level in zip(committed, levels):
-            y[i] = level
-        gap = params.demand - xi - sum(y)
-        cost = (
-            sum(params.unit_cost[i] * y[i] for i in committed)
-            + params.lam * abs(gap)
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_y = tuple(y)
-    return best_y, float(best_cost)
+    levels = np.zeros((2 ** len(committed), params.n_units))
+    levels[:, committed] = list(itertools.product(
+        *[(params.p_min[i], params.p_max[i]) for i in committed]
+    ))
+    supply = generation = 0.0
+    for i in committed:  # left to right, as a scalar sum would round
+        supply = supply + levels[:, i]
+        generation = generation + params.unit_cost[i] * levels[:, i]
+    gap = (params.demand - np.asarray(xi, dtype=float))[:, None] - supply
+    cost = generation + params.lam * np.abs(gap)
+    best = np.argmin(cost, axis=1)
+    return levels[best], cost[np.arange(len(cost)), best]
 
 
 def expected_cost(x, test: TestScenarioSet, params: UcpParams) -> float:
@@ -69,35 +68,28 @@ def expected_cost(x, test: TestScenarioSet, params: UcpParams) -> float:
     startup = sum(
         params.startup_cost[i] * x[i] for i in range(params.n_units)
     )
-    probs = test.probs
-    recourse = sum(
-        p * second_stage_best(x, xi, params)[1]
-        for xi, p in zip(test.xi_tilde, probs)
-    )
-    return float(startup + recourse)
+    _, cost = second_stage_best(x, test.xi_tilde, params)
+    # cumsum adds left to right; `@` and np.sum round pairwise
+    return float(startup + np.cumsum(test.probs * cost)[-1])
+
+
+def _costs_per_commitment(test: TestScenarioSet, params: UcpParams) -> dict:
+    return {
+        x: expected_cost(x, test, params)
+        for x in itertools.product((0, 1), repeat=params.n_units)
+    }
 
 
 def solve_ev(xi_mean: float, params: UcpParams):
     """Best commitment when the uncertainty collapses to its mean."""
-    best_x = None
-    best_value = np.inf
-    for x in itertools.product((0, 1), repeat=params.n_units):
-        startup = sum(
-            params.startup_cost[i] * x[i] for i in range(params.n_units)
-        )
-        value = startup + second_stage_best(x, xi_mean, params)[1]
-        if value < best_value:
-            best_value = value
-            best_x = x
-    return best_x, float(best_value)
+    costs = _costs_per_commitment(TestScenarioSet(np.array([xi_mean])), params)
+    best_x = min(costs, key=costs.get)  # the first of tied minima
+    return best_x, costs[best_x]
 
 
 def evaluate(test: TestScenarioSet, params: UcpParams) -> EvaluationReport:
     """All baselines for one lambda in a single report row."""
-    per_x = {
-        x: expected_cost(x, test, params)
-        for x in itertools.product((0, 1), repeat=params.n_units)
-    }
+    per_x = _costs_per_commitment(test, params)
     rp_solution = min(per_x, key=per_x.get)  # the first of tied minima
     ev_solution, _ = solve_ev(float(np.mean(test.xi_tilde)), params)
     return EvaluationReport(

@@ -82,12 +82,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
             raise StructureError("n_grid must be a power of two >= 2")
+        if not 1 <= self.n_test <= self.n_data:
+            raise StructureError("n_test must lie in [1, n_data]")
+        if not all(v > 0 for v in (self.alpha, self.beta, self.xi_max)):
+            raise StructureError("alpha, beta and xi_max must be > 0")
+        self.qaoa  # validates p1, p2, eval_shots and maxiter
         if self.n_seeds < 1:
             raise StructureError("n_seeds must be >= 1")
         if not self.lambdas:
             raise StructureError("lambda sweep cannot be empty")
+        for lam in self.lambdas:
+            replace(self.problem, lam=lam)  # UcpParams checks every weight
+        if min(self.m_values) < 1 or any(
+                n < 2 or n & (n - 1) for n in self.n_values):
+            raise StructureError("n_values must be powers of two >= 2 "
+                                 "and m_values >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise StructureError("master_seed must fit in 64 bits")
+
+    @property
+    def qaoa(self) -> QaoaConfig:
+        return QaoaConfig(p1=self.p1, p2=self.p2, shots=self.eval_shots,
+                          maxiter=self.maxiter)
 
 
 _KNOWN_KEYS = {
@@ -302,8 +318,6 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
     gen = load_generator(out / "generator.txt")
     test = _load_test_set(cfg)
     layout = RegisterLayout(gen.n_xi, cfg.problem.n_units)
-    qaoa_cfg = QaoaConfig(p1=cfg.p1, p2=cfg.p2, shots=cfg.eval_shots,
-                          maxiter=cfg.maxiter)
     records = []
     for lam in cfg.lambdas:
         params = replace(cfg.problem, lam=float(lam))
@@ -312,7 +326,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
-            result = optimize(gen, ham, layout, qaoa_cfg, rng)
+            result = optimize(gen, ham, layout, cfg.qaoa, rng)
             cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))
             if cost_map < report.rp_value - tol:

@@ -100,8 +100,6 @@ class QaoaConfig:
     p2: int = 4
     shots: int | None = None  # None = exact statevector evaluation
     maxiter: int = 400  # objective-evaluation budget
-    tol: float = 1e-3
-    rhobeg: float = 0.6
 
     def __post_init__(self):
         if self.p1 < 1 or self.p2 < 1:
@@ -220,6 +218,10 @@ def objective(
 # optimization
 # ---------------------------------------------------------------------------
 
+COBYLA_TOL = 1e-3  # final trust-region radius
+COBYLA_RHOBEG = 0.6  # initial trust-region radius
+
+
 def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
@@ -254,8 +256,8 @@ def optimize(
 
     x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
     opt = minimize(
-        fun, x0, method="COBYLA", tol=cfg.tol,
-        options={"maxiter": cfg.maxiter, "rhobeg": cfg.rhobeg},
+        fun, x0, method="COBYLA", tol=COBYLA_TOL,
+        options={"maxiter": cfg.maxiter, "rhobeg": COBYLA_RHOBEG},
     )
     if best["x"] is None:
         raise StructureError(

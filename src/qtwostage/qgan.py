@@ -211,11 +211,14 @@ def probability_jacobian(spec: GeneratorSpec,
     return jac
 
 
-def generator_gradient(spec: GeneratorSpec, disc: Discriminator) -> np.ndarray:
-    """Gradient of -log D(p_theta) w.r.t. theta."""
-    p = generator_probs(spec)
+def generator_gradient(spec: GeneratorSpec, disc: Discriminator,
+                       p: np.ndarray, probs=generator_probs) -> np.ndarray:
+    """Gradient of -log D(p_theta) w.r.t. theta at the observed p = probs(spec).
+
+    ``probs`` is the probability function the Jacobian's shifted specs use.
+    """
     _, input_grad = disc.backward(p, 1.0)  # BCE with target 1 == -log D
-    return probability_jacobian(spec) @ input_grad
+    return probability_jacobian(spec, probs) @ input_grad
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,16 @@ class TrainConfig:
     shots: int = 10_000
     use_shots: bool = False
     init_scale: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise StructureError("epochs must be >= 0")
+        if self.shots < 1:
+            raise StructureError("shots must be >= 1")
+        if not (self.lr_g > 0 and self.lr_d > 0):
+            raise StructureError("learning rates must be > 0")
+        if not self.init_scale >= 0:
+            raise StructureError("init_scale must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -305,8 +318,7 @@ def train(
         opt_d.step(disc.parameters(),
                    [gr + gf for gr, gf in zip(grads_real, grads_fake)])
 
-        _, input_grad = disc.backward(fake, 1.0)
-        grad = probability_jacobian(spec, observed_probs) @ input_grad
+        grad = generator_gradient(spec, disc, fake, observed_probs)
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)

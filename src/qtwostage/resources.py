@@ -21,7 +21,7 @@ structural identities pinned in the tests are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class ResourceReport:
     total: int
     depth: int
     n_qubits: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         kinds = (self.rz, self.sx, self.x, self.cx)
@@ -141,7 +140,7 @@ class ResourceReport:
             raise StructureError("depth cannot exceed the gate total")
 
 
-def count_and_depth(circuit: sv.Circuit, metadata: dict | None = None) -> ResourceReport:
+def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
     """Tally basis gates and the layered depth (greedy per-qubit frontier)."""
     counts = {kind: 0 for kind in BASIS_KINDS}
     frontier = [0] * circuit.n_qubits
@@ -172,7 +171,6 @@ def count_and_depth(circuit: sv.Circuit, metadata: dict | None = None) -> Resour
         total=sum(counts.values()),
         depth=depth,
         n_qubits=circuit.n_qubits,
-        metadata=dict(metadata or {}),
     )
 
 

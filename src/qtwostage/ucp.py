@@ -221,26 +221,6 @@ def classical_surrogate(x, b, xi: float, params: UcpParams) -> float:
     )
 
 
-def classical_l1_cost(x, y, xi: float, params: UcpParams) -> float:
-    """Start-up + generation + absolute imbalance penalty (reporting metric)."""
-    if len(x) != params.n_units or len(y) != params.n_units:
-        raise StructureError("x and y must have one entry per unit")
-    for i in range(params.n_units):
-        if x[i] == 0:
-            if y[i] != 0:
-                raise StructureError(f"unit {i} is off but has output {y[i]}")
-        elif y[i] not in (params.p_min[i], params.p_max[i]):
-            raise StructureError(
-                f"unit {i} output {y[i]} is not one of its two levels"
-            )
-    gap = params.demand - xi - sum(y)
-    return (
-        sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
-        + sum(params.unit_cost[i] * y[i] for i in range(params.n_units))
-        + params.lam * abs(gap)
-    )
-
-
 def decode_basis(index: int, layout: RegisterLayout):
     """Split a basis index into (scenario index, x bits, level bits)."""
     if not 0 <= index < 2**layout.n_total:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,24 +16,25 @@ def single_scenario(xi: float) -> ScenarioSet:
 
 def test_second_stage_best_hand_enumeration():
     params = default_params(30.0)
-    y, cost = bl.second_stage_best((1, 1, 0), 750.0, params)
-    assert y == (750.0, 1000.0, 0.0)
-    assert cost == pytest.approx(31250.0)
+    y, cost = bl.second_stage_best((1, 1, 0), [750.0], params)
+    assert y.shape == (1, 3) and cost.shape == (1,)
+    assert tuple(y[0]) == (750.0, 1000.0, 0.0)
+    assert cost[0] == pytest.approx(31250.0)
 
 
 def test_second_stage_best_empty_commitment():
     params = default_params(30.0)
     for xi in (0.0, 750.0, 2500.0):
-        y, cost = bl.second_stage_best((0, 0, 0), xi, params)
-        assert y == (0.0, 0.0, 0.0)
-        assert cost == pytest.approx(30.0 * abs(2500.0 - xi))
+        y, cost = bl.second_stage_best((0, 0, 0), [xi], params)
+        assert tuple(y[0]) == (0.0, 0.0, 0.0)
+        assert cost[0] == pytest.approx(30.0 * abs(2500.0 - xi))
 
 
 def test_second_stage_best_zero_lambda_picks_minimum_generation():
     params = default_params(0.0)
-    y, cost = bl.second_stage_best((1, 1, 1), 100.0, params)
-    assert y == (300.0, 500.0, 100.0)
-    assert cost == pytest.approx(15 * 300 + 20 * 500 + 10 * 100)
+    y, cost = bl.second_stage_best((1, 1, 1), [100.0], params)
+    assert tuple(y[0]) == (300.0, 500.0, 100.0)
+    assert cost[0] == pytest.approx(15 * 300 + 20 * 500 + 10 * 100)
 
 
 def test_second_stage_best_tie_is_lexicographically_smallest():
@@ -40,12 +43,12 @@ def test_second_stage_best_tie_is_lexicographically_smallest():
         startup_cost=(0.0, 0.0), unit_cost=(0.0, 0.0), lam=1.0,
     )
     # sums 2,3,3,4 -> gaps 1,0,0,1: combos (1,2) and (2,1) tie at cost 0
-    y, cost = bl.second_stage_best((1, 1), 0.0, params)
-    assert cost == pytest.approx(0.0)
-    assert y == (1.0, 2.0)
+    y, cost = bl.second_stage_best((1, 1), [0.0], params)
+    assert cost[0] == pytest.approx(0.0)
+    assert tuple(y[0]) == (1.0, 2.0)
 
     with pytest.raises(StructureError):
-        bl.second_stage_best((1, 1, 0), 0.0, params)
+        bl.second_stage_best((1, 1, 0), [0.0], params)
 
 
 def test_second_stage_cost_is_continuous_in_xi():
@@ -53,9 +56,7 @@ def test_second_stage_cost_is_continuous_in_xi():
     xs = np.linspace(-100.0, 2700.0, 1401)
     step = xs[1] - xs[0]
     for x in ((1, 1, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0)):
-        costs = np.array(
-            [bl.second_stage_best(x, xi, params)[1] for xi in xs]
-        )
+        _, costs = bl.second_stage_best(x, xs, params)
         jumps = np.abs(np.diff(costs))
         assert np.max(jumps) <= params.lam * step + 1e-9
 
@@ -162,3 +163,65 @@ def test_lambda_grid():
     assert len(grid) == 18
     assert grid[0] == 30.0 and grid[-1] == 200.0
     assert np.allclose(np.diff(grid), 10.0)
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the scalar scan over one scenario at a time
+# ---------------------------------------------------------------------------
+
+def scalar_second_stage_best(x, xi, params):
+    """Per-scenario itertools scan; ties keep the first combination."""
+    committed = [i for i in range(params.n_units) if x[i]]
+    best_y, best_cost = None, np.inf
+    for levels in itertools.product(
+            *[(params.p_min[i], params.p_max[i]) for i in committed]):
+        y = [0.0] * params.n_units
+        for i, level in zip(committed, levels):
+            y[i] = level
+        gap = params.demand - xi - sum(y)
+        cost = (sum(params.unit_cost[i] * y[i] for i in committed)
+                + params.lam * abs(gap))
+        if cost < best_cost:
+            best_y, best_cost = tuple(y), float(cost)
+    return best_y, best_cost
+
+
+def scalar_expected_cost(x, test, params):
+    startup = sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
+    recourse = sum(p * scalar_second_stage_best(x, xi, params)[1]
+                   for xi, p in zip(test.xi_tilde, test.probs))
+    return float(startup + recourse)
+
+
+def random_fleet(rng, n_units: int, lam: float) -> UcpParams:
+    """Levels on a 50 kWh lattice, so equal-supply combinations tie."""
+    p_min = rng.integers(0, 5, n_units) * 50.0
+    return UcpParams(
+        n_units=n_units,
+        demand=float(rng.integers(1, 40)) * 50.0,
+        p_min=tuple(p_min),
+        p_max=tuple(p_min + rng.integers(1, 4, n_units) * 50.0),
+        startup_cost=tuple(rng.integers(0, 3, n_units) * 1000.0),
+        unit_cost=tuple(rng.integers(0, 3, n_units) * 5.0),
+        lam=lam,
+    )
+
+
+@pytest.mark.parametrize("n_units", [1, 2, 3, 4])
+def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
+    rng = np.random.default_rng(100 + n_units)
+    for trial in range(20):
+        params = random_fleet(rng, n_units, (0.0, 1.0, 30.0, 77.7)[trial % 4])
+        xi = rng.uniform(-100.0, params.demand + 200.0,
+                         size=int(rng.integers(1, 40)))
+        xi[0] = params.demand - sum(params.p_min)  # an exact balance
+        test = ScenarioSet(xi)
+        for x in itertools.product((0, 1), repeat=n_units):
+            y, cost = bl.second_stage_best(x, xi, params)
+            for s, xi_s in enumerate(xi):
+                want_y, want_cost = scalar_second_stage_best(x, xi_s, params)
+                assert tuple(y[s]) == want_y
+                assert cost[s] == want_cost
+            assert bl.expected_cost(x, test, params) == \
+                scalar_expected_cost(x, test, params)
+

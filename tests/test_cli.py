@@ -152,6 +152,36 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, body, flags", [
+    ("run", "[qaoa]\np1 = 0\n", []),
+    ("run", "[qaoa]\nmaxiter = 0\n", []),
+    ("run", "", ["--shots", "0"]),
+    ("run", "[qaoa]\neval_mode = shots\nshots = -3\n", []),
+    ("gen-data", "[uncertainty]\nn_test = 0\n", []),
+    ("gen-data", "[uncertainty]\nn_data = 10\nn_test = 11\n", []),
+    ("gen-data", "[uncertainty]\nalpha = 0\n", []),
+    ("gen-data", "[uncertainty]\nbeta = nan\n", []),
+    ("gen-data", "[uncertainty]\nxi_max = -2500\n", []),
+    ("train-qgan", "[qgan]\nepochs = -5\n", []),
+    ("train-qgan", "[qgan]\nshots = 0\n", []),
+    ("train-qgan", "[qgan]\nlr_g = 0\n", []),
+    ("train-qgan", "[qgan]\nlr_d = -0.1\n", []),
+    ("train-qgan", "[qgan]\ninit_scale = -1\n", []),
+    ("baselines", "[sweep]\nlambdas = 30, -5\n", []),
+    ("run", "", ["--lambdas", "30,inf"]),
+    ("resources", "[sweep]\nn_values = 4, 3\n", []),
+    ("resources", "[sweep]\nm_values = 0\n", []),
+], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
+        "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
+        "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
+        "n_values", "m_values"])
+def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
+    path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", path, *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # data generation
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_generator_gradient_matches_finite_differences():
     theta = rng.uniform(-1, 1, size=6)
     spec = GeneratorSpec(2, 2, theta)
     disc = Discriminator(4, rng)
-    grad = generator_gradient(spec, disc)
+    grad = generator_gradient(spec, disc, generator_probs(spec))
 
     def loss(t):
         p = generator_probs(GeneratorSpec(2, 2, t))

@@ -78,21 +78,6 @@ def test_surrogate_cost_examples():
         pytest.approx(1000.0 + 2000.0 + 7.0 * 4e4)
 
 
-def test_l1_cost_examples():
-    params = ucp.default_params(lam=30.0)
-    assert ucp.classical_l1_cost((1, 1, 0), (750.0, 1000.0, 0.0), 750.0, params) == \
-        pytest.approx(40250.0)
-    assert ucp.classical_l1_cost((0, 0, 0), (0.0, 0.0, 0.0), 2500.0, params) == \
-        pytest.approx(0.0)
-    assert ucp.classical_l1_cost((1, 0, 0), (750.0, 0.0, 0.0), 750.0, params) == \
-        pytest.approx(45250.0)
-
-    with pytest.raises(StructureError):
-        ucp.classical_l1_cost((0, 1, 0), (300.0, 1000.0, 0.0), 750.0, params)
-    with pytest.raises(StructureError):
-        ucp.classical_l1_cost((1, 1, 0), (400.0, 1000.0, 0.0), 750.0, params)
-
-
 def test_decode_encode_round_trip():
     assert ucp.decode_basis(0, LAYOUT) == (0, (0, 0, 0), (0, 0, 0))
     s, x, b = ucp.decode_basis((1 << 5) | (1 << 6), LAYOUT)
