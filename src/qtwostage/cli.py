@@ -40,7 +40,14 @@ from .scenarios import (
     sample_pv,
     uniform_grid,
 )
-from .ucp import RegisterLayout, UcpParams, bits_to_string, build_hamiltonian
+from .statevec import MAX_QUBITS
+from .ucp import (
+    RegisterLayout,
+    UcpParams,
+    bits_to_string,
+    build_hamiltonian,
+    default_params,
+)
 
 N_TRAIN_SETS = 10
 N_TEST_SETS = 5
@@ -58,35 +65,43 @@ def derive_seed(master: int, role: str, index: int) -> int:
 # configuration
 # ---------------------------------------------------------------------------
 
+# Default evaluation shots, for `[qaoa] eval_mode = shots` and for --paper.
+PAPER_SHOTS = 50_000
+_LAMBDAS = (30.0, 90.0, 150.0, 200.0)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: UcpParams
-    alpha: float
-    beta: float
-    xi_max: float
-    n_grid: int
-    n_data: int
-    n_test: int
-    qgan: TrainConfig
-    p1: int
-    p2: int
-    eval_shots: int | None  # None = exact statevector expectation
-    maxiter: int
-    n_seeds: int
-    lambdas: tuple
-    n_values: tuple
-    m_values: tuple
-    out_dir: Path
-    master_seed: int
+    """Every setting of an experiment; the defaults are the desk-scale run."""
+
+    problem: UcpParams = default_params(_LAMBDAS[0])
+    alpha: float = 3.0
+    beta: float = 7.0
+    xi_max: float = 2500.0
+    n_grid: int = 8
+    n_data: int = 2000
+    n_test: int = 200
+    qgan: TrainConfig = TrainConfig()
+    qaoa: QaoaConfig = QaoaConfig()
+    n_seeds: int = 5
+    lambdas: tuple = _LAMBDAS
+    n_values: tuple = (4, 8, 16, 32, 64)
+    m_values: tuple = (3, 4, 5, 6)
+    out_dir: Path = Path("results")
+    master_seed: int = 7
 
     def __post_init__(self):
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
             raise StructureError("n_grid must be a power of two >= 2")
+        n_qubits = RegisterLayout(self.n_grid.bit_length() - 1,
+                                  self.problem.n_units).n_total
+        if n_qubits > MAX_QUBITS:
+            raise StructureError(f"n_grid and n_units need {n_qubits} qubits, "
+                                 f"above the {MAX_QUBITS}-qubit cap")
         if not 1 <= self.n_test <= self.n_data:
             raise StructureError("n_test must lie in [1, n_data]")
         if not all(v > 0 for v in (self.alpha, self.beta, self.xi_max)):
             raise StructureError("alpha, beta and xi_max must be > 0")
-        self.qaoa  # validates p1, p2, eval_shots and maxiter
         if self.n_seeds < 1:
             raise StructureError("n_seeds must be >= 1")
         if not self.lambdas:
@@ -100,21 +115,6 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             raise StructureError("master_seed must fit in 64 bits")
 
-    @property
-    def qaoa(self) -> QaoaConfig:
-        return QaoaConfig(p1=self.p1, p2=self.p2, shots=self.eval_shots,
-                          maxiter=self.maxiter)
-
-
-_KNOWN_KEYS = {
-    "problem": {"n_units", "demand", "p_min", "p_max", "startup_cost", "unit_cost"},
-    "uncertainty": {"alpha", "beta", "xi_max", "n_grid", "n_data", "n_test"},
-    "qgan": {"epochs", "lr_g", "lr_d", "shots", "use_shots", "init_scale"},
-    "qaoa": {"p1", "p2", "eval_mode", "shots", "maxiter", "n_seeds"},
-    "sweep": {"lambdas", "n_values", "m_values"},
-    "output": {"dir"},
-    "experiment": {"master_seed"},
-}
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -127,6 +127,14 @@ def _number_list(text: str, cast) -> tuple:
     return tuple(cast(item) for item in items)
 
 
+def _floats(text: str) -> tuple:
+    return _number_list(text, float)
+
+
+def _ints(text: str) -> tuple:
+    return _number_list(text, int)
+
+
 def _as_bool(text: str) -> bool:
     word = text.strip().lower()
     if word in _TRUE_WORDS:
@@ -136,72 +144,60 @@ def _as_bool(text: str) -> bool:
     raise StructureError(f"not a boolean: {text!r}")
 
 
+def _eval_mode(text: str) -> str:
+    if text not in ("exact", "shots"):
+        raise StructureError(f"eval_mode must be 'exact' or 'shots', got {text!r}")
+    return text
+
+
+# section -> key -> parser of its text.  A key sets the field of its name on
+# UcpParams, TrainConfig, QaoaConfig or ExperimentConfig, except [output] dir
+# (out_dir) and [qaoa] eval_mode, which says whether [qaoa] shots is used.
+_KEYS = {
+    "problem": {"n_units": int, "demand": float, "p_min": _floats,
+                "p_max": _floats, "startup_cost": _floats, "unit_cost": _floats},
+    "uncertainty": {"alpha": float, "beta": float, "xi_max": float,
+                    "n_grid": int, "n_data": int, "n_test": int},
+    "qgan": {"epochs": int, "lr_g": float, "lr_d": float, "shots": int,
+             "use_shots": _as_bool, "init_scale": float},
+    "qaoa": {"p1": int, "p2": int, "eval_mode": _eval_mode, "shots": int,
+             "maxiter": int, "n_seeds": int},
+    "sweep": {"lambdas": _floats, "n_values": _ints, "m_values": _ints},
+    "output": {"dir": Path},
+    "experiment": {"master_seed": int},
+}
+
+
 def load_config(path: str | None) -> ExperimentConfig:
     """Defaults overlaid with an optional INI file; unknown keys rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)
+    given = {section: {} for section in _KEYS}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise StructureError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
                 raise StructureError(f"unknown key {key!r} in [{section}]")
+            given[section][key] = _KEYS[section][key](text)
 
-    def get(section: str, key: str, cast, fallback):
-        raw = parser.get(section, key, fallback=None)
-        return fallback if raw is None else cast(raw)
-
-    lambdas = get("sweep", "lambdas", lambda t: _number_list(t, float),
-                  (30.0, 90.0, 150.0, 200.0))
-    problem = UcpParams(
-        n_units=get("problem", "n_units", int, 3),
-        demand=get("problem", "demand", float, 2500.0),
-        p_min=get("problem", "p_min", lambda t: _number_list(t, float),
-                  (300.0, 500.0, 100.0)),
-        p_max=get("problem", "p_max", lambda t: _number_list(t, float),
-                  (750.0, 1000.0, 200.0)),
-        startup_cost=get("problem", "startup_cost",
-                         lambda t: _number_list(t, float),
-                         (4000.0, 5000.0, 1000.0)),
-        unit_cost=get("problem", "unit_cost", lambda t: _number_list(t, float),
-                      (15.0, 20.0, 10.0)),
-        lam=lambdas[0],
-    )
-    qgan = TrainConfig(
-        epochs=get("qgan", "epochs", int, 400),
-        lr_g=get("qgan", "lr_g", float, 0.002),
-        lr_d=get("qgan", "lr_d", float, 0.002),
-        shots=get("qgan", "shots", int, 10_000),
-        use_shots=get("qgan", "use_shots", _as_bool, False),
-        init_scale=get("qgan", "init_scale", float, 0.1),
-    )
-    eval_mode = get("qaoa", "eval_mode", str.strip, "exact")
-    if eval_mode not in ("exact", "shots"):
-        raise StructureError(f"eval_mode must be 'exact' or 'shots', got {eval_mode!r}")
+    qaoa = given["qaoa"]
+    fields = {**given["uncertainty"], **given["sweep"], **given["experiment"]}
+    if "n_seeds" in qaoa:
+        fields["n_seeds"] = qaoa.pop("n_seeds")
+    if "dir" in given["output"]:
+        fields["out_dir"] = given["output"]["dir"]
+    shots = qaoa.pop("shots", PAPER_SHOTS)
+    if qaoa.pop("eval_mode", "exact") == "exact":
+        shots = None
+    lam = fields.get("lambdas", _LAMBDAS)[0]
     return ExperimentConfig(
-        problem=problem,
-        alpha=get("uncertainty", "alpha", float, 3.0),
-        beta=get("uncertainty", "beta", float, 7.0),
-        xi_max=get("uncertainty", "xi_max", float, 2500.0),
-        n_grid=get("uncertainty", "n_grid", int, 8),
-        n_data=get("uncertainty", "n_data", int, 2000),
-        n_test=get("uncertainty", "n_test", int, 200),
-        qgan=qgan,
-        p1=get("qaoa", "p1", int, 4),
-        p2=get("qaoa", "p2", int, 4),
-        eval_shots=(get("qaoa", "shots", int, 50_000)
-                    if eval_mode == "shots" else None),
-        maxiter=get("qaoa", "maxiter", int, 400),
-        n_seeds=get("qaoa", "n_seeds", int, 5),
-        lambdas=lambdas,
-        n_values=get("sweep", "n_values", lambda t: _number_list(t, int),
-                     (4, 8, 16, 32, 64)),
-        m_values=get("sweep", "m_values", lambda t: _number_list(t, int),
-                     (3, 4, 5, 6)),
-        out_dir=Path(get("output", "dir", str.strip, "results")),
-        master_seed=get("experiment", "master_seed", int, 7),
+        problem=replace(default_params(lam), **given["problem"]),
+        qgan=TrainConfig(**given["qgan"]),
+        qaoa=QaoaConfig(**qaoa, shots=shots),
+        **fields,
     )
 
 
@@ -212,18 +208,18 @@ def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
             cfg,
             lambdas=tuple(float(v) for v in lambda_grid()),
             n_seeds=40,
-            eval_shots=50_000,
+            qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS),
         )
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "lambdas", None) is not None:
-        cfg = replace(cfg, lambdas=_number_list(args.lambdas, float))
+        cfg = replace(cfg, lambdas=_floats(args.lambdas))
     if getattr(args, "seeds", None) is not None:
         cfg = replace(cfg, n_seeds=args.seeds)
     if getattr(args, "shots", None) is not None:
-        cfg = replace(cfg, eval_shots=args.shots)
+        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
     if getattr(args, "exact", False):
-        cfg = replace(cfg, eval_shots=None)
+        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=None))
     if cfg.problem.lam != cfg.lambdas[0]:
         cfg = replace(cfg, problem=replace(cfg.problem, lam=cfg.lambdas[0]))
     return cfg
@@ -380,8 +376,7 @@ def cmd_baselines(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_resources(cfg: ExperimentConfig, args) -> int:
-    rows = sweep_scaling(cfg.n_values, cfg.m_values, cfg.p1, cfg.p2,
-                         include_qgan=True)
+    rows = sweep_scaling(cfg.n_values, cfg.m_values, cfg.qaoa.p1, cfg.qaoa.p2)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "resources.csv"
     _write_csv(path, SWEEP_FIELDS,

@@ -43,11 +43,9 @@ class GeneratorSpec:
             )
 
 
-def default_spec(n_xi: int, theta: np.ndarray | None = None) -> GeneratorSpec:
-    """Layer count tied to the register width; zero angles by default."""
-    if theta is None:
-        theta = np.zeros(n_xi * (n_xi + 1))
-    return GeneratorSpec(n_xi, n_xi, np.asarray(theta, dtype=float))
+def default_spec(n_xi: int) -> GeneratorSpec:
+    """Layer count tied to the register width, zero angles."""
+    return GeneratorSpec(n_xi, n_xi, np.zeros(n_xi * (n_xi + 1)))
 
 
 def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
@@ -66,17 +64,13 @@ def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
     return sv.Circuit(spec.n_xi, gates)
 
 
-def generator_state(spec: GeneratorSpec) -> sv.StateVector:
-    return sv.run_circuit(generator_circuit(spec))
-
-
 def generator_probs(
     spec: GeneratorSpec,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Exact output distribution, or empirical frequencies at `shots`."""
-    state = generator_state(spec)
+    state = sv.run_circuit(generator_circuit(spec))
     if shots is None:
         return sv.probabilities(state)
     if rng is None:
@@ -95,9 +89,8 @@ class Discriminator:
     """Probability vectors carry entries of size ~1/N, so inputs are scaled
     by N to keep the first layer well conditioned at any register width."""
 
-    def __init__(self, n_inputs: int, rng: np.random.Generator,
-                 hidden: tuple = (50, 50)):
-        widths = [n_inputs, *hidden, 1]
+    def __init__(self, n_inputs: int, rng: np.random.Generator):
+        widths = [n_inputs, 50, 50, 1]
         self.input_scale = float(n_inputs)
         self.weights = []
         self.biases = []
@@ -166,10 +159,12 @@ def bce_loss(output: float, target: float) -> float:
 # Adam
 # ---------------------------------------------------------------------------
 
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8  # decay rates and stabiliser
+
+
 class Adam:
-    def __init__(self, params: list, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: list, lr: float):
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -177,15 +172,14 @@ class Adam:
     def step(self, params: list, grads: list) -> None:
         """Update parameter arrays in place."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= _B1
+            m += (1 - _B1) * g
+            v *= _B2
+            v += (1 - _B2) * g * g
+            m_hat = m / (1 - _B1**self.t)
+            v_hat = v / (1 - _B2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 # ---------------------------------------------------------------------------

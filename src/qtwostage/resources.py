@@ -21,7 +21,7 @@ structural identities pinned in the tests are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,25 +178,24 @@ def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
 # scaling sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_params(n_units: int, lam: float = 30.0) -> UcpParams:
+def sweep_params(n_units: int) -> UcpParams:
     """Fleet of ``n_units`` generators cycling the bundled three-unit data.
 
     Only the support structure of the cost polynomials matters for counting,
     but coefficients must stay non-zero so no term is pruned away.
     """
-    base = default_params(lam)
+    base = default_params(30.0)
 
     def pick(vals):
         return tuple(vals[i % 3] for i in range(n_units))
 
-    return UcpParams(
+    return replace(
+        base,
         n_units=n_units,
-        demand=base.demand,
         p_min=pick(base.p_min),
         p_max=pick(base.p_max),
         startup_cost=pick(base.startup_cost),
         unit_cost=pick(base.unit_cost),
-        lam=lam,
     )
 
 
@@ -259,18 +258,12 @@ def _row(n_scen: int, n_units: int, p1: int, p2: int, include_qgan: bool) -> dic
     }
 
 
-def sweep_scaling(
-    N_list,
-    M_list,
-    p1: int,
-    p2: int,
-    include_qgan: bool = True,
-) -> list:
+def sweep_scaling(N_list, M_list, p1: int, p2: int) -> list:
     """Rows (dicts keyed by SWEEP_FIELDS) for the four scaling families.
 
     Scenario-count families use the first entry of ``M_list``; the
-    unit-count family runs the full assembly over ``M_list`` x ``N_list``
-    at the given depths (generator included when ``include_qgan``).
+    unit-count family runs the full assembly, generator included, over
+    ``M_list`` x ``N_list`` at the given depths.
     """
     n_list = [int(n) for n in N_list]
     m_list = [int(m) for m in M_list]
@@ -287,9 +280,8 @@ def sweep_scaling(
 
     m0 = m_list[0]
     rows = []
-    if include_qgan:  # generator block alone
-        for n in n_list:
-            rows.append(_row(n, 0, 0, 0, True))
+    for n in n_list:  # generator block alone
+        rows.append(_row(n, 0, 0, 0, True))
     for n in n_list:  # first-stage layers alone
         for depth in range(1, p1 + 1):
             rows.append(_row(n, m0, depth, 0, False))
@@ -298,5 +290,5 @@ def sweep_scaling(
             rows.append(_row(n, m0, 0, depth, False))
     for m in m_list:  # full assembly across unit counts
         for n in n_list:
-            rows.append(_row(n, m, p1, p2, include_qgan))
+            rows.append(_row(n, m, p1, p2, True))
     return rows

@@ -18,11 +18,6 @@ import numpy as np
 from .errors import StructureError
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator; the contract is determinism per seed."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
 @dataclass(frozen=True)
 class SampleSet:
     values: np.ndarray
@@ -67,7 +62,7 @@ def sample_pv(
         raise StructureError("Beta shape parameters must be positive")
     if n < 1:
         raise StructureError("need at least one sample")
-    rng = rng_from_seed(seed)
+    rng = np.random.Generator(np.random.Philox(seed))  # counter-based
     g1 = rng.gamma(alpha, 1.0, size=n)
     g2 = rng.gamma(beta, 1.0, size=n)
     cf = g1 / (g1 + g2)

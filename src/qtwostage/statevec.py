@@ -99,10 +99,6 @@ class StateVector:
     n_qubits: int
     amps: np.ndarray
 
-    def norm_sq(self) -> float:
-        a = self.amps
-        return float(np.sum(a.real * a.real + a.imag * a.imag))
-
 
 @dataclass
 class Circuit:

@@ -140,7 +140,6 @@ class ProblemHamiltonian:
     h1: ZPolynomial
     h2_indep: ZPolynomial
     h2_dep: ZPolynomial
-    constant_offset: float
 
     def second_stage(self) -> ZPolynomial:
         return zpoly_add(self.h2_indep, self.h2_dep)
@@ -190,10 +189,7 @@ def build_hamiltonian(
     smask = layout.scenario_mask
     dep = {m: c for m, c in h2.terms.items() if m & smask}
     indep = {m: c for m, c in h2.terms.items() if not m & smask}
-    offset = h1.coefficient(0) + h2.coefficient(0)
-    return ProblemHamiltonian(
-        h1, ZPolynomial(n, indep), ZPolynomial(n, dep), offset
-    )
+    return ProblemHamiltonian(h1, ZPolynomial(n, indep), ZPolynomial(n, dep))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ class ZPolynomial:
     def coefficient(self, mask: int) -> float:
         return self.terms.get(mask, 0.0)
 
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -59,17 +56,13 @@ def constant(n_qubits: int, value: float) -> ZPolynomial:
     return _pruned(n_qubits, {0: float(value)})
 
 
-def fwht_expand(values: np.ndarray, n_qubits: int | None = None) -> ZPolynomial:
+def fwht_expand(values: np.ndarray) -> ZPolynomial:
     """Expand a length-2^n diagonal into Z-strings, c = (1/2^n) * H_n * values."""
     values = np.asarray(values, dtype=float)
     size = values.shape[0] if values.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise StructureError(f"diagonal length must be a power of two, got {values.shape}")
     n = size.bit_length() - 1
-    if n_qubits is None:
-        n_qubits = n
-    elif n_qubits != n:
-        raise StructureError(f"length {size} does not match n_qubits={n_qubits}")
 
     a = values.copy()
     h = 1

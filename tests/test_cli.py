@@ -77,7 +77,7 @@ def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg.n_grid == 8
     assert cfg.lambdas == (30.0, 90.0, 150.0, 200.0)
-    assert cfg.eval_shots is None
+    assert cfg.qaoa.shots is None
     assert cfg.problem.n_units == 3
     assert cfg.problem.lam == 30.0
     assert cfg.qgan.epochs == 400
@@ -98,9 +98,16 @@ lambdas = 30, 200
 """)
     cfg = load_config(path)
     assert cfg.n_grid == 16
-    assert cfg.eval_shots == 2000
+    assert cfg.qaoa.shots == 2000
     assert cfg.lambdas == (30.0, 200.0)
     assert cfg.problem.lam == 30.0
+
+
+def test_defaults_are_written_once(tmp_path):
+    assert load_config(None) == ExperimentConfig()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    grammar = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert load_config(write_config(tmp_path, grammar)) == load_config(None)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -130,7 +137,7 @@ def test_paper_flag_scales_up():
     assert len(cfg.lambdas) == 18
     assert cfg.lambdas[0] == 30.0 and cfg.lambdas[-1] == 200.0
     assert cfg.n_seeds == 40
-    assert cfg.eval_shots == 50_000
+    assert cfg.qaoa.shots == 50_000
 
 
 def test_explicit_flags_beat_paper():
@@ -138,7 +145,7 @@ def test_explicit_flags_beat_paper():
         ["run", "--paper", "--exact", "--lambdas", "30,90", "--seeds", "2",
          "--seed", "123"])
     cfg = apply_flags(load_config(None), args)
-    assert cfg.eval_shots is None
+    assert cfg.qaoa.shots is None
     assert cfg.lambdas == (30.0, 90.0)
     assert cfg.n_seeds == 2
     assert cfg.master_seed == 123
@@ -171,10 +178,12 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("run", "", ["--lambdas", "30,inf"]),
     ("resources", "[sweep]\nn_values = 4, 3\n", []),
     ("resources", "[sweep]\nm_values = 0\n", []),
+    ("run", "[uncertainty]\nn_grid = 8388608\n", []),
+    ("run", "[qaoa]\nshots = many\n", []),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
-        "n_values", "m_values"])
+        "n_values", "m_values", "above-max-qubits", "unparsed-shots"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2

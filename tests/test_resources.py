@@ -300,7 +300,7 @@ def test_build_sweep_circuit_validates():
 def test_sweep_rows_shape_and_schema():
     n_list = [4, 8, 16]
     m_list = [3, 4]
-    rows = sweep_scaling(n_list, m_list, p1=2, p2=2, include_qgan=True)
+    rows = sweep_scaling(n_list, m_list, p1=2, p2=2)
     # generator family + per-depth stage families + full grid
     assert len(rows) == 3 + 3 * 2 + 3 * 2 + 2 * 3
     for row in rows:
@@ -314,12 +314,10 @@ def test_sweep_rows_shape_and_schema():
 
     full = [r for r in rows if r["p1"] == 2 and r["p2"] == 2]
     assert sorted({r["M"] for r in full}) == m_list
-
-
-def test_sweep_without_generator_has_no_generator_rows():
-    rows = sweep_scaling([4, 8], [3], p1=1, p2=1, include_qgan=False)
-    assert all(r["M"] > 0 for r in rows)
-    assert all(r["include_qgan"] == 0 for r in rows)
+    assert all(r["include_qgan"] == 1 for r in full)
+    single = [r for r in rows if r["M"] > 0 and (r["p1"] == 0 or r["p2"] == 0)]
+    assert len(single) == 3 * 2 + 3 * 2
+    assert all(r["include_qgan"] == 0 for r in single)
 
 
 def test_sweep_rejects_bad_scenario_counts():

@@ -73,7 +73,7 @@ def test_binning():
     assert abs(wild.probs.sum() - 1.0) <= 5e-16
 
     uniform = sc.SampleSet(
-        sc.rng_from_seed(5).uniform(0.0, 3.0, size=2000), 5
+        np.random.Generator(np.random.Philox(5)).uniform(0.0, 3.0, size=2000), 5
     )
     binned = sc.bin_to_grid(uniform, grid)
     assert abs(binned.probs.sum() - 1.0) <= 5e-16

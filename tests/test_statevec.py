@@ -107,7 +107,7 @@ def test_random_circuit_matches_matrix_product_oracle():
             ref = _dense_unitary(gate, n) @ ref
             sv.apply(state, gate)
         assert np.allclose(state.amps, ref, atol=1e-10)
-        assert abs(state.norm_sq() - 1.0) < 1e-10
+        assert abs(sv.probabilities(state).sum() - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_zero_state_examples():
     assert np.array_equal(sv.new_zero_state(2).amps, [1, 0, 0, 0])
     big = sv.new_zero_state(11)
     assert big.amps.shape == (2048,)
-    assert abs(big.norm_sq() - 1.0) < 1e-12
+    assert abs(sv.probabilities(big).sum() - 1.0) < 1e-12
 
 
 def test_zero_state_capacity_guard():
