@@ -100,8 +100,8 @@ class ExperimentConfig:
                                  f"above the {MAX_QUBITS}-qubit cap")
         if not 1 <= self.n_test <= self.n_data:
             raise StructureError("n_test must lie in [1, n_data]")
-        if not all(v > 0 for v in (self.alpha, self.beta, self.xi_max)):
-            raise StructureError("alpha, beta and xi_max must be > 0")
+        if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.xi_max)):
+            raise StructureError("alpha, beta and xi_max must be finite and > 0")
         if self.n_seeds < 1:
             raise StructureError("n_seeds must be >= 1")
         if not self.lambdas:
@@ -189,14 +189,14 @@ def load_config(path: str | None) -> ExperimentConfig:
         fields["n_seeds"] = qaoa.pop("n_seeds")
     if "dir" in given["output"]:
         fields["out_dir"] = given["output"]["dir"]
-    shots = qaoa.pop("shots", PAPER_SHOTS)
-    if qaoa.pop("eval_mode", "exact") == "exact":
-        shots = None
+    exact = qaoa.pop("eval_mode", "exact") == "exact"
+    # built before exact mode drops the shots, so a bad value is still an error
+    qaoa_cfg = QaoaConfig(**{"shots": PAPER_SHOTS, **qaoa})
     lam = fields.get("lambdas", _LAMBDAS)[0]
     return ExperimentConfig(
         problem=replace(default_params(lam), **given["problem"]),
         qgan=TrainConfig(**given["qgan"]),
-        qaoa=QaoaConfig(**qaoa, shots=shots),
+        qaoa=replace(qaoa_cfg, shots=None) if exact else qaoa_cfg,
         **fields,
     )
 
@@ -313,16 +313,15 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
     out = cfg.out_dir
     gen = load_generator(out / "generator.txt")
     test = _load_test_set(cfg)
-    layout = RegisterLayout(gen.n_xi, cfg.problem.n_units)
     records = []
     for lam in cfg.lambdas:
         params = replace(cfg.problem, lam=float(lam))
-        ham = build_hamiltonian(params, layout, 0.0, cfg.xi_max)
+        ham = build_hamiltonian(params, gen.spec.n_xi, 0.0, cfg.xi_max)
         report = evaluate(test, params)
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
-            result = optimize(gen, ham, layout, cfg.qaoa, rng)
+            result = optimize(gen, ham, cfg.qaoa, rng)
             cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))
             if cost_map < report.rp_value - tol:

@@ -28,9 +28,10 @@ from .ucp import (
     ProblemHamiltonian,
     RegisterLayout,
     UcpParams,
+    build_hamiltonian,
     classical_surrogate,
 )
-from .walsh import ZPolynomial, fwht_expand, reconstruct
+from .walsh import ZPolynomial, fwht_expand
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +145,17 @@ def stage_layers(polys, gammas, betas, qubits) -> list:
 
 
 def assemble(
-    gen: TrainedGenerator,
-    ham: ProblemHamiltonian,
-    vp: VariationalParams,
-    layout: RegisterLayout,
+    gen: TrainedGenerator, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.Circuit:
     """Generator block, then first-stage layers, then second-stage layers."""
-    if gen.n_xi != layout.n_xi:
+    layout = ham.layout
+    if gen.spec.n_xi != layout.n_xi:
         raise StructureError(
-            f"generator register ({gen.n_xi}) does not match layout "
-            f"({layout.n_xi})"
+            f"generator register ({gen.spec.n_xi}) does not match the "
+            f"hamiltonian's scenario register ({layout.n_xi})"
         )
-    if ham.h1.n_qubits != layout.n_total:
-        raise StructureError("hamiltonian register does not match layout")
 
-    gates = list(generator_circuit(gen.spec()).gates)
+    gates = list(generator_circuit(gen.spec).gates)
     for q in layout.first_stage_qubits:
         gates.append(sv.H(q))
     for q in layout.second_stage_qubits:
@@ -171,12 +168,9 @@ def assemble(
 
 
 def final_state(
-    gen: TrainedGenerator,
-    ham: ProblemHamiltonian,
-    vp: VariationalParams,
-    layout: RegisterLayout,
+    gen: TrainedGenerator, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.StateVector:
-    return sv.run_circuit(assemble(gen, ham, vp, layout))
+    return sv.run_circuit(assemble(gen, ham, vp))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +199,11 @@ def objective(
     gen: TrainedGenerator,
     ham: ProblemHamiltonian,
     vp: VariationalParams,
-    layout: RegisterLayout,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Expectation of the full diagonal cost over the assembled state."""
-    state = final_state(gen, ham, vp, layout)
-    return _estimate(state, reconstruct(ham.total()), shots, rng)
+    return _estimate(final_state(gen, ham, vp), ham.diagonal, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +227,16 @@ def minimize(fun, x0, **kwargs):
 def optimize(
     gen: TrainedGenerator,
     ham: ProblemHamiltonian,
-    layout: RegisterLayout,
     cfg: QaoaConfig,
     rng: np.random.Generator,
 ) -> RunResult:
     """Derivative-free search; returns the best parameters ever evaluated."""
-    diag = reconstruct(ham.total())
     trace: list = []
     best = {"value": np.inf, "x": None}
 
     def fun(x: np.ndarray) -> float:
         vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x)
-        state = final_state(gen, ham, vp, layout)
-        value = _estimate(state, diag, cfg.shots, rng)
+        value = objective(gen, ham, vp, cfg.shots, rng)
         trace.append(value)
         if value < best["value"]:
             best["value"] = value
@@ -266,19 +255,18 @@ def optimize(
         )
 
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, best["x"])
-    state = final_state(gen, ham, vp_best, layout)
+    state = final_state(gen, ham, vp_best)
+    first_stage = ham.layout.first_stage_qubits
     if cfg.shots is None:
-        marginal = sv.marginal_probs(sv.probabilities(state),
-                                     layout.first_stage_qubits)
+        marginal = sv.marginal_probs(sv.probabilities(state), first_stage)
     else:
         counts = sv.sample(state, cfg.shots, rng)
-        marginal = (sv.marginal_probs(counts, layout.first_stage_qubits)
-                    / cfg.shots)
+        marginal = sv.marginal_probs(counts, first_stage) / cfg.shots
     return RunResult(
         best_params=vp_best,
         best_objective=best["value"],
         first_stage_marginal=marginal,
-        map_solution=map_solution(marginal, layout),
+        map_solution=map_solution(marginal),
         trace=np.asarray(trace),
         message=str(opt.message),
     )
@@ -288,15 +276,15 @@ def optimize(
 # solution extraction
 # ---------------------------------------------------------------------------
 
-def map_solution(marginal: np.ndarray, layout: RegisterLayout) -> tuple:
-    """Most probable first-stage outcome; ties go to the smallest index."""
-    if len(marginal) != 2**layout.n_units:
+def map_solution(marginal: np.ndarray) -> tuple:
+    """Most probable commitment of a 2^units marginal; ties go to the first."""
+    size = len(marginal)
+    if size < 2 or size & (size - 1):
         raise StructureError(
-            f"marginal length {len(marginal)} does not match "
-            f"{layout.n_units} units"
+            f"marginal length {size} is not a power of two >= 2"
         )
     k = int(np.argmax(marginal))  # argmax returns the first (smallest) tie
-    return tuple((k >> j) & 1 for j in range(layout.n_units))
+    return tuple((k >> j) & 1 for j in range(size.bit_length() - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +294,22 @@ def map_solution(marginal: np.ndarray, layout: RegisterLayout) -> tuple:
 def verify_prop1(
     gen: TrainedGenerator,
     params: UcpParams,
-    layout: RegisterLayout,
     xi_min: float,
     xi_max: float,
-    ham: ProblemHamiltonian,
     vp: VariationalParams,
 ) -> float:
     """|full-circuit expectation - factorized recomputation|.
 
+    Both sides read the problem from ``params`` and the generator alone.
     The factorized side never builds the joint circuit: first-stage
     amplitudes come from a first-stage-only circuit, scenario weights from
     the generator alone, and each second-stage value from an independently
     simulated dispatch-register circuit with the commitment bits and the
     scenario value substituted as plain numbers.
     """
-    n_xi, m = layout.n_xi, layout.n_units
-
-    lhs = objective(gen, ham, vp, layout)
+    n_xi, m = gen.spec.n_xi, params.n_units
+    ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
+    lhs = objective(gen, ham, vp)
 
     # first-stage-only circuit on an M-qubit register
     h1_local = ZPolynomial(
@@ -332,7 +319,7 @@ def verify_prop1(
     gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
     first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
 
-    scenario_probs = generator_probs(gen.spec())
+    scenario_probs = generator_probs(gen.spec)
     grid = np.linspace(xi_min, xi_max, 2**n_xi)
 
     rhs = 0.0

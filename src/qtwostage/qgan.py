@@ -1,12 +1,12 @@
 """Adversarial training of the scenario-loading circuit.
 
 The generator is a TwoLocal circuit (H column, then alternating RY and
-CZ-chain layers) whose measurement distribution should match a binned
-scenario distribution.  The discriminator is a small dense network that
-reads a whole probability vector and scores how likely it is to be real
-data.  Both are trained with Adam on the standard non-saturating
-cross-entropy pair; the generator gradient flows through the
-parameter-shift rule chained with the discriminator's input gradient.
+CZ-chain layers, one CZ chain per qubit) whose measurement distribution
+should match a binned scenario distribution.  The discriminator is a small
+dense network that reads a whole probability vector and scores how likely
+it is to be real data.  Both are trained with Adam on the standard
+non-saturating cross-entropy pair; the generator gradient flows through
+the parameter-shift rule chained with the discriminator's input gradient.
 
 Model selection keeps the epoch with the best mean test agreement
 (1 - Jensen-Shannon divergence) rather than the final epoch.
@@ -29,14 +29,15 @@ from .scenarios import js_agreement
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """Angles of the n_xi-qubit ansatz, whose depth is n_xi CZ-chain layers."""
+
     n_xi: int
-    reps: int
     theta: np.ndarray
 
     def __post_init__(self):
-        if self.n_xi < 1 or self.reps < 0:
-            raise StructureError("generator needs n_xi >= 1 and reps >= 0")
-        want = self.n_xi * (self.reps + 1)
+        if self.n_xi < 1:
+            raise StructureError("generator needs n_xi >= 1")
+        want = self.n_xi * (self.n_xi + 1)
         if len(self.theta) != want:
             raise StructureError(
                 f"theta must have length {want}, got {len(self.theta)}"
@@ -44,18 +45,18 @@ class GeneratorSpec:
 
 
 def default_spec(n_xi: int) -> GeneratorSpec:
-    """Layer count tied to the register width, zero angles."""
-    return GeneratorSpec(n_xi, n_xi, np.zeros(n_xi * (n_xi + 1)))
+    """Zero angles."""
+    return GeneratorSpec(n_xi, np.zeros(n_xi * (n_xi + 1)))
 
 
 def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
-    """H column, RY layer, then reps x (CZ chain, RY layer)."""
+    """H column, RY layer, then n_xi x (CZ chain, RY layer)."""
     gates = [sv.H(q) for q in range(spec.n_xi)]
     k = 0
     for q in range(spec.n_xi):
         gates.append(sv.RY(q, spec.theta[k]))
         k += 1
-    for _ in range(spec.reps):
+    for _ in range(spec.n_xi):
         for q in range(spec.n_xi - 1):
             gates.append(sv.CZ(q, q + 1))
         for q in range(spec.n_xi):
@@ -102,21 +103,8 @@ class Discriminator:
     def parameters(self) -> list:
         return [*self.weights, *self.biases]
 
-    def forward_logit(self, p: np.ndarray) -> float:
-        a = np.asarray(p, dtype=float) * self.input_scale
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = w @ a + b
-            a = np.where(z > 0, z, _LEAK * z)
-        return float((self.weights[-1] @ a + self.biases[-1])[0])
-
-    def forward(self, p: np.ndarray) -> float:
-        return float(_sigmoid(self.forward_logit(p)))
-
-    def backward(self, p: np.ndarray, target: float):
-        """Gradients of BCE(D(p), target) w.r.t. weights and the input.
-
-        Returns ([dW..., db...], dp) in the ordering of parameters().
-        """
+    def _forward(self, p: np.ndarray):
+        """(inputs of every layer, hidden pre-activations, output logit)."""
         a = np.asarray(p, dtype=float) * self.input_scale
         acts = [a]
         pre = []
@@ -125,7 +113,17 @@ class Discriminator:
             pre.append(z)
             a = np.where(z > 0, z, _LEAK * z)
             acts.append(a)
-        logit = float((self.weights[-1] @ a + self.biases[-1])[0])
+        return acts, pre, float((self.weights[-1] @ a + self.biases[-1])[0])
+
+    def forward(self, p: np.ndarray) -> float:
+        return float(_sigmoid(self._forward(p)[2]))
+
+    def backward(self, p: np.ndarray, target: float):
+        """Gradients of BCE(D(p), target) w.r.t. weights and the input.
+
+        Returns ([dW..., db...], dp) in the ordering of parameters().
+        """
+        acts, pre, logit = self._forward(p)
 
         # d(BCE)/d(logit) is sigmoid(logit) - target, numerically stable
         delta = np.array([_sigmoid(logit) - target])
@@ -199,8 +197,8 @@ def probability_jacobian(spec: GeneratorSpec,
         plus[j] += shift
         minus = spec.theta.copy()
         minus[j] -= shift
-        p_plus = probs(GeneratorSpec(spec.n_xi, spec.reps, plus))
-        p_minus = probs(GeneratorSpec(spec.n_xi, spec.reps, minus))
+        p_plus = probs(GeneratorSpec(spec.n_xi, plus))
+        p_minus = probs(GeneratorSpec(spec.n_xi, minus))
         jac[j] = (p_plus - p_minus) / 2.0
     return jac
 
@@ -241,15 +239,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainedGenerator:
-    theta_star: np.ndarray
-    n_xi: int
-    reps: int
+    spec: GeneratorSpec
     best_epoch: int
     train_score: float
     test_score: float
-
-    def spec(self) -> GeneratorSpec:
-        return GeneratorSpec(self.n_xi, self.reps, self.theta_star)
 
 
 def _check_targets(targets, size: int) -> None:
@@ -275,9 +268,8 @@ def train(
     _check_targets(target_train, size)
     _check_targets(target_test, size)
     n_xi = size.bit_length() - 1
-    reps = n_xi
 
-    theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_xi * (reps + 1))
+    theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_xi * (n_xi + 1))
     disc = Discriminator(size, rng)
     opt_d = Adam(disc.parameters(), cfg.lr_d)
     opt_g = Adam([theta], cfg.lr_g)
@@ -290,7 +282,7 @@ def train(
     best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
 
     def evaluate(epoch: int) -> None:
-        p_exact = generator_probs(GeneratorSpec(n_xi, reps, theta))
+        p_exact = generator_probs(GeneratorSpec(n_xi, theta))
         score = float(np.mean([js_agreement(p_exact, t) for t in target_test]))
         if score > best["score"]:
             train_score = float(
@@ -303,7 +295,7 @@ def train(
     for epoch in range(cfg.epochs):
         evaluate(epoch)
 
-        spec = GeneratorSpec(n_xi, reps, theta)
+        spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
         fake = observed_probs(spec)
 
@@ -316,9 +308,8 @@ def train(
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)
-    return TrainedGenerator(
-        best["theta"], n_xi, reps, best["epoch"], best["train"], best["score"]
-    )
+    return TrainedGenerator(GeneratorSpec(n_xi, best["theta"]),
+                            best["epoch"], best["train"], best["score"])
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +318,12 @@ def train(
 
 def generator_to_text(gen: TrainedGenerator) -> str:
     lines = [
-        f"n_xi = {gen.n_xi}",
-        f"reps = {gen.reps}",
+        f"n_xi = {gen.spec.n_xi}",
+        f"reps = {gen.spec.n_xi}",  # the ansatz depth
         f"best_epoch = {gen.best_epoch}",
         f"train_score = {gen.train_score!r}",
         f"test_score = {gen.test_score!r}",
-        "theta = " + ",".join(repr(float(t)) for t in gen.theta_star),
+        "theta = " + ",".join(repr(float(t)) for t in gen.spec.theta),
     ]
     return "\n".join(lines) + "\n"
 
@@ -346,16 +337,19 @@ def generator_from_text(text: str) -> TrainedGenerator:
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
     try:
+        n_xi = int(fields["n_xi"])
+        if int(fields["reps"]) != n_xi:
+            raise StructureError(f"reps must equal n_xi = {n_xi}")
         theta = np.array([float(v) for v in fields["theta"].split(",")])
+        if not np.all(np.isfinite(theta)):
+            raise StructureError("generator angles must be finite")
         return TrainedGenerator(
-            theta_star=theta,
-            n_xi=int(fields["n_xi"]),
-            reps=int(fields["reps"]),
+            spec=GeneratorSpec(n_xi, theta),
             best_epoch=int(fields["best_epoch"]),
             train_score=float(fields["train_score"]),
             test_score=float(fields["test_score"]),
         )
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError) as err:  # StructureError is a ValueError
         raise StructureError(f"malformed generator record: {err}") from err
 
 
@@ -365,5 +359,10 @@ def save_generator(gen: TrainedGenerator, path) -> None:
 
 
 def load_generator(path) -> TrainedGenerator:
+    """A malformed file is an OSError naming it, like any bad data file."""
     with open(path, encoding="utf-8") as fh:
-        return generator_from_text(fh.read())
+        text = fh.read()
+    try:
+        return generator_from_text(text)
+    except StructureError as exc:
+        raise OSError(f"{path}: {exc}") from exc

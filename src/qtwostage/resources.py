@@ -29,7 +29,7 @@ from . import statevec as sv
 from .errors import StructureError, UnsupportedGateError
 from .qaoa import stage_layers
 from .qgan import default_spec, generator_circuit
-from .ucp import RegisterLayout, UcpParams, build_hamiltonian, default_params
+from .ucp import UcpParams, build_hamiltonian, default_params
 
 BASIS_KINDS = ("rz", "sx", "x", "cx")
 
@@ -221,8 +221,8 @@ def build_sweep_circuit(
             )
         return generator_circuit(default_spec(n_xi))
 
-    layout = RegisterLayout(n_xi, n_units)
-    ham = build_hamiltonian(sweep_params(n_units), layout, 0.0, 2500.0)
+    ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
+    layout = ham.layout
 
     gates: list = []
     if include_qgan:

@@ -27,6 +27,7 @@ leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .walsh import (
     arithmetic_expansion,
     constant,
     embed,
+    reconstruct,
     zpoly_add,
     zpoly_mul,
     zpoly_scale,
@@ -137,6 +139,9 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class ProblemHamiltonian:
+    """The cost operator split by stage, on the register it is built for."""
+
+    layout: RegisterLayout
     h1: ZPolynomial
     h2_indep: ZPolynomial
     h2_dep: ZPolynomial
@@ -146,6 +151,11 @@ class ProblemHamiltonian:
 
     def total(self) -> ZPolynomial:
         return zpoly_add(self.h1, self.second_stage())
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Dense cost diagonal, built on first use, so never for a sweep row."""
+        return reconstruct(self.total())
 
 
 def _occupancy(qubit: int, n_total: int) -> ZPolynomial:
@@ -165,11 +175,11 @@ def build_y_operator(i: int, params: UcpParams, layout: RegisterLayout) -> ZPoly
 
 
 def build_hamiltonian(
-    params: UcpParams, layout: RegisterLayout, xi_min: float, xi_max: float
+    params: UcpParams, n_xi: int, xi_min: float, xi_max: float
 ) -> ProblemHamiltonian:
-    """Diagonal cost Hamiltonian, split at the scenario register."""
-    if params.n_units != layout.n_units:
-        raise StructureError("params and layout disagree on the unit count")
+    """Diagonal cost Hamiltonian on n_xi scenario qubits and the units'
+    decision qubits, split at the scenario register."""
+    layout = RegisterLayout(n_xi, params.n_units)
     n = layout.n_total
     xi_hat = embed(arithmetic_expansion(xi_min, xi_max, layout.n_xi), 0, n)
 
@@ -189,7 +199,8 @@ def build_hamiltonian(
     smask = layout.scenario_mask
     dep = {m: c for m, c in h2.terms.items() if m & smask}
     indep = {m: c for m, c in h2.terms.items() if not m & smask}
-    return ProblemHamiltonian(h1, ZPolynomial(n, indep), ZPolynomial(n, dep))
+    return ProblemHamiltonian(layout, h1, ZPolynomial(n, indep),
+                              ZPolynomial(n, dep))
 
 
 # ---------------------------------------------------------------------------

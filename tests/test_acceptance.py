@@ -26,7 +26,7 @@ from qtwostage.qaoa import (
     verify_nonanticipativity,
     verify_prop1,
 )
-from qtwostage.qgan import TrainConfig, TrainedGenerator, train
+from qtwostage.qgan import GeneratorSpec, TrainConfig, TrainedGenerator, train
 from qtwostage.resources import (
     build_sweep_circuit,
     count_and_depth,
@@ -75,7 +75,7 @@ def train_generator(n_grid: int, seed: int) -> TrainedGenerator:
 
 def random_generator(n_xi: int, rng) -> TrainedGenerator:
     theta = rng.uniform(-1.0, 1.0, size=n_xi * (n_xi + 1))
-    return TrainedGenerator(theta, n_xi, n_xi, 0, 1.0, 1.0)
+    return TrainedGenerator(GeneratorSpec(n_xi, theta), 0, 1.0, 1.0)
 
 
 def test_criterion_1_grid_expansion_sparsity():
@@ -110,7 +110,7 @@ def test_criterion_2_hamiltonian_matches_surrogate():
     for lam in (30.0, 200.0):
         params = default_params(lam)
         diag = reconstruct(
-            build_hamiltonian(params, layout, 0.0, XI_MAX).total()
+            build_hamiltonian(params, layout.n_xi, 0.0, XI_MAX).total()
         )
         want = np.array([
             classical_surrogate(x, b, grid[s], params)
@@ -144,24 +144,22 @@ def test_criterion_3_factorized_objective_identity():
         unit_cost=(15.0 * scale, 20.0 * scale, 10.0 * scale),
         lam=30.0 * scale,
     )
-    layout = RegisterLayout(2, 3)
-    ham_s = build_hamiltonian(params_s, layout, 0.0, XI_MAX * scale)
     worst_abs = 0.0
     for _ in range(20):
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
         worst_abs = max(worst_abs, verify_prop1(
-            gen, params_s, layout, 0.0, XI_MAX * scale, ham_s, vp))
+            gen, params_s, 0.0, XI_MAX * scale, vp))
 
     # full-scale companion: residual relative to the objective magnitude
     params_f = default_params(30.0)
-    ham_f = build_hamiltonian(params_f, layout, 0.0, XI_MAX)
+    ham_f = build_hamiltonian(params_f, 2, 0.0, XI_MAX)
     worst_rel = 0.0
     for _ in range(3):
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params_f, layout, 0.0, XI_MAX, ham_f, vp)
-        lhs = objective(gen, ham_f, vp, layout)
+        residual = verify_prop1(gen, params_f, 0.0, XI_MAX, vp)
+        lhs = objective(gen, ham_f, vp)
         worst_rel = max(worst_rel, residual / max(1.0, abs(lhs)))
 
     elapsed = time.perf_counter() - t0
@@ -173,27 +171,27 @@ def test_criterion_3_factorized_objective_identity():
 
 def test_criterion_4_scenario_decision_independence():
     t0 = time.perf_counter()
-    layout = RegisterLayout(2, 3)
-    ham = build_hamiltonian(default_params(30.0), layout, 0.0, XI_MAX)
+    ham = build_hamiltonian(default_params(30.0), 2, 0.0, XI_MAX)
+    layout = ham.layout
 
     worst = 0.0
     for seed in range(5):  # random circuits
         rng = np.random.default_rng(100 + seed)
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
-        state = final_state(gen, ham, vp, layout)
+        state = final_state(gen, ham, vp)
         worst = max(worst, verify_nonanticipativity(state, layout))
 
     rng = np.random.default_rng(7)  # an optimized circuit
     gen = random_generator(2, rng)
-    result = optimize(gen, ham, layout, QaoaConfig(p1=2, p2=2, maxiter=60), rng)
-    state = final_state(gen, ham, result.best_params, layout)
+    result = optimize(gen, ham, QaoaConfig(p1=2, p2=2, maxiter=60), rng)
+    state = final_state(gen, ham, result.best_params)
     worst = max(worst, verify_nonanticipativity(state, layout))
 
     # negative control: one scenario-to-commitment CX must break independence
     gen_c = random_generator(2, np.random.default_rng(29))
     vp_c = random_params(2, 2, np.random.default_rng(31))
-    circuit = assemble(gen_c, ham, vp_c, layout)
+    circuit = assemble(gen_c, ham, vp_c)
     circuit.gates.append(sv.CX(0, layout.commit_qubit(0)))
     control = verify_nonanticipativity(sv.run_circuit(circuit), layout)
 
@@ -241,15 +239,14 @@ def test_criterion_6_baseline_values():
 def test_criterion_7_end_to_end_solution_quality():
     t0 = time.perf_counter()
     gen = train_generator(4, 0)
-    layout = RegisterLayout(2, 3)
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     cfg = QaoaConfig(p1=4, p2=4, maxiter=400)
 
     params30 = default_params(30.0)
-    ham30 = build_hamiltonian(params30, layout, 0.0, XI_MAX)
+    ham30 = build_hamiltonian(params30, 2, 0.0, XI_MAX)
     maps = [
         bits_to_string(
-            optimize(gen, ham30, layout, cfg, np.random.default_rng(s))
+            optimize(gen, ham30, cfg, np.random.default_rng(s))
             .map_solution
         )
         for s in range(5)
@@ -257,11 +254,11 @@ def test_criterion_7_end_to_end_solution_quality():
     hits = sum(m in {"110", "111"} for m in maps)
 
     params200 = default_params(200.0)
-    ham200 = build_hamiltonian(params200, layout, 0.0, XI_MAX)
+    ham200 = build_hamiltonian(params200, 2, 0.0, XI_MAX)
     report = evaluate(test, params200)
     c_best = min(
         expected_cost(
-            optimize(gen, ham200, layout, cfg, np.random.default_rng(s))
+            optimize(gen, ham200, cfg, np.random.default_rng(s))
             .map_solution,
             test, params200,
         )
@@ -293,14 +290,13 @@ def test_criterion_8_resource_scaling_trends():
     params = default_params(30.0)
     counts = []
     for n_xi in range(2, 9):
-        layout = RegisterLayout(n_xi, 3)
-        ham = build_hamiltonian(params, layout, 0.0, XI_MAX)
+        ham = build_hamiltonian(params, n_xi, 0.0, XI_MAX)
         block = [
             sv.ZPhase(int(m), 0.0) for m in sorted(ham.h2_dep.terms) if m != 0
         ]
         counts.append(
             count_and_depth(
-                lower_to_basis(sv.Circuit(layout.n_total, block))
+                lower_to_basis(sv.Circuit(ham.layout.n_total, block))
             ).total
         )
     xs = np.arange(2, 9, dtype=float)
@@ -349,13 +345,12 @@ def test_criterion_8_resource_scaling_trends():
 
 def test_criterion_9_estimator_statistics():
     t0 = time.perf_counter()
-    layout = RegisterLayout(2, 3)
-    ham = build_hamiltonian(default_params(30.0), layout, 0.0, XI_MAX)
+    ham = build_hamiltonian(default_params(30.0), 2, 0.0, XI_MAX)
     gen = random_generator(2, np.random.default_rng(41))
     vp = random_params(2, 2, np.random.default_rng(42))
 
-    exact = objective(gen, ham, vp, layout)
-    state = final_state(gen, ham, vp, layout)
+    exact = objective(gen, ham, vp)
+    state = final_state(gen, ham, vp)
     diag = reconstruct(ham.total())
     probs = sv.probabilities(state)
     sigma = float(np.sqrt(probs @ diag**2 - (probs @ diag) ** 2))
@@ -364,17 +359,17 @@ def test_criterion_9_estimator_statistics():
     shots = 50_000
     bound = 4.0 * sigma / np.sqrt(shots)
     estimates = np.array([
-        objective(gen, ham, vp, layout, shots=shots, rng=rng)
+        objective(gen, ham, vp, shots=shots, rng=rng)
         for _ in range(50)
     ])
     n_within = int(np.sum(np.abs(estimates - exact) < bound))
 
     quarter = np.array([
-        objective(gen, ham, vp, layout, shots=shots // 4, rng=rng)
+        objective(gen, ham, vp, shots=shots // 4, rng=rng)
         for _ in range(100)
     ])
     full = np.array([
-        objective(gen, ham, vp, layout, shots=shots, rng=rng)
+        objective(gen, ham, vp, shots=shots, rng=rng)
         for _ in range(100)
     ])
     ratio = float(full.std(ddof=1) / quarter.std(ddof=1))

@@ -180,10 +180,17 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("resources", "[sweep]\nm_values = 0\n", []),
     ("run", "[uncertainty]\nn_grid = 8388608\n", []),
     ("run", "[qaoa]\nshots = many\n", []),
+    ("run", "[qaoa]\nshots = -3\n", []),
+    ("run", "[qaoa]\nshots = 0\n", []),
+    ("gen-data", "[uncertainty]\nalpha = inf\n", []),
+    ("gen-data", "[uncertainty]\nbeta = inf\n", []),
+    ("gen-data", "[uncertainty]\nxi_max = inf\n", []),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
-        "n_values", "m_values", "above-max-qubits", "unparsed-shots"])
+        "n_values", "m_values", "above-max-qubits", "unparsed-shots",
+        "exact-negative-shots", "exact-zero-shots", "alpha-inf", "beta-inf",
+        "xi_max-inf"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
@@ -291,6 +298,27 @@ def test_run_without_generator_is_exit_2(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["run", "--config", cfg_path]) == 2
+
+
+def test_run_malformed_generator_is_exit_2(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)  # n_grid = 4: two scenario qubits
+    out = tmp_path / "results"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    valid = ("n_xi = 2\nreps = 2\nbest_epoch = 0\ntrain_score = 1.0\n"
+             "test_score = 1.0\ntheta = 0.1,0.2,0.3,0.4,0.5,0.6\n")
+    for text in (
+        valid[:valid.index("theta")],  # truncated before the angles
+        valid.replace("0.1,0.2,", ""),  # too few angles
+        valid.replace("0.3", "nan"),
+        valid.replace("reps = 2", "reps = 1"),
+    ):
+        (out / "generator.txt").write_text(text)
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "generator.txt" in err
+        assert not (out / "records.jsonl").exists()
+    (out / "generator.txt").write_text(valid)
+    assert main(["run", "--config", cfg_path]) == 0
 
 
 def test_run_without_finite_objective_is_exit_1(tmp_path, capsys,

@@ -27,35 +27,37 @@ from qtwostage.scenarios import (
 
 
 def test_spec_validates_theta_length():
-    GeneratorSpec(2, 2, np.zeros(6))
+    GeneratorSpec(2, np.zeros(6))
     with pytest.raises(StructureError):
-        GeneratorSpec(2, 2, np.zeros(5))
+        GeneratorSpec(2, np.zeros(5))
     with pytest.raises(StructureError):
-        GeneratorSpec(0, 2, np.zeros(0))
+        GeneratorSpec(0, np.zeros(0))
 
 
 def test_default_spec_layer_count():
     spec = default_spec(3)
-    assert spec.reps == 3
     assert len(spec.theta) == 12
+    # the ansatz depth is the register width: 3 CZ chains of 2 gates
+    cz = [g for g in generator_circuit(spec).gates if isinstance(g, sv.CZ)]
+    assert len(cz) == 3 * 2
 
 
 def test_circuit_structure():
-    spec = GeneratorSpec(3, 2, np.arange(9, dtype=float))
+    spec = GeneratorSpec(3, np.arange(12, dtype=float))
     circ = generator_circuit(spec)
     kinds = [type(g).__name__ for g in circ.gates]
     want = (
         ["H"] * 3
         + ["RY"] * 3
-        + (["CZ"] * 2 + ["RY"] * 3) * 2
+        + (["CZ"] * 2 + ["RY"] * 3) * 3
     )
     assert kinds == want
     # entangler pairs walk down the chain
     cz = [g for g in circ.gates if isinstance(g, sv.CZ)]
-    assert [(g.control, g.target) for g in cz] == [(0, 1), (1, 2)] * 2
+    assert [(g.control, g.target) for g in cz] == [(0, 1), (1, 2)] * 3
     # RY angles consumed in order
     ry = [g.angle for g in circ.gates if isinstance(g, sv.RY)]
-    assert ry == list(range(9))
+    assert ry == list(range(12))
 
 
 def test_zero_angles_give_uniform():
@@ -65,7 +67,7 @@ def test_zero_angles_give_uniform():
 
 
 def test_sampled_probs():
-    spec = GeneratorSpec(2, 2, np.array([0.3, -0.8, 0.5, 0.1, -0.2, 0.9]))
+    spec = GeneratorSpec(2, np.array([0.3, -0.8, 0.5, 0.1, -0.2, 0.9]))
     exact = generator_probs(spec)
     rng = np.random.default_rng(7)
     freq = generator_probs(spec, shots=100_000, rng=rng)
@@ -110,7 +112,7 @@ def test_discriminator_gradients_match_finite_differences():
 def test_probability_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     theta = rng.uniform(-1, 1, size=6)
-    spec = GeneratorSpec(2, 2, theta)
+    spec = GeneratorSpec(2, theta)
     jac = probability_jacobian(spec)
     h = 1e-5
     for j in range(6):
@@ -119,8 +121,8 @@ def test_probability_jacobian_matches_finite_differences():
         minus = theta.copy()
         minus[j] -= h
         fd = (
-            generator_probs(GeneratorSpec(2, 2, plus))
-            - generator_probs(GeneratorSpec(2, 2, minus))
+            generator_probs(GeneratorSpec(2, plus))
+            - generator_probs(GeneratorSpec(2, minus))
         ) / (2 * h)
         np.testing.assert_allclose(jac[j], fd, atol=1e-7)
 
@@ -128,12 +130,12 @@ def test_probability_jacobian_matches_finite_differences():
 def test_generator_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     theta = rng.uniform(-1, 1, size=6)
-    spec = GeneratorSpec(2, 2, theta)
+    spec = GeneratorSpec(2, theta)
     disc = Discriminator(4, rng)
     grad = generator_gradient(spec, disc, generator_probs(spec))
 
     def loss(t):
-        p = generator_probs(GeneratorSpec(2, 2, t))
+        p = generator_probs(GeneratorSpec(2, t))
         return bce_loss(disc.forward(p), 1.0)
 
     h = 1e-4
@@ -182,7 +184,7 @@ def test_uniform_target_zero_init_scores_one_at_epoch_zero():
     assert got.best_epoch == 0
     assert got.test_score == 1.0
     assert got.train_score == 1.0
-    np.testing.assert_array_equal(got.theta_star, np.zeros(6))
+    np.testing.assert_array_equal(got.spec.theta, np.zeros(6))
 
 
 def test_train_is_deterministic_per_seed():
@@ -192,7 +194,7 @@ def test_train_is_deterministic_per_seed():
     cfg = TrainConfig(epochs=25)
     got_a = train([target], [target], cfg, rng_a)
     got_b = train([target], [target], cfg, rng_b)
-    np.testing.assert_array_equal(got_a.theta_star, got_b.theta_star)
+    np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
     assert got_a.test_score == got_b.test_score
     assert got_a.best_epoch == got_b.best_epoch
 
@@ -203,7 +205,7 @@ def test_train_with_shots_is_deterministic_per_seed():
                       use_shots=True)
     got_a = train([target], [target], cfg, np.random.default_rng(42))
     got_b = train([target], [target], cfg, np.random.default_rng(42))
-    np.testing.assert_array_equal(got_a.theta_star, got_b.theta_star)
+    np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
     assert got_a.best_epoch > 0  # the sampled gradients moved theta
 
 
@@ -232,18 +234,17 @@ def test_train_improves_on_skewed_target():
 
 def test_serialization_round_trip():
     gen = qgan.TrainedGenerator(
-        theta_star=np.array([0.1, -2.5e-3, 1.0 / 3.0]),
-        n_xi=1,
-        reps=2,
+        spec=GeneratorSpec(2, np.array([0.1, -2.5e-3, 1.0 / 3.0,
+                                        0.0, -7.0, 1e-300])),
         best_epoch=37,
         train_score=0.987654321,
         test_score=0.991234567,
     )
     text = generator_to_text(gen)
+    assert text.splitlines()[:2] == ["n_xi = 2", "reps = 2"]
     back = generator_from_text(text)
-    np.testing.assert_array_equal(back.theta_star, gen.theta_star)
-    assert back.n_xi == gen.n_xi
-    assert back.reps == gen.reps
+    np.testing.assert_array_equal(back.spec.theta, gen.spec.theta)
+    assert back.spec.n_xi == gen.spec.n_xi
     assert back.best_epoch == gen.best_epoch
     assert back.train_score == gen.train_score
     assert back.test_score == gen.test_score
@@ -251,18 +252,34 @@ def test_serialization_round_trip():
 
 def test_save_load(tmp_path):
     gen = qgan.TrainedGenerator(
-        theta_star=np.array([3.14159, -0.5]),
-        n_xi=1, reps=1, best_epoch=0, train_score=1.0, test_score=1.0,
+        spec=GeneratorSpec(1, np.array([3.14159, -0.5])),
+        best_epoch=0, train_score=1.0, test_score=1.0,
     )
     path = tmp_path / "generator.txt"
     qgan.save_generator(gen, path)
     back = qgan.load_generator(path)
-    np.testing.assert_array_equal(back.theta_star, gen.theta_star)
+    np.testing.assert_array_equal(back.spec.theta, gen.spec.theta)
 
 
-def test_load_rejects_malformed_record():
-    with pytest.raises(StructureError):
-        generator_from_text("n_xi = 2\n")
-    with pytest.raises(StructureError):
-        generator_from_text("n_xi = x\ntheta = 1.0\nreps = 1\n"
-                            "best_epoch = 0\ntrain_score = 1\ntest_score = 1")
+def test_load_rejects_malformed_record(tmp_path):
+    valid = ("n_xi = 1\nreps = 1\nbest_epoch = 0\ntrain_score = 1\n"
+             "test_score = 1\ntheta = 0.5,-0.25\n")
+    assert generator_from_text(valid).spec.n_xi == 1
+    malformed = [
+        "n_xi = 2\n",
+        "n_xi = x\ntheta = 1.0\nreps = 1\n"
+        "best_epoch = 0\ntrain_score = 1\ntest_score = 1",
+        valid[:valid.index("theta")],  # truncated before the angles
+        valid.replace("reps = 1", "reps = 2"),  # depth other than n_xi
+        valid.replace("0.5,-0.25", "0.5"),  # too few angles
+        valid.replace("0.5", "nan"),
+        valid.replace("-0.25", "-inf"),
+    ]
+    for text in malformed:
+        with pytest.raises(StructureError):
+            generator_from_text(text)
+    # a malformed file is an OSError that names it
+    path = tmp_path / "generator.txt"
+    path.write_text(malformed[-1])
+    with pytest.raises(OSError, match="generator.txt"):
+        qgan.load_generator(path)

@@ -6,7 +6,7 @@ import pytest
 from qtwostage import statevec as sv
 from qtwostage.errors import StructureError, UnsupportedGateError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
-from qtwostage.qgan import TrainedGenerator, default_spec
+from qtwostage.qgan import GeneratorSpec, TrainedGenerator, default_spec
 from qtwostage.resources import (
     SWEEP_FIELDS,
     ResourceReport,
@@ -16,7 +16,7 @@ from qtwostage.resources import (
     sweep_params,
     sweep_scaling,
 )
-from qtwostage.ucp import RegisterLayout, build_hamiltonian, default_params
+from qtwostage.ucp import build_hamiltonian, default_params
 
 HALF_PI = np.pi / 2.0
 
@@ -163,17 +163,14 @@ def test_lowering_preserves_action_wide_register():
 def test_lowering_preserves_action_full_assembly():
     # the production circuit: generator + both stage blocks, random angles
     rng = np.random.default_rng(7)
-    layout = RegisterLayout(2, 3)
-    ham = build_hamiltonian(default_params(30.0), layout, 0.0, 2500.0)
+    ham = build_hamiltonian(default_params(30.0), 2, 0.0, 2500.0)
     gen = TrainedGenerator(
-        theta_star=rng.uniform(-1.0, 1.0, size=6),
-        n_xi=2,
-        reps=2,
+        spec=GeneratorSpec(2, rng.uniform(-1.0, 1.0, size=6)),
         best_epoch=0,
         train_score=0.0,
         test_score=0.0,
     )
-    circuit = assemble(gen, ham, random_params(2, 2, rng), layout)
+    circuit = assemble(gen, ham, random_params(2, 2, rng))
     assert_unitary_equivalent(circuit, rng)
 
 
@@ -334,10 +331,8 @@ def test_sweep_rejects_bad_scenario_counts():
 @pytest.mark.parametrize("n_xi,n_units,p1,p2", [(2, 3, 1, 1), (3, 4, 2, 3)])
 def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
     """Gate for gate, the counted circuit is the one ``run`` simulates."""
-    spec = default_spec(n_xi)
-    gen = TrainedGenerator(spec.theta, n_xi, spec.reps, 0, 1.0, 1.0)
-    layout = RegisterLayout(n_xi, n_units)
-    ham = build_hamiltonian(sweep_params(n_units), layout, 0.0, 2500.0)
+    gen = TrainedGenerator(default_spec(n_xi), 0, 1.0, 1.0)
+    ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
     zero = VariationalParams(np.zeros(p1), np.zeros(p1), np.zeros(p2),
                              np.zeros(p2))
 
@@ -350,7 +345,7 @@ def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
         ]
 
     counted = build_sweep_circuit(n_xi, n_units, p1, p2, True)
-    simulated = assemble(gen, ham, zero, layout)
+    simulated = assemble(gen, ham, zero)
     assert counted.n_qubits == simulated.n_qubits
     assert skeleton(counted) == skeleton(simulated)
 

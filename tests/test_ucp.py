@@ -97,9 +97,9 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
     for n_xi in (2, 3, 5):
         for lam in (30.0, 200.0):
             params = ucp.default_params(lam=lam)
-            layout = ucp.RegisterLayout(n_xi=n_xi, n_units=3)
             grid = np.linspace(0.0, 2500.0, 2**n_xi)
-            ham = ucp.build_hamiltonian(params, layout, 0.0, 2500.0)
+            ham = ucp.build_hamiltonian(params, n_xi, 0.0, 2500.0)
+            layout = ham.layout
             diag = walsh.reconstruct(ham.total())
             want = np.empty_like(diag)
             for idx in range(2**layout.n_total):
@@ -112,7 +112,7 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
 
 def test_hamiltonian_structure():
     params = ucp.default_params(lam=30.0)
-    ham = ucp.build_hamiltonian(params, LAYOUT, 0.0, 2500.0)
+    ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
     smask = LAYOUT.scenario_mask
     assert all(m & smask for m in ham.h2_dep.terms)
     assert all(not m & smask for m in ham.h2_indep.terms)
@@ -133,7 +133,7 @@ def test_hamiltonian_structure():
 
 def test_lambda_zero_decouples_scenarios():
     params = ucp.default_params(lam=0.0)
-    ham = ucp.build_hamiltonian(params, LAYOUT, 0.0, 2500.0)
+    ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
     assert ham.h2_dep.terms == {}
     want = walsh.ZPolynomial(LAYOUT.n_total, {})
     for i in range(3):
@@ -146,8 +146,8 @@ def test_lambda_zero_decouples_scenarios():
 
 def test_split_reassembles_unsplit_h2():
     params = ucp.default_params(lam=30.0)
-    layout = ucp.RegisterLayout(n_xi=3, n_units=3)
-    ham = ucp.build_hamiltonian(params, layout, 0.0, 2500.0)
+    ham = ucp.build_hamiltonian(params, 3, 0.0, 2500.0)
+    layout = ham.layout
     n = layout.n_total
     grid = np.linspace(0.0, 2500.0, 8)
     rebuilt = walsh.reconstruct(ham.second_stage())
