@@ -31,7 +31,13 @@ import numpy as np
 from .baselines import evaluate, lambda_grid
 from .errors import CapacityError, StructureError, UnsupportedGateError
 from .qaoa import QaoaConfig, optimize
-from .qgan import TrainConfig, load_generator, save_generator, train
+from .qgan import (
+    TrainConfig,
+    check_targets,
+    load_generator,
+    save_generator,
+    train,
+)
 from .resources import SWEEP_FIELDS, sweep_scaling
 from .scenarios import (
     TestScenarioSet,
@@ -289,10 +295,23 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _read_dist(path: Path, n_grid: int) -> np.ndarray:
+    """The probabilities of one dist file, sized for ``n_grid``."""
+    probs = _read_column(path, "prob")
+    if len(probs) != n_grid:
+        raise OSError(f"{path} has {len(probs)} rows, but [uncertainty] "
+                      f"n_grid is {n_grid}")
+    try:
+        check_targets([probs], n_grid)
+    except StructureError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+    return probs
+
+
 def cmd_train_qgan(cfg: ExperimentConfig, args) -> int:
     out = cfg.out_dir
     targets = [
-        _read_column(out / f"dist_{i:02d}.csv", "prob")
+        _read_dist(out / f"dist_{i:02d}.csv", cfg.n_grid)
         for i in range(N_TRAIN_SETS + N_TEST_SETS)
     ]
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "qgan", 0))
@@ -311,17 +330,21 @@ def _load_test_set(cfg: ExperimentConfig) -> TestScenarioSet:
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
     out = cfg.out_dir
-    gen = load_generator(out / "generator.txt")
+    n_xi = cfg.n_grid.bit_length() - 1
+    spec = load_generator(out / "generator.txt").spec
+    if spec.n_xi != n_xi:
+        raise OSError(f"{out / 'generator.txt'} has n_xi = {spec.n_xi}, but "
+                      f"[uncertainty] n_grid = {cfg.n_grid} needs {n_xi}")
     test = _load_test_set(cfg)
     records = []
     for lam in cfg.lambdas:
         params = replace(cfg.problem, lam=float(lam))
-        ham = build_hamiltonian(params, gen.spec.n_xi, 0.0, cfg.xi_max)
+        ham = build_hamiltonian(params, n_xi, 0.0, cfg.xi_max)
         report = evaluate(test, params)
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
-            result = optimize(gen, ham, cfg.qaoa, rng)
+            result = optimize(spec, ham, cfg.qaoa, rng)
             cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))
             if cost_map < report.rp_value - tol:

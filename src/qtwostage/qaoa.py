@@ -23,7 +23,7 @@ import numpy as np
 
 from . import statevec as sv
 from .errors import StructureError
-from .qgan import TrainedGenerator, generator_circuit, generator_probs
+from .qgan import GeneratorSpec, generator_circuit, generator_probs
 from .ucp import (
     ProblemHamiltonian,
     RegisterLayout,
@@ -145,17 +145,17 @@ def stage_layers(polys, gammas, betas, qubits) -> list:
 
 
 def assemble(
-    gen: TrainedGenerator, ham: ProblemHamiltonian, vp: VariationalParams
+    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.Circuit:
     """Generator block, then first-stage layers, then second-stage layers."""
     layout = ham.layout
-    if gen.spec.n_xi != layout.n_xi:
+    if spec.n_xi != layout.n_xi:
         raise StructureError(
-            f"generator register ({gen.spec.n_xi}) does not match the "
+            f"generator register ({spec.n_xi}) does not match the "
             f"hamiltonian's scenario register ({layout.n_xi})"
         )
 
-    gates = list(generator_circuit(gen.spec).gates)
+    gates = list(generator_circuit(spec).gates)
     for q in layout.first_stage_qubits:
         gates.append(sv.H(q))
     for q in layout.second_stage_qubits:
@@ -168,9 +168,9 @@ def assemble(
 
 
 def final_state(
-    gen: TrainedGenerator, ham: ProblemHamiltonian, vp: VariationalParams
+    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.StateVector:
-    return sv.run_circuit(assemble(gen, ham, vp))
+    return sv.run_circuit(assemble(spec, ham, vp))
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +196,14 @@ def _estimate(
 
 
 def objective(
-    gen: TrainedGenerator,
+    spec: GeneratorSpec,
     ham: ProblemHamiltonian,
     vp: VariationalParams,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Expectation of the full diagonal cost over the assembled state."""
-    return _estimate(final_state(gen, ham, vp), ham.diagonal, shots, rng)
+    return _estimate(final_state(spec, ham, vp), ham.diagonal, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def minimize(fun, x0, **kwargs):
 
 
 def optimize(
-    gen: TrainedGenerator,
+    spec: GeneratorSpec,
     ham: ProblemHamiltonian,
     cfg: QaoaConfig,
     rng: np.random.Generator,
@@ -236,7 +236,7 @@ def optimize(
 
     def fun(x: np.ndarray) -> float:
         vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x)
-        value = objective(gen, ham, vp, cfg.shots, rng)
+        value = objective(spec, ham, vp, cfg.shots, rng)
         trace.append(value)
         if value < best["value"]:
             best["value"] = value
@@ -255,7 +255,7 @@ def optimize(
         )
 
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, best["x"])
-    state = final_state(gen, ham, vp_best)
+    state = final_state(spec, ham, vp_best)
     first_stage = ham.layout.first_stage_qubits
     if cfg.shots is None:
         marginal = sv.marginal_probs(sv.probabilities(state), first_stage)
@@ -292,7 +292,7 @@ def map_solution(marginal: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 def verify_prop1(
-    gen: TrainedGenerator,
+    spec: GeneratorSpec,
     params: UcpParams,
     xi_min: float,
     xi_max: float,
@@ -307,9 +307,9 @@ def verify_prop1(
     simulated dispatch-register circuit with the commitment bits and the
     scenario value substituted as plain numbers.
     """
-    n_xi, m = gen.spec.n_xi, params.n_units
+    n_xi, m = spec.n_xi, params.n_units
     ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
-    lhs = objective(gen, ham, vp)
+    lhs = objective(spec, ham, vp)
 
     # first-stage-only circuit on an M-qubit register
     h1_local = ZPolynomial(
@@ -319,7 +319,7 @@ def verify_prop1(
     gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
     first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
 
-    scenario_probs = generator_probs(gen.spec)
+    scenario_probs = generator_probs(spec)
     grid = np.linspace(xi_min, xi_max, 2**n_xi)
 
     rhs = 0.0

@@ -245,7 +245,8 @@ class TrainedGenerator:
     test_score: float
 
 
-def _check_targets(targets, size: int) -> None:
+def check_targets(targets, size: int) -> None:
+    """Each target must be a length-``size`` probability vector."""
     for t in targets:
         if len(t) != size:
             raise StructureError("all targets must have length 2^n_xi")
@@ -265,8 +266,8 @@ def train(
     size = len(target_train[0])
     if size < 2 or size & (size - 1):
         raise StructureError("target length must be a power of two")
-    _check_targets(target_train, size)
-    _check_targets(target_test, size)
+    check_targets(target_train, size)
+    check_targets(target_test, size)
     n_xi = size.bit_length() - 1
 
     theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_xi * (n_xi + 1))

@@ -5,7 +5,7 @@ pass), so counts are reproducible and layer increments stay exactly additive.
 Z-string phase blocks synthesize as a CX parity ladder onto the lowest
 support qubit, a single RZ, and the mirrored ladder.
 
-``sweep_scaling`` assembles representative circuits over grids of scenario
+``sweep_scaling`` builds circuits at zero angles over grids of scenario
 counts and unit counts, lowers them, and tabulates counts and depth.  Four
 row families share one schema and are distinguished by their configuration
 columns:
@@ -15,19 +15,23 @@ columns:
   * second-stage layers alone        -> p1 = 0, include_qgan = 0
   * full assembly across unit counts -> p1, p2 > 0, include_qgan = 1
 
+A full-assembly row counts ``qaoa.assemble``'s circuit, the one ``run``
+simulates.  A single-stage row counts a sub-circuit: that stage's H column
+and its ``stage_layers``.
+
 Absolute numbers depend on this table's conventions; only trends and the
 structural identities pinned in the tests are meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import statevec as sv
 from .errors import StructureError, UnsupportedGateError
-from .qaoa import stage_layers
+from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import UcpParams, build_hamiltonian, default_params
 
@@ -128,7 +132,6 @@ class ResourceReport:
     cx: int
     total: int
     depth: int
-    n_qubits: int
 
     def __post_init__(self):
         kinds = (self.rz, self.sx, self.x, self.cx)
@@ -163,15 +166,7 @@ def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
         for q in qubits:
             frontier[q] = level
         depth = max(depth, level)
-    return ResourceReport(
-        rz=counts["rz"],
-        sx=counts["sx"],
-        x=counts["x"],
-        cx=counts["cx"],
-        total=sum(counts.values()),
-        depth=depth,
-        n_qubits=circuit.n_qubits,
-    )
+    return ResourceReport(**counts, total=sum(counts.values()), depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -199,62 +194,38 @@ def sweep_params(n_units: int) -> UcpParams:
     )
 
 
-def build_sweep_circuit(
-    n_xi: int, n_units: int, p1: int, p2: int, include_qgan: bool
-) -> sv.Circuit:
-    """Two-stage circuit with zero angles for one sweep configuration.
-
-    The layers come from ``qaoa.stage_layers``, as in ``qaoa.assemble``.
-    ``n_units == 0`` selects the generator-block-only circuit (requires
-    ``include_qgan`` and zero depths).  Stage preparation H gates are
-    emitted only for stages with non-zero depth, so single-stage rows
-    isolate that stage's cost exactly.
-    """
-    if n_xi < 1:
-        raise StructureError("need at least one scenario qubit")
-    if p1 < 0 or p2 < 0:
-        raise StructureError("layer depths cannot be negative")
+def _sweep_circuit(n_xi: int, n_units: int, p1: int, p2: int) -> sv.Circuit:
+    """The circuit of one sweep row, at zero angles; its family follows
+    from (n_units, p1, p2) as in the module docstring."""
+    spec = default_spec(n_xi)
     if n_units == 0:
-        if not include_qgan or p1 or p2:
-            raise StructureError(
-                "a unit-free circuit must be the generator block alone"
-            )
-        return generator_circuit(default_spec(n_xi))
-
+        return generator_circuit(spec)
     ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
+    if p1 and p2:
+        zero1, zero2 = np.zeros(p1), np.zeros(p2)
+        return assemble(spec, ham, VariationalParams(zero1, zero1, zero2, zero2))
     layout = ham.layout
-
-    gates: list = []
-    if include_qgan:
-        gates.extend(generator_circuit(default_spec(n_xi)).gates)
-    if p1 > 0:
-        gates.extend(sv.H(q) for q in layout.first_stage_qubits)
-    if p2 > 0:
-        gates.extend(sv.H(q) for q in layout.second_stage_qubits)
-    gates += stage_layers([ham.h1], [0.0] * p1, [0.0] * p1,
-                          layout.first_stage_qubits)
-    gates += stage_layers([ham.h2_dep, ham.h2_indep], [0.0] * p2, [0.0] * p2,
-                          layout.second_stage_qubits)
+    if p1:
+        polys, qubits, depth = [ham.h1], layout.first_stage_qubits, p1
+    else:
+        polys, qubits, depth = ([ham.h2_dep, ham.h2_indep],
+                                layout.second_stage_qubits, p2)
+    zeros = [0.0] * depth
+    gates = [sv.H(q) for q in qubits]
+    gates += stage_layers(polys, zeros, zeros, qubits)
     return sv.Circuit(layout.n_total, gates)
 
 
-def _row(n_scen: int, n_units: int, p1: int, p2: int, include_qgan: bool) -> dict:
-    circuit = build_sweep_circuit(
-        int(np.log2(n_scen)), n_units, p1, p2, include_qgan
-    )
+def _row(n_scen: int, n_units: int, p1: int, p2: int) -> dict:
+    circuit = _sweep_circuit(int(np.log2(n_scen)), n_units, p1, p2)
     report = count_and_depth(lower_to_basis(circuit))
     return {
         "N": n_scen,
         "M": n_units,
         "p1": p1,
         "p2": p2,
-        "include_qgan": int(include_qgan),
-        "rz": report.rz,
-        "sx": report.sx,
-        "x": report.x,
-        "cx": report.cx,
-        "total": report.total,
-        "depth": report.depth,
+        "include_qgan": int(n_units == 0 or (p1 > 0 and p2 > 0)),
+        **asdict(report),  # rz, sx, x, cx, total, depth
     }
 
 
@@ -281,14 +252,14 @@ def sweep_scaling(N_list, M_list, p1: int, p2: int) -> list:
     m0 = m_list[0]
     rows = []
     for n in n_list:  # generator block alone
-        rows.append(_row(n, 0, 0, 0, True))
+        rows.append(_row(n, 0, 0, 0))
     for n in n_list:  # first-stage layers alone
         for depth in range(1, p1 + 1):
-            rows.append(_row(n, m0, depth, 0, False))
+            rows.append(_row(n, m0, depth, 0))
     for n in n_list:  # second-stage layers alone
         for depth in range(1, p2 + 1):
-            rows.append(_row(n, m0, 0, depth, False))
+            rows.append(_row(n, m0, 0, depth))
     for m in m_list:  # full assembly across unit counts
         for n in n_list:
-            rows.append(_row(n, m, p1, p2, True))
+            rows.append(_row(n, m, p1, p2))
     return rows

@@ -36,7 +36,6 @@ from .walsh import (
     ZPolynomial,
     arithmetic_expansion,
     constant,
-    embed,
     reconstruct,
     zpoly_add,
     zpoly_mul,
@@ -181,7 +180,10 @@ def build_hamiltonian(
     decision qubits, split at the scenario register."""
     layout = RegisterLayout(n_xi, params.n_units)
     n = layout.n_total
-    xi_hat = embed(arithmetic_expansion(xi_min, xi_max, layout.n_xi), 0, n)
+    # the scenario qubits are the register's low bits, so the grid
+    # operator's masks carry over unchanged
+    xi_hat = ZPolynomial(n, arithmetic_expansion(xi_min, xi_max,
+                                                 layout.n_xi).terms)
 
     h1 = ZPolynomial(n, {})
     supply = ZPolynomial(n, {})

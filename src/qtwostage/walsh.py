@@ -129,16 +129,6 @@ def zpoly_mul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
     return _pruned(a.n_qubits, out)
 
 
-def embed(poly: ZPolynomial, offset: int, total_qubits: int) -> ZPolynomial:
-    """Place a register-local operator into a larger register at ``offset``."""
-    if offset < 0 or offset + poly.n_qubits > total_qubits:
-        raise StructureError(
-            f"cannot embed {poly.n_qubits} qubits at offset {offset} "
-            f"into {total_qubits}"
-        )
-    return ZPolynomial(total_qubits, {m << offset: c for m, c in poly.terms.items()})
-
-
 def eval_at(poly: ZPolynomial, basis_index: int) -> float:
     if not 0 <= basis_index < 2**poly.n_qubits:
         raise StructureError(f"basis index {basis_index} out of range")

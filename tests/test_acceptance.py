@@ -27,11 +27,7 @@ from qtwostage.qaoa import (
     verify_prop1,
 )
 from qtwostage.qgan import GeneratorSpec, TrainConfig, TrainedGenerator, train
-from qtwostage.resources import (
-    build_sweep_circuit,
-    count_and_depth,
-    lower_to_basis,
-)
+from qtwostage.resources import count_and_depth, lower_to_basis, sweep_scaling
 from qtwostage.scenarios import (
     bin_to_grid,
     quantile_test_set,
@@ -73,9 +69,9 @@ def train_generator(n_grid: int, seed: int) -> TrainedGenerator:
                  np.random.default_rng(seed))
 
 
-def random_generator(n_xi: int, rng) -> TrainedGenerator:
+def random_generator(n_xi: int, rng) -> GeneratorSpec:
     theta = rng.uniform(-1.0, 1.0, size=n_xi * (n_xi + 1))
-    return TrainedGenerator(GeneratorSpec(n_xi, theta), 0, 1.0, 1.0)
+    return GeneratorSpec(n_xi, theta)
 
 
 def test_criterion_1_grid_expansion_sparsity():
@@ -238,7 +234,7 @@ def test_criterion_6_baseline_values():
 
 def test_criterion_7_end_to_end_solution_quality():
     t0 = time.perf_counter()
-    gen = train_generator(4, 0)
+    gen = train_generator(4, 0).spec
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     cfg = QaoaConfig(p1=4, p2=4, maxiter=400)
 
@@ -277,13 +273,13 @@ def test_criterion_7_end_to_end_solution_quality():
 def test_criterion_8_resource_scaling_trends():
     t0 = time.perf_counter()
 
-    def lowered_total(n_xi, p1, p2):
-        circuit = build_sweep_circuit(n_xi, 3, p1, p2, False)
-        return count_and_depth(lower_to_basis(circuit)).total
+    def first_stage_increment(n_scen):  # its rows: M = 3, p1 = 1 and 2, p2 = 0
+        rows = sweep_scaling([n_scen], [3], 2, 1)
+        one, two = [r["total"] for r in rows if r["M"] == 3 and r["p2"] == 0]
+        return two - one
 
     increments = {
-        lowered_total(n_xi, 2, 0) - lowered_total(n_xi, 1, 0)
-        for n_xi in range(2, 9)  # N = 4 .. 256
+        first_stage_increment(2**n_xi) for n_xi in range(2, 9)  # N = 4 .. 256
     }
     first_stage_ok = len(increments) == 1
 

@@ -263,6 +263,22 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
         assert main(["train-qgan", "--config", cfg_path]) == 2
         assert "dist_03.csv" in capsys.readouterr().err
 
+    # files sized for another n_grid, a short file, non-distributions
+    assert main(["gen-data", "--config", tiny_config(tmp_path, n_grid=8)]) == 0
+    assert main(["train-qgan", "--config", tiny_config(tmp_path)]) == 2
+    assert "dist_00.csv has 8 rows" in capsys.readouterr().err
+    cfg_path = tiny_config(tmp_path, n_grid=8)
+    header, first, *rest = dist.read_text().splitlines()
+    x0 = first.split(",")[0]
+    for lines in ([header, first, *rest[:3]],
+                  [header, f"{x0},0.9", *rest],
+                  [header, f"{x0},-0.5", *rest]):
+        dist.write_text("\n".join(lines) + "\n")
+        assert main(["train-qgan", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "dist_03.csv" in err
+    assert not (tmp_path / "results" / "generator.txt").exists()
+
 
 def test_pipeline_end_to_end(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
@@ -319,6 +335,18 @@ def test_run_malformed_generator_is_exit_2(tmp_path, capsys):
         assert not (out / "records.jsonl").exists()
     (out / "generator.txt").write_text(valid)
     assert main(["run", "--config", cfg_path]) == 0
+
+
+def test_run_with_generator_for_another_grid_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "results"
+    cfg_path = tiny_config(tmp_path)  # n_grid = 4
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train-qgan", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", tiny_config(tmp_path, n_grid=8)]) == 2
+    err = capsys.readouterr().err
+    assert "generator.txt has n_xi = 2" in err and "n_grid = 8" in err
+    assert not (out / "records.jsonl").exists()
 
 
 def test_run_without_finite_objective_is_exit_1(tmp_path, capsys,

@@ -16,7 +16,7 @@ from qtwostage.qaoa import (
     verify_nonanticipativity,
     verify_prop1,
 )
-from qtwostage.qgan import GeneratorSpec, TrainedGenerator, generator_probs
+from qtwostage.qgan import GeneratorSpec, generator_probs
 from qtwostage.ucp import (
     RegisterLayout,
     UcpParams,
@@ -28,11 +28,10 @@ from qtwostage.ucp import (
 from qtwostage.walsh import reconstruct
 
 
-def make_generator(n_xi: int, theta=None) -> TrainedGenerator:
+def make_generator(n_xi: int, theta=None) -> GeneratorSpec:
     if theta is None:
         theta = np.zeros(n_xi * (n_xi + 1))
-    return TrainedGenerator(
-        GeneratorSpec(n_xi, np.asarray(theta, dtype=float)), 0, 1.0, 1.0)
+    return GeneratorSpec(n_xi, np.asarray(theta, dtype=float))
 
 
 def case_study(lam: float, n_xi: int = 2):
@@ -132,7 +131,7 @@ def test_zero_angles_give_product_state():
     gen = make_generator(2, theta)
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
     probs = sv.probabilities(final_state(gen, ham, vp))
-    p_s = generator_probs(gen.spec)
+    p_s = generator_probs(gen)
     want = np.tile(p_s, 64) / 64.0
     np.testing.assert_allclose(probs, want, atol=1e-12)
 
@@ -154,7 +153,7 @@ def test_objective_matches_product_oracle():
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
     got = objective(gen, ham, vp)
 
-    p_s = generator_probs(gen.spec)
+    p_s = generator_probs(gen)
     grid = np.linspace(0.0, 2500.0, 4)
     want = 0.0
     for index in range(2**layout.n_total):
@@ -188,7 +187,7 @@ def test_mapping_block_matches_diagonal_oracle():
     # replace the synthesized scenario-coupled block by one diagonal phase
     from qtwostage.qaoa import _cost_gates
     from qtwostage.qgan import generator_circuit
-    gates = list(generator_circuit(gen.spec).gates)
+    gates = list(generator_circuit(gen).gates)
     gates += [sv.H(q) for q in layout.first_stage_qubits]
     gates += [sv.H(q) for q in layout.second_stage_qubits]
     gates += _cost_gates(ham.h1, vp.gamma1[0])

@@ -6,11 +6,10 @@ import pytest
 from qtwostage import statevec as sv
 from qtwostage.errors import StructureError, UnsupportedGateError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
-from qtwostage.qgan import GeneratorSpec, TrainedGenerator, default_spec
+from qtwostage.qgan import GeneratorSpec, default_spec
 from qtwostage.resources import (
     SWEEP_FIELDS,
     ResourceReport,
-    build_sweep_circuit,
     count_and_depth,
     lower_to_basis,
     sweep_params,
@@ -164,13 +163,8 @@ def test_lowering_preserves_action_full_assembly():
     # the production circuit: generator + both stage blocks, random angles
     rng = np.random.default_rng(7)
     ham = build_hamiltonian(default_params(30.0), 2, 0.0, 2500.0)
-    gen = TrainedGenerator(
-        spec=GeneratorSpec(2, rng.uniform(-1.0, 1.0, size=6)),
-        best_epoch=0,
-        train_score=0.0,
-        test_score=0.0,
-    )
-    circuit = assemble(gen, ham, random_params(2, 2, rng))
+    spec = GeneratorSpec(2, rng.uniform(-1.0, 1.0, size=6))
+    circuit = assemble(spec, ham, random_params(2, 2, rng))
     assert_unitary_equivalent(circuit, rng)
 
 
@@ -212,19 +206,14 @@ def test_count_rejects_unlowered_gate():
         count_and_depth(sv.Circuit(1, [sv.H(0)]))
 
 
-def test_report_metadata_carried():
-    report = count_and_depth(sv.Circuit(2, [sv.X(0)]))
-    assert report.n_qubits == 2
-
-
 def test_report_validates_total():
     with pytest.raises(StructureError):
-        ResourceReport(rz=1, sx=0, x=0, cx=0, total=2, depth=1, n_qubits=1)
+        ResourceReport(rz=1, sx=0, x=0, cx=0, total=2, depth=1)
 
 
 def test_report_validates_depth_bound():
     with pytest.raises(StructureError):
-        ResourceReport(rz=1, sx=0, x=0, cx=0, total=1, depth=2, n_qubits=1)
+        ResourceReport(rz=1, sx=0, x=0, cx=0, total=1, depth=2)
 
 
 def test_counts_do_not_depend_on_angles():
@@ -240,9 +229,11 @@ def test_counts_do_not_depend_on_angles():
 # scaling sweeps
 # ---------------------------------------------------------------------------
 
-def lowered_total(n_xi, n_units, p1, p2, include_qgan):
-    circuit = build_sweep_circuit(n_xi, n_units, p1, p2, include_qgan)
-    return count_and_depth(lower_to_basis(circuit)).total
+def lowered_totals(n_xi, n_units, p1, p2):
+    """Lowered totals of ``sweep_scaling([2**n_xi], [n_units], p1, p2)``,
+    keyed by each row's (M, p1, p2)."""
+    rows = sweep_scaling([2**n_xi], [n_units], p1, p2)
+    return {(r["M"], r["p1"], r["p2"]): r["total"] for r in rows}
 
 
 def test_sweep_params_cycles_units():
@@ -254,26 +245,23 @@ def test_sweep_params_cycles_units():
 
 
 def test_generator_only_counts_strictly_increase_with_scenarios():
-    totals = [lowered_total(n_xi, 0, 0, 0, True) for n_xi in range(2, 9)]
+    totals = [lowered_totals(n_xi, 3, 1, 1)[0, 0, 0] for n_xi in range(2, 9)]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
 
 def test_first_stage_layer_increment_independent_of_scenario_count():
-    increments = {
-        lowered_total(n_xi, 3, 2, 0, False) - lowered_total(n_xi, 3, 1, 0, False)
-        for n_xi in range(2, 9)
-    }
+    increments = set()
+    for n_xi in range(2, 9):
+        totals = lowered_totals(n_xi, 3, 2, 1)
+        increments.add(totals[3, 2, 0] - totals[3, 1, 0])
     assert len(increments) == 1
 
 
 def test_second_stage_layer_increment_affine_in_scenario_bits():
     n_bits = np.arange(2, 9)
+    totals = [lowered_totals(n, 3, 1, 2) for n in n_bits]
     increments = np.array(
-        [
-            lowered_total(n, 3, 0, 2, False) - lowered_total(n, 3, 0, 1, False)
-            for n in n_bits
-        ],
-        dtype=float,
+        [t[3, 0, 2] - t[3, 0, 1] for t in totals], dtype=float
     )
     assert all(b > a for a, b in zip(increments, increments[1:]))
     coef = np.polyfit(n_bits, increments, 1)
@@ -281,17 +269,6 @@ def test_second_stage_layer_increment_affine_in_scenario_bits():
     ss_res = float(np.sum((increments - pred) ** 2))
     ss_tot = float(np.sum((increments - increments.mean()) ** 2))
     assert 1.0 - ss_res / ss_tot >= 0.99
-
-
-def test_build_sweep_circuit_validates():
-    with pytest.raises(StructureError):
-        build_sweep_circuit(0, 3, 1, 1, False)
-    with pytest.raises(StructureError):
-        build_sweep_circuit(2, 0, 1, 0, True)  # unit-free but has layers
-    with pytest.raises(StructureError):
-        build_sweep_circuit(2, 0, 0, 0, False)  # unit-free without generator
-    with pytest.raises(StructureError):
-        build_sweep_circuit(2, 3, -1, 0, False)
 
 
 def test_sweep_rows_shape_and_schema():
@@ -330,26 +307,22 @@ def test_sweep_rejects_bad_scenario_counts():
 
 @pytest.mark.parametrize("n_xi,n_units,p1,p2", [(2, 3, 1, 1), (3, 4, 2, 3)])
 def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
-    """Gate for gate, the counted circuit is the one ``run`` simulates."""
-    gen = TrainedGenerator(default_spec(n_xi), 0, 1.0, 1.0)
+    """The sweep's full-assembly row counts the circuit ``run`` simulates."""
     ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
     zero = VariationalParams(np.zeros(p1), np.zeros(p1), np.zeros(p2),
                              np.zeros(p2))
-
-    def skeleton(circuit):  # gate types, qubits and masks; no angles
-        return [
-            (type(g).__name__,
-             *(getattr(g, f.name) for f in dataclasses.fields(g)
-               if f.name != "angle"))
-            for g in circuit.gates
-        ]
-
-    counted = build_sweep_circuit(n_xi, n_units, p1, p2, True)
-    simulated = assemble(gen, ham, zero)
-    assert counted.n_qubits == simulated.n_qubits
-    assert skeleton(counted) == skeleton(simulated)
+    report = count_and_depth(
+        lower_to_basis(assemble(default_spec(n_xi), ham, zero)))
+    (row,) = [
+        r for r in sweep_scaling([2**n_xi], [n_units], p1, p2)
+        if r["include_qgan"] and r["M"] == n_units
+    ]
+    assert row == {
+        "N": 2**n_xi, "M": n_units, "p1": p1, "p2": p2, "include_qgan": 1,
+        **dataclasses.asdict(report),
+    }
 
 
 def test_full_assembly_counts_grow_with_units():
-    totals = [lowered_total(3, m, 2, 2, True) for m in (2, 3, 4, 5)]
+    totals = [lowered_totals(3, m, 2, 2)[m, 2, 2] for m in (2, 3, 4, 5)]
     assert all(b > a for a, b in zip(totals, totals[1:]))

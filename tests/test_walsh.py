@@ -131,18 +131,12 @@ def test_zpoly_register_mismatch():
         walsh.zpoly_mul(a, b)
 
 
-def test_embed():
-    assert walsh.embed(walsh.ZPolynomial(1, {1: 2.5}), 3, 6).terms == {8: 2.5}
-    assert walsh.embed(walsh.ZPolynomial(1, {0: 1.5}), 4, 6).terms == {0: 1.5}
-    with pytest.raises(StructureError):
-        walsh.embed(walsh.ZPolynomial(3, {1: 1.0}), 2, 4)
-
-
 def test_embedded_grid_reads_scenario_bits():
-    """The embedded grid operator must reproduce xi_s from the low bits."""
+    """The grid operator on a wider register reproduces xi_s from the low bits."""
     n_xi, total = 5, 11
     grid = np.linspace(0.0, 2500.0, 2**n_xi)
-    xi_hat = walsh.embed(walsh.arithmetic_expansion(0.0, 2500.0, n_xi), 0, total)
+    xi_hat = walsh.ZPolynomial(
+        total, walsh.arithmetic_expansion(0.0, 2500.0, n_xi).terms)
     rng = np.random.default_rng(2)
     for s in range(2**n_xi):
         high = int(rng.integers(2 ** (total - n_xi)))
