@@ -30,7 +30,7 @@ import numpy as np
 
 from .baselines import evaluate, lambda_grid
 from .errors import CapacityError, StructureError, UnsupportedGateError
-from .qaoa import QaoaConfig, optimize
+from .qaoa import FactorizedEvaluator, QaoaConfig, optimize
 from .qgan import (
     TrainConfig,
     check_targets,
@@ -341,6 +341,9 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         params = replace(cfg.problem, lam=float(lam))
         ham = build_hamiltonian(params, n_xi, 0.0, cfg.xi_max)
         report = evaluate(test, params)
+        # no angles reach below this, so best_objective / optimum >= 1 says
+        # how far a restart stopped from a perfectly adapted recourse
+        optimum = FactorizedEvaluator(spec, ham).surrogate_optimum()
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
@@ -364,9 +367,11 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                 "trace_first": float(result.trace[0]),
                 "trace_best": float(np.min(result.trace)),
             })
+            ratio = (f" ratio={result.best_objective / optimum:.4g}"
+                     if optimum > 0 else "")
             print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
                   f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
-                  f"evals={len(result.trace)} stop: {result.message}")
+                  f"evals={len(result.trace)} stop: {result.message}{ratio}")
     path = out / "records.jsonl"
     with open(path, "w") as fh:
         for record in records:

@@ -7,12 +7,16 @@ the scenario-dependent phase block before mixing the dispatch register.
 Because every cost layer is diagonal and the decision mixers never touch
 the scenario register, the joint (scenario, first-stage) measurement
 distribution factorizes exactly; `verify_prop1` and
-`verify_nonanticipativity` check the two consequences numerically.
+`verify_nonanticipativity` check the two consequences on the gate-level
+circuit.  `objective` and `optimize` evaluate through that factorization
+(`FactorizedEvaluator`) instead of simulating the whole register; `assemble`
+and `final_state` stay as the oracles it is checked against.
 
-Optimization is derivative-free (COBYLA) from random angles, tracking the
-best objective seen across all evaluations rather than trusting the
-optimizer's final iterate.  scipy is imported by the first `minimize` call,
-so the stages that never optimize start with numpy alone.
+Optimization is derivative-free (COBYLA) from random angles in per-stage
+scaled coordinates, tracking the best objective seen across all evaluations
+rather than trusting the optimizer's final iterate.  scipy is imported by
+the first `minimize` call, so the stages that never optimize start with
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec as sv
-from .errors import StructureError
+from .errors import CapacityError, StructureError
 from .qgan import GeneratorSpec, generator_circuit, generator_probs
 from .ucp import (
     ProblemHamiltonian,
@@ -31,7 +35,7 @@ from .ucp import (
     build_hamiltonian,
     classical_surrogate,
 )
-from .walsh import ZPolynomial, fwht_expand
+from .walsh import ZPolynomial, fwht_expand, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +148,20 @@ def stage_layers(polys, gammas, betas, qubits) -> list:
     return gates
 
 
-def assemble(
-    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
-) -> sv.Circuit:
-    """Generator block, then first-stage layers, then second-stage layers."""
-    layout = ham.layout
+def _check_register(spec: GeneratorSpec, layout: RegisterLayout) -> None:
     if spec.n_xi != layout.n_xi:
         raise StructureError(
             f"generator register ({spec.n_xi}) does not match the "
             f"hamiltonian's scenario register ({layout.n_xi})"
         )
 
+
+def assemble(
+    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
+) -> sv.Circuit:
+    """Generator block, then first-stage layers, then second-stage layers."""
+    layout = ham.layout
+    _check_register(spec, layout)
     gates = list(generator_circuit(spec).gates)
     for q in layout.first_stage_qubits:
         gates.append(sv.H(q))
@@ -177,17 +184,108 @@ def final_state(
 # objective
 # ---------------------------------------------------------------------------
 
+def _stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
+    """Row-wise |amplitude|^2 of one stage's layers on an m-qubit register.
+
+    Row r of the (rows, 2^m) ``table`` is the cost diagonal its own copy of
+    the register sees.  Each copy starts in |+>^m; per (gamma, beta) it takes
+    exp(-i gamma table[r]) and then RX(-2 beta) on every qubit, which is what
+    `stage_layers` applies to that register.  A phase constant along a row is
+    a global phase of that row and drops out of |amplitude|^2.
+    """
+    rows, size = table.shape
+    amps = np.full(table.shape, size ** -0.5, dtype=np.complex128)
+    for gamma, beta in zip(gammas, betas):
+        amps = amps * np.exp(table * (-1j * gamma))
+        c, s = np.cos(beta), 1j * np.sin(beta)  # RX(-2 beta) = c I + s X
+        for q in range(size.bit_length() - 1):
+            # X on qubit q swaps the two halves of axis 2
+            view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+            amps = (c * view + s * view[:, :, ::-1]).reshape(rows, size)
+    return amps.real * amps.real + amps.imag * amps.imag
+
+
+class FactorizedEvaluator:
+    """The objective of `assemble`'s circuit without simulating the register.
+
+    Every cost layer is diagonal and the decision mixers never touch the
+    scenario register, so the joint distribution factors exactly as
+    P(s) * P1(x) * |phi_{x,s}(b)|^2: P(s) is the generator's, P1 the
+    first-stage register's under h1 alone, and phi_{x,s} the dispatch
+    register's under the cost row of commitment x in scenario s.  The tables
+    are read once, from ``ham.diagonal`` and the generator, at construction.
+    """
+
+    def __init__(self, spec: GeneratorSpec, ham: ProblemHamiltonian):
+        layout = ham.layout
+        _check_register(spec, layout)
+        if layout.n_total > sv.MAX_QUBITS:
+            raise CapacityError(
+                f"{layout.n_total} qubits exceed the {sv.MAX_QUBITS}-qubit cap"
+            )
+        m, n_xi = layout.n_units, layout.n_xi
+        self.diagonal = ham.diagonal
+        self.scenario_probs = generator_probs(spec)
+        h1 = {mask >> n_xi: c for mask, c in ham.h1.terms.items()}
+        self.h1 = reconstruct(ZPolynomial(m, h1))
+        # basis index s + (x << n_xi) + (b << (n_xi + m)) is C order over
+        # (b, x, s); row x * 2^n_xi + s holds that pair's cost over b.  The
+        # rows carry h1(x) too, a constant per row.
+        self.rows = (self.diagonal.reshape(2**m, 2**m, 2**n_xi)
+                     .transpose(1, 2, 0).reshape(-1, 2**m))
+        # per-stage angle scales: the largest |Z coefficient| of h1 and the
+        # largest dispatch spread over (x, s); 1 for a constant stage
+        spread = float(np.max(np.ptp(self.rows, axis=1)))
+        self.scales = (
+            max((abs(c) for mask, c in h1.items() if mask), default=1.0),
+            spread if spread > 0 else 1.0,
+        )
+
+    def first_stage(self, vp: VariationalParams) -> np.ndarray:
+        """P1: the 2^M commitment marginal."""
+        return _stage_probs(self.h1[None, :], vp.gamma1, vp.beta1)[0]
+
+    def joint(self, vp: VariationalParams) -> np.ndarray:
+        """P(s) * P1(x) * |phi_{x,s}(b)|^2 in the register's basis order."""
+        weights = np.outer(self.first_stage(vp), self.scenario_probs)
+        dispatch = _stage_probs(self.rows, vp.gamma2, vp.beta2)
+        return (weights.reshape(-1, 1) * dispatch).T.ravel()
+
+    def __call__(
+        self,
+        vp: VariationalParams,
+        shots: int | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> float:
+        """The cost's expectation, exact or as the mean of ``shots`` draws."""
+        return _estimate(self.joint(vp), self.diagonal, shots, rng)
+
+    def surrogate_optimum(self) -> float:
+        """min_x [h1(x) + sum_s P(s) min_b E2(x, b, s)].
+
+        The cost of a perfectly scenario-adapted recourse under the
+        generator's distribution; no angles reach below it.
+        """
+        best = self.rows.min(axis=1).reshape(len(self.h1), -1)  # (x, s)
+        return float(np.min(best @ self.scenario_probs))
+
+
+def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator | None):
+    """Counts of ``shots`` measurements of a basis-ordered distribution."""
+    if rng is None:
+        raise StructureError("shots mode needs an rng")
+    return rng.multinomial(shots, probs / probs.sum())
+
+
 def _estimate(
-    state: sv.StateVector,
+    probs: np.ndarray,
     diag: np.ndarray,
     shots: int | None,
     rng: np.random.Generator | None,
 ) -> float:
     if shots is None:
-        return sv.expectation_diagonal(state, diag)
-    if rng is None:
-        raise StructureError("shots mode needs an rng")
-    counts = sv.sample(state, shots, rng)
+        return float(probs @ diag)
+    counts = _draw(probs, shots, rng)
     nz = np.nonzero(counts)[0]
     # a left-to-right sum over observed outcomes; ``counts @ diag`` rounds
     # differently and would change the sampled objective values
@@ -202,8 +300,8 @@ def objective(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Expectation of the full diagonal cost over the assembled state."""
-    return _estimate(final_state(spec, ham, vp), ham.diagonal, shots, rng)
+    """Expectation of the full diagonal cost over `assemble`'s state."""
+    return FactorizedEvaluator(spec, ham)(vp, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +328,29 @@ def optimize(
     cfg: QaoaConfig,
     rng: np.random.Generator,
 ) -> RunResult:
-    """Derivative-free search; returns the best parameters ever evaluated."""
+    """Derivative-free search; returns the best parameters ever evaluated.
+
+    COBYLA searches scaled angles: each stage's gamma is its physical angle
+    times that stage's scale (`FactorizedEvaluator.scales`), so a unit step
+    turns that stage's phases by about a radian.  Unscaled, gamma2 * E2
+    reaches ~1e9 rad and the landscape in gamma2 has a period of ~1e-8, so
+    COBYLA's trust region collapses long before its budget.  Everything
+    this returns is in physical angles.
+    """
+    evaluator = FactorizedEvaluator(spec, ham)
+    sigma1, sigma2 = evaluator.scales
+    divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
+                              np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
     trace: list = []
-    best = {"value": np.inf, "x": None}
+    best = {"value": np.inf, "vp": None}
 
     def fun(x: np.ndarray) -> float:
-        vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x)
-        value = objective(spec, ham, vp, cfg.shots, rng)
+        vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
+        value = evaluator(vp, cfg.shots, rng)
         trace.append(value)
         if value < best["value"]:
             best["value"] = value
-            best["x"] = np.asarray(x, dtype=float).copy()
+            best["vp"] = vp
         return value
 
     x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
@@ -248,20 +358,19 @@ def optimize(
         fun, x0, method="COBYLA", tol=COBYLA_TOL,
         options={"maxiter": cfg.maxiter, "rhobeg": COBYLA_RHOBEG},
     )
-    if best["x"] is None:
+    vp_best = best["vp"]
+    if vp_best is None:
         raise StructureError(
             f"none of {len(trace)} objective evaluations was finite "
             f"({opt.message})"
         )
 
-    vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, best["x"])
-    state = final_state(spec, ham, vp_best)
-    first_stage = ham.layout.first_stage_qubits
     if cfg.shots is None:
-        marginal = sv.marginal_probs(sv.probabilities(state), first_stage)
+        marginal = evaluator.first_stage(vp_best)
     else:
-        counts = sv.sample(state, cfg.shots, rng)
-        marginal = sv.marginal_probs(counts, first_stage) / cfg.shots
+        counts = _draw(evaluator.joint(vp_best), cfg.shots, rng)
+        marginal = sv.marginal_probs(
+            counts, ham.layout.first_stage_qubits) / cfg.shots
     return RunResult(
         best_params=vp_best,
         best_objective=best["value"],
@@ -309,7 +418,7 @@ def verify_prop1(
     """
     n_xi, m = spec.n_xi, params.n_units
     ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
-    lhs = objective(spec, ham, vp)
+    lhs = sv.expectation_diagonal(final_state(spec, ham, vp), ham.diagonal)
 
     # first-stage-only circuit on an M-qubit register
     h1_local = ZPolynomial(

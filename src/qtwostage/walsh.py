@@ -138,34 +138,12 @@ def eval_at(poly: ZPolynomial, basis_index: int) -> float:
     return total
 
 
-# parity vectors recur for every Hamiltonian term on every objective
-# evaluation, so they are cached per (register size, mask).  The cache is
-# bounded in bytes, as one 28-qubit entry alone is 256 MiB; 32 MiB holds
-# 8192 entries at 12 qubits.
-_PARITY_CACHE: dict = {}
-_parity_cache_held = 0  # bytes
-PARITY_CACHE_BYTES = 32 * 2**20
-
-
 def parity(n_qubits: int, mask: int) -> np.ndarray:
-    """Read-only popcount(mask & i) % 2 for every basis index i, as bools."""
-    global _parity_cache_held
-    key = (n_qubits, mask)
-    hit = _PARITY_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """popcount(mask & i) % 2 for every basis index i, as bools."""
     v = np.arange(2**n_qubits, dtype=np.int64) & np.int64(mask)
     for shift in (32, 16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
-    par = (v & 1).astype(bool)
-    par.setflags(write=False)
-    if par.nbytes <= PARITY_CACHE_BYTES:  # evict the oldest entries first
-        while _parity_cache_held + par.nbytes > PARITY_CACHE_BYTES:
-            _parity_cache_held -= _PARITY_CACHE.pop(
-                next(iter(_PARITY_CACHE))).nbytes
-        _PARITY_CACHE[key] = par
-        _parity_cache_held += par.nbytes
-    return par
+    return (v & 1).astype(bool)
 
 
 def reconstruct(poly: ZPolynomial) -> np.ndarray:

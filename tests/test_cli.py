@@ -295,7 +295,9 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         for line in (out / "records.jsonl").read_text().splitlines()
     ]
     assert len(records) == 1  # one lambda, one seed
-    assert f"evals={records[0]['evals']} stop: " in capsys.readouterr().out
+    line = capsys.readouterr().out.splitlines()[0]
+    assert f"evals={records[0]['evals']} stop: " in line
+    assert float(line.rsplit(" ratio=", 1)[1]) >= 1.0
     record = records[0]
     assert record["lam"] == 30.0
     assert len(record["map"]) == 3

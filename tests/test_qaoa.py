@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qtwostage import qaoa
 from qtwostage import statevec as sv
-from qtwostage.errors import StructureError
+from qtwostage.errors import CapacityError, StructureError
 from qtwostage.qaoa import (
+    FactorizedEvaluator,
     QaoaConfig,
     VariationalParams,
     assemble,
@@ -38,6 +41,22 @@ def case_study(lam: float, n_xi: int = 2):
     params = default_params(lam)
     ham = build_hamiltonian(params, n_xi, 0.0, 2500.0)
     return params, ham
+
+
+def fleet(n_units: int, lam: float = 90.0) -> UcpParams:
+    """The first ``n_units`` units of the case-study fleet."""
+    full = default_params(lam)
+    return replace(full, n_units=n_units, p_min=full.p_min[:n_units],
+                   p_max=full.p_max[:n_units],
+                   startup_cost=full.startup_cost[:n_units],
+                   unit_cost=full.unit_cost[:n_units])
+
+
+def unit_phase(vp: VariationalParams, evaluator) -> VariationalParams:
+    """``vp`` with each stage's gamma divided by its scale: O(1) phases."""
+    sigma1, sigma2 = evaluator.scales
+    return VariationalParams(vp.gamma1 / sigma1, vp.beta1,
+                             vp.gamma2 / sigma2, vp.beta2)
 
 
 def toy_problem():
@@ -209,6 +228,75 @@ def test_diagonal_is_built_on_first_use():
     assert ham.diagonal.tobytes() == reconstruct(ham.total()).tobytes()
 
 
+def test_evaluator_matches_gate_level_circuit():
+    rng = np.random.default_rng(43)
+    for n_units in (1, 2, 3):
+        for n_xi in (1, 2, 3):
+            ham = build_hamiltonian(fleet(n_units), n_xi, 0.0, 2500.0)
+            gen = make_generator(n_xi, rng.uniform(-1, 1, n_xi * (n_xi + 1)))
+            evaluator = FactorizedEvaluator(gen, ham)
+            for p in (1, 2, 3, 4):
+                # at raw angles gamma * cost wraps ~1e9 rad, and the two
+                # sides agree only to the phases' rounding
+                vp = unit_phase(random_params(p, p, rng), evaluator)
+                want = sv.expectation_diagonal(final_state(gen, ham, vp),
+                                               ham.diagonal)
+                assert evaluator(vp) == pytest.approx(want, rel=1e-12)
+                assert objective(gen, ham, vp) == evaluator(vp)
+
+
+def test_shots_objective_draws_one_multinomial():
+    _, ham = case_study(90.0)
+    gen = make_generator(2, np.random.default_rng(47).uniform(-1, 1, 6))
+    evaluator = FactorizedEvaluator(gen, ham)
+    vp = unit_phase(random_params(2, 2, np.random.default_rng(53)), evaluator)
+    joint = evaluator.joint(vp)
+    np.testing.assert_allclose(
+        joint, sv.probabilities(final_state(gen, ham, vp)), rtol=0, atol=1e-12)
+
+    shots = 5000
+    rng, twin = np.random.default_rng(59), np.random.default_rng(59)
+    got = objective(gen, ham, vp, shots=shots, rng=rng)
+    counts = twin.multinomial(shots, joint / joint.sum())
+    assert counts.size == 2**ham.layout.n_total
+    assert rng.bit_generator.state == twin.bit_generator.state
+    nz = np.nonzero(counts)[0]
+    assert got == float(sum(counts[nz] * ham.diagonal[nz]) / shots)
+
+
+def test_surrogate_optimum_and_scales_match_enumeration():
+    params, ham = case_study(30.0)
+    gen = make_generator(2, np.random.default_rng(71).uniform(-1, 1, 6))
+    evaluator = FactorizedEvaluator(gen, ham)
+    p_s = generator_probs(gen)
+    grid = np.linspace(0.0, 2500.0, 4)
+    bits = [tuple((k >> i) & 1 for i in range(3)) for k in range(8)]
+    # cost[x][s][b]: start-up, generation and imbalance penalty
+    cost = np.array([[[classical_surrogate(x, b, xi, params) for b in bits]
+                      for xi in grid] for x in bits])
+    want = min(sum(p_s[s] * cost[x, s].min() for s in range(4))
+               for x in range(8))
+    assert evaluator.surrogate_optimum() == pytest.approx(want, rel=1e-12)
+    spread = np.max(cost.max(axis=2) - cost.min(axis=2))
+    assert evaluator.scales == pytest.approx((2500.0, spread), rel=1e-12)
+
+    # a lower bound: every angle's objective is an average of costs
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        vp = random_params(2, 2, rng)
+        assert evaluator(vp) >= evaluator.surrogate_optimum()
+        assert evaluator(unit_phase(vp, evaluator)) >= want
+
+
+def test_evaluator_over_the_qubit_cap_is_capacity_error():
+    # 23 scenario qubits + 2 * 3 decision qubits: one over the cap
+    ham = build_hamiltonian(default_params(30.0), 23, 0.0, 2500.0)
+    with pytest.raises(CapacityError):
+        objective(make_generator(23), ham,
+                  VariationalParams([0.1], [0.1], [0.1], [0.1]))
+    assert "diagonal" not in vars(ham)  # refused before allocating
+
+
 def test_map_solution():
     layout = RegisterLayout(2, 3)
     one_hot = np.zeros(8)
@@ -302,23 +390,48 @@ def test_optimize_constant_objective():
     assert got.best_objective == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optimize_spends_its_budget_on_case_study():
+    # unscaled, gamma2 * E2 reaches ~1e9 rad, the landscape in gamma2 has a
+    # period of ~1e-8 and COBYLA's trust region collapses within dozens of
+    # evaluations; in per-stage scaled angles it spends its budget
+    _, ham = case_study(90.0)
+    gen = make_generator(2, np.random.default_rng(61).uniform(-1, 1, 6))
+    result = optimize(gen, ham, QaoaConfig(p1=2, p2=2, maxiter=100),
+                      np.random.default_rng(67))
+    assert len(result.trace) >= 90
+
+
 def test_optimize_toy_against_grid_oracle():
-    # depth-1 so a dense angle grid is a tractable global-minimum oracle
+    # depth-1 so a dense angle grid is a tractable global-minimum oracle; the
+    # grid runs as one (16^4, 8) batch through dense 8x8 layer matrices
     ham = toy_problem()
-    gen = make_generator(1)
+    gen = make_generator(1)  # zero angles: H on the scenario qubit
     diag = reconstruct(ham.total())
 
     lin_g = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     lin_b = np.linspace(0.0, np.pi, 16, endpoint=False)
-    grid_best = np.inf
-    for g1 in lin_g:
-        for b1 in lin_b:
-            for g2 in lin_g:
-                for b2 in lin_b:
-                    vp = VariationalParams([g1], [b1], [g2], [b2])
-                    state = final_state(gen, ham, vp)
-                    grid_best = min(grid_best,
-                                    sv.expectation_diagonal(state, diag))
+    g1, b1, g2, b2 = (
+        axis.ravel() for axis in np.meshgrid(lin_g, lin_b, lin_g, lin_b,
+                                             indexing="ij")
+    )
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    pauli_x, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    # little-endian: kron factors run from qubit 2 (level) down to qubit 0
+    x_commit = np.kron(np.kron(eye, pauli_x), eye)
+    x_level = np.kron(np.kron(pauli_x, eye), eye)
+
+    def mixer(states, beta, x_q):
+        # RX(-2 beta) on one qubit = cos(beta) I + i sin(beta) X_q
+        return (np.cos(beta)[:, None] * states
+                + 1j * np.sin(beta)[:, None] * (states @ x_q.T))
+
+    start = np.kron(np.kron(had, had), had)[:, 0]
+    states = start * np.exp(-1j * g1[:, None] * reconstruct(ham.h1))
+    states = mixer(states, b1, x_commit)
+    h2 = reconstruct(ham.second_stage())
+    states = states * np.exp(-1j * g2[:, None] * h2)
+    states = mixer(states, b2, x_level)
+    grid_best = float(np.min((np.abs(states) ** 2) @ diag))
 
     cfg = QaoaConfig(p1=1, p2=1, maxiter=400)
     found = min(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtwostage import statevec as sv, walsh
+from qtwostage import statevec as sv
 from qtwostage.errors import CapacityError, StructureError
 
 
@@ -281,25 +281,6 @@ def test_run_circuit_from_zero():
     circ = sv.Circuit(2, [sv.H(0), sv.CX(0, 1)])
     state = sv.run_circuit(circ)
     assert np.allclose(sv.probabilities(state), [0.5, 0, 0, 0.5])
-
-
-def test_parity_cache_is_bounded_in_bytes():
-    n = 20
-    entry = 2**n  # one bool per basis index
-    state = sv.new_zero_state(n)
-    extra = 8  # distinct masks beyond what the cap can hold
-    masks = range(1, walsh.PARITY_CACHE_BYTES // entry + extra + 1)
-    tracemalloc.start()
-    try:
-        for mask in masks:
-            sv.apply(state, sv.ZPhase(mask, 0.1))
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # without eviction the extra entries alone would overshoot by 8 MiB
-    assert held <= walsh.PARITY_CACHE_BYTES + 2**20
-    # the most recent entry is still served from the cache
-    assert walsh.parity(n, masks[-1]) is walsh.parity(n, masks[-1])
 
 
 def test_two_qubit_gates_hold_no_memory():
