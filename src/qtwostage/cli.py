@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -347,7 +348,9 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
+            start = time.perf_counter()
             result = optimize(spec, ham, cfg.qaoa, rng)
+            wall = time.perf_counter() - start  # printed, never recorded
             cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))
             if cost_map < report.rp_value - tol:
@@ -371,7 +374,8 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                      if optimum > 0 else "")
             print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
                   f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
-                  f"evals={len(result.trace)} stop: {result.message}{ratio}")
+                  f"wall={wall:.2f}s evals={len(result.trace)} "
+                  f"stop: {result.message}{ratio}")
     path = out / "records.jsonl"
     with open(path, "w") as fh:
         for record in records:

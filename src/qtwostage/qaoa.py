@@ -12,11 +12,10 @@ circuit.  `objective` and `optimize` evaluate through that factorization
 (`FactorizedEvaluator`) instead of simulating the whole register; `assemble`
 and `final_state` stay as the oracles it is checked against.
 
-Optimization is derivative-free (COBYLA) from random angles in per-stage
-scaled coordinates, tracking the best objective seen across all evaluations
-rather than trusting the optimizer's final iterate.  scipy is imported by
-the first `minimize` call, so the stages that never optimize start with
-numpy alone.
+Optimization is derivative-free, by the package's numpy port of Powell's
+COBYLA (`cobyla.minimize`), from random angles in per-stage scaled
+coordinates, tracking the best objective seen across all evaluations rather
+than trusting the optimizer's final iterate.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec as sv
+from .cobyla import minimize
 from .errors import CapacityError, StructureError
 from .qgan import GeneratorSpec, generator_circuit, generator_probs
 from .ucp import (
@@ -308,18 +308,8 @@ def objective(
 # optimization
 # ---------------------------------------------------------------------------
 
-COBYLA_TOL = 1e-3  # final trust-region radius
-COBYLA_RHOBEG = 0.6  # initial trust-region radius
-
-
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
-
-    `optimize` looks this name up at call time, so a wrapper installed as
-    ``qaoa.minimize`` sees every objective evaluation.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+COBYLA_TOL = 1e-3  # final trust-region radius, COBYLA's rho_end
+COBYLA_RHOBEG = 0.6  # initial trust-region radius, COBYLA's rho_beg
 
 
 def optimize(
@@ -354,15 +344,15 @@ def optimize(
         return value
 
     x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
-    opt = minimize(
-        fun, x0, method="COBYLA", tol=COBYLA_TOL,
-        options={"maxiter": cfg.maxiter, "rhobeg": COBYLA_RHOBEG},
-    )
+    # looked up as ``qaoa.minimize`` at call time, so a wrapper installed
+    # there sees every objective evaluation
+    message = minimize(fun, x0, rhobeg=COBYLA_RHOBEG, rhoend=COBYLA_TOL,
+                       maxfun=cfg.maxiter)
     vp_best = best["vp"]
     if vp_best is None:
         raise StructureError(
             f"none of {len(trace)} objective evaluations was finite "
-            f"({opt.message})"
+            f"({message})"
         )
 
     if cfg.shots is None:
@@ -377,7 +367,7 @@ def optimize(
         first_stage_marginal=marginal,
         map_solution=map_solution(marginal),
         trace=np.asarray(trace),
-        message=str(opt.message),
+        message=message,
     )
 
 

@@ -1,0 +1,80 @@
+import numpy as np
+import pytest
+
+from qtwostage import cobyla
+
+N = 16
+RHOBEG = 0.6
+_RNG = np.random.default_rng(0)
+_Q, _ = np.linalg.qr(_RNG.normal(size=(N, N)))
+HESS = _Q @ np.diag(np.linspace(1.0, 10.0, N)) @ _Q.T
+CENTRE = _RNG.normal(size=N)
+X0 = _RNG.normal(size=N)
+
+
+def bowl(x):
+    """A 16-dimensional convex quadratic with minimum 0 at CENTRE."""
+    r = x - CENTRE
+    return 0.5 * r @ HESS @ r
+
+
+def wavy_bowl(x):
+    """A bowl with cosine ripples, so the reduction ratios vary more."""
+    return np.sum((x - 0.3) ** 2) + 0.5 * np.sum(np.cos(3 * x))
+
+
+def recording(objective):
+    points = []
+
+    def fun(x):
+        points.append(np.array(x, copy=True))
+        return objective(x)
+    return fun, points
+
+
+@pytest.mark.parametrize("objective", [bowl, wavy_bowl])
+def test_follows_scipy_cobyla(objective):
+    # scipy's COBYLA is PRIMA's; the port differs only in how the
+    # trust-region step is computed, so the two agree up to the first one
+    from scipy.optimize import minimize as scipy_minimize
+    fun, ours = recording(objective)
+    message = cobyla.minimize(fun, X0, rhobeg=RHOBEG, rhoend=1e-3,
+                              maxfun=5000)
+    fun, theirs = recording(objective)
+    ref = scipy_minimize(fun, X0, method="COBYLA", tol=1e-3,
+                         options={"maxiter": 5000, "rhobeg": RHOBEG})
+    for a, b in zip(ours[:N + 1], theirs[:N + 1]):
+        np.testing.assert_array_equal(a, b)
+    # after it the paths differ by rounding alone: every decision is the same
+    assert len(ours) == len(theirs) == ref.nfev
+    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)
+    assert message == ref.message
+    assert message.endswith(cobyla.SMALL_TR_RADIUS)
+    best = min(objective(p) for p in ours)
+    assert best == pytest.approx(ref.fun, rel=1e-3)
+    if objective is bowl:
+        assert best < 1e-4 and ref.fun < 1e-4
+
+
+@pytest.mark.parametrize("maxfun", [3, 40])
+def test_budget_stops_after_exactly_maxfun_calls(maxfun):
+    # 3 stops inside the 17-point initial simplex, 40 after it
+    fun, points = recording(bowl)
+    message = cobyla.minimize(fun, X0, rhobeg=RHOBEG, rhoend=1e-6,
+                              maxfun=maxfun)
+    assert len(points) == maxfun
+    assert message == "Return from COBYLA because " + cobyla.MAXFUN_REACHED
+
+
+def test_nan_meets_the_extreme_barrier():
+    # a NaN start counts as FUNCMAX, so the first finite vertex becomes the
+    # centre of the search; a NaN compared as is would never be left
+    def holed(x):
+        return float("nan") if not np.any(x) else float(np.sum((x + 1) ** 2))
+
+    fun, points = recording(holed)
+    message = cobyla.minimize(fun, np.zeros(2), rhobeg=1.0, rhoend=1e-3,
+                              maxfun=200)
+    assert message.endswith(cobyla.SMALL_TR_RADIUS)
+    best = min(points[1:], key=holed)
+    np.testing.assert_allclose(best, [-1.0, -1.0], atol=1e-2)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -351,7 +352,7 @@ def test_optimize_calls_module_minimize(monkeypatch):
     # the optimizer is looked up as ``qaoa.minimize`` on every call, so a
     # wrapper installed there sees each objective evaluation
     calls = {"minimize": 0, "objective": 0}
-    scipy_backed = qaoa.minimize
+    package_minimize = qaoa.minimize
 
     def counting_minimize(fun, x0, **kwargs):
         calls["minimize"] += 1
@@ -359,7 +360,7 @@ def test_optimize_calls_module_minimize(monkeypatch):
         def counted(x):
             calls["objective"] += 1
             return fun(x)
-        return scipy_backed(counted, x0, **kwargs)
+        return package_minimize(counted, x0, **kwargs)
 
     monkeypatch.setattr(qaoa, "minimize", counting_minimize)
     ham = toy_problem()
@@ -399,6 +400,20 @@ def test_optimize_spends_its_budget_on_case_study():
     result = optimize(gen, ham, QaoaConfig(p1=2, p2=2, maxiter=100),
                       np.random.default_rng(67))
     assert len(result.trace) >= 90
+
+
+def test_optimize_budget_is_hard_inside_the_initial_simplex():
+    # 16 angles need 17 evaluations for COBYLA's first simplex; a budget of
+    # 5 stops after exactly 5, silently
+    _, ham = case_study(90.0)
+    cfg = QaoaConfig(p1=4, p2=4, maxiter=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize(make_generator(2), ham, cfg,
+                          np.random.default_rng(13))
+    assert len(result.trace) == 5
+    assert result.best_objective == min(result.trace)
+    assert "MAXFUN" in result.message
 
 
 def test_optimize_toy_against_grid_oracle():
