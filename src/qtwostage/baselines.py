@@ -22,7 +22,6 @@ from .ucp import UcpParams
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    lam: float
     rp_value: float
     rp_solution: tuple
     ev_solution: tuple
@@ -93,7 +92,6 @@ def evaluate(test: TestScenarioSet, params: UcpParams) -> EvaluationReport:
     rp_solution = min(per_x, key=per_x.get)  # the first of tied minima
     ev_solution, _ = solve_ev(float(np.mean(test.xi_tilde)), params)
     return EvaluationReport(
-        lam=params.lam,
         rp_value=per_x[rp_solution],
         rp_solution=rp_solution,
         ev_solution=ev_solution,

@@ -55,6 +55,7 @@ from .ucp import (
     build_hamiltonian,
     default_params,
 )
+from .walsh import MAX_Z_QUBITS
 
 N_TRAIN_SETS = 10
 N_TEST_SETS = 5
@@ -119,6 +120,10 @@ class ExperimentConfig:
                 n < 2 or n & (n - 1) for n in self.n_values):
             raise StructureError("n_values must be powers of two >= 2 "
                                  "and m_values >= 1")
+        widest = max(self.n_values).bit_length() - 1 + 2 * max(self.m_values)
+        if widest > MAX_Z_QUBITS:
+            raise StructureError(f"the resource sweep needs {widest} qubits; "
+                                 f"a Z-polynomial holds {MAX_Z_QUBITS}")
         if not 0 <= self.master_seed < 2**64:
             raise StructureError("master_seed must fit in 64 bits")
 
@@ -280,7 +285,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
         samples = sample_pv(cfg.n_data, cfg.alpha, cfg.beta, cfg.xi_max,
                             derive_seed(cfg.master_seed, "data", i))
         _write_csv(out / f"samples_{i:02d}.csv", ["xi"],
-                   ([_fmt(v)] for v in samples.values))
+                   ([_fmt(v)] for v in samples))
         dist = bin_to_grid(samples, grid)
         _write_csv(out / f"dist_{i:02d}.csv", ["xi", "prob"],
                    ([_fmt(x), _fmt(p)] for x, p in zip(dist.xi, dist.probs)))
@@ -340,16 +345,17 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
     records = []
     for lam in cfg.lambdas:
         params = replace(cfg.problem, lam=float(lam))
-        ham = build_hamiltonian(params, n_xi, 0.0, cfg.xi_max)
         report = evaluate(test, params)
+        evaluator = FactorizedEvaluator(
+            spec, build_hamiltonian(params, n_xi, 0.0, cfg.xi_max))
         # no angles reach below this, so best_objective / optimum >= 1 says
         # how far a restart stopped from a perfectly adapted recourse
-        optimum = FactorizedEvaluator(spec, ham).surrogate_optimum()
+        optimum = evaluator.surrogate_optimum()
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
             start = time.perf_counter()
-            result = optimize(spec, ham, cfg.qaoa, rng)
+            result = optimize(evaluator, cfg.qaoa, rng)
             wall = time.perf_counter() - start  # printed, never recorded
             cost_map = report.per_x_costs[result.map_solution]
             tol = 1e-9 * max(1.0, abs(report.rp_value))

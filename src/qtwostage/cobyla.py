@@ -6,8 +6,9 @@ constraint functions by linear interpolation"), which is what
 ``scipy.optimize.minimize(method="COBYLA")`` runs.  Without constraints the
 merit function is the objective itself and the penalty parameter never
 leaves its floor.  PRIMA's filter, which only picks the point to return,
-is left to the caller, who sees every evaluation.  The control flow is PRIMA's: the initial simplex, `_update_pole`, the choice
-of the point to drop (`_drop_for_step`), the geometry step (`_geometry_step`),
+is left to the caller, who sees every evaluation.  The control flow is
+PRIMA's: the initial simplex, `_update_pole`, the choice of the point to
+drop (`_drop_for_step`), the geometry step (`_geometry_step`),
 the radius update (`_trust_radius`), the reduction of rho (`_reduce_rho`) and
 the moderated extreme barrier on objective values.  One thing differs: the
 trust-region LP with no constraints is solved in closed form,
@@ -95,7 +96,6 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
         return stop_reason(x)
 
     rho = delta = rhobeg
-    shortd, ratio, jdrop_tr, d = False, -1.0, 0, np.zeros(n)
     for _ in range(10 * maxfun):
         if not _update_pole(sim, simi, fval):
             reason = DAMAGING_ROUNDING
@@ -104,11 +104,12 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
         g = (fval[:n] - fval[n]) @ simi
         gnorm = np.linalg.norm(g)
         d = -delta * g / gnorm if 0 < gnorm < np.inf else np.zeros(n)
+        # delta >= rho: PRIMA's short step (dnorm <= rho / 10) implies trfail
         dnorm = min(delta, np.linalg.norm(d))
-        shortd = dnorm <= 0.1 * rho
         preref = -(d @ g)
         trfail = not preref > 1e-6 * EPS * rho
-        if shortd or trfail:
+        if trfail:
+            bad_trstep = True
             delta *= 0.1
             if delta <= GAMMA3 * rho:
                 delta = rho
@@ -124,9 +125,10 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
             reason = insert(jdrop_tr, d, f, x)
             if reason:
                 break
+            bad_trstep = ratio <= 0 or jdrop_tr is None
 
-        bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
         improve_geo = bad_trstep and not adequate_geo
+        # dnorm is the step taken before delta shrank: not delta <= rho alone
         reduce_rho = (bad_trstep and adequate_geo
                       and max(delta, dnorm) <= rho)
         distsq = np.sum(sim[:, :n] ** 2, axis=0)
@@ -148,12 +150,6 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
                 break
     else:
         reason = MAXTR_REACHED
-
-    # a short last trust-region step has not been tried yet
-    x = sim[:, n] + d
-    if (reason == SMALL_TR_RADIUS and shortd and nf < maxfun
-            and np.linalg.norm(x - sim[:, n]) > 1e-3 * rhoend):
-        evaluate(x)
     return f"Return from COBYLA because {reason}"
 
 

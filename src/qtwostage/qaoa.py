@@ -8,9 +8,10 @@ Because every cost layer is diagonal and the decision mixers never touch
 the scenario register, the joint (scenario, first-stage) measurement
 distribution factorizes exactly; `verify_prop1` and
 `verify_nonanticipativity` check the two consequences on the gate-level
-circuit.  `objective` and `optimize` evaluate through that factorization
-(`FactorizedEvaluator`) instead of simulating the whole register; `assemble`
-and `final_state` stay as the oracles it is checked against.
+circuit.  `FactorizedEvaluator` is the objective through that factorization,
+never simulating the whole register; `assemble` and `final_state` stay as its
+oracles.  `optimize(evaluator, cfg, rng)` reads the register only through
+one evaluator, which a caller builds once per problem for every restart.
 
 Optimization is derivative-free, by the package's numpy port of Powell's
 COBYLA (`cobyla.minimize`), from random angles in per-stage scaled
@@ -224,14 +225,14 @@ class FactorizedEvaluator:
                 f"{layout.n_total} qubits exceed the {sv.MAX_QUBITS}-qubit cap"
             )
         m, n_xi = layout.n_units, layout.n_xi
+        self.layout = layout
         self.diagonal = ham.diagonal
         self.scenario_probs = generator_probs(spec)
         h1 = {mask >> n_xi: c for mask, c in ham.h1.terms.items()}
         self.h1 = reconstruct(ZPolynomial(m, h1))
-        # basis index s + (x << n_xi) + (b << (n_xi + m)) is C order over
-        # (b, x, s); row x * 2^n_xi + s holds that pair's cost over b.  The
-        # rows carry h1(x) too, a constant per row.
-        self.rows = (self.diagonal.reshape(2**m, 2**m, 2**n_xi)
+        # row x * 2^n_xi + s holds that pair's cost over b.  The rows carry
+        # h1(x) too, a constant per row.
+        self.rows = (layout.split(self.diagonal)
                      .transpose(1, 2, 0).reshape(-1, 2**m))
         # per-stage angle scales: the largest |Z coefficient| of h1 and the
         # largest dispatch spread over (x, s); 1 for a constant stage
@@ -270,13 +271,6 @@ class FactorizedEvaluator:
         return float(np.min(best @ self.scenario_probs))
 
 
-def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator | None):
-    """Counts of ``shots`` measurements of a basis-ordered distribution."""
-    if rng is None:
-        raise StructureError("shots mode needs an rng")
-    return rng.multinomial(shots, probs / probs.sum())
-
-
 def _estimate(
     probs: np.ndarray,
     diag: np.ndarray,
@@ -285,23 +279,12 @@ def _estimate(
 ) -> float:
     if shots is None:
         return float(probs @ diag)
-    counts = _draw(probs, shots, rng)
+    counts = sv.sample(probs, shots, rng)
     nz = np.nonzero(counts)[0]
     # a left-to-right sum over observed outcomes; ``counts @ diag`` rounds
     # differently and would change the sampled objective values
     total = sum(counts[nz] * diag[nz])
     return float(total / shots)
-
-
-def objective(
-    spec: GeneratorSpec,
-    ham: ProblemHamiltonian,
-    vp: VariationalParams,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Expectation of the full diagonal cost over `assemble`'s state."""
-    return FactorizedEvaluator(spec, ham)(vp, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +296,7 @@ COBYLA_RHOBEG = 0.6  # initial trust-region radius, COBYLA's rho_beg
 
 
 def optimize(
-    spec: GeneratorSpec,
-    ham: ProblemHamiltonian,
+    evaluator: FactorizedEvaluator,
     cfg: QaoaConfig,
     rng: np.random.Generator,
 ) -> RunResult:
@@ -327,7 +309,6 @@ def optimize(
     COBYLA's trust region collapses long before its budget.  Everything
     this returns is in physical angles.
     """
-    evaluator = FactorizedEvaluator(spec, ham)
     sigma1, sigma2 = evaluator.scales
     divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
                               np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
@@ -358,9 +339,8 @@ def optimize(
     if cfg.shots is None:
         marginal = evaluator.first_stage(vp_best)
     else:
-        counts = _draw(evaluator.joint(vp_best), cfg.shots, rng)
-        marginal = sv.marginal_probs(
-            counts, ham.layout.first_stage_qubits) / cfg.shots
+        counts = sv.sample(evaluator.joint(vp_best), cfg.shots, rng)
+        marginal = evaluator.layout.split(counts).sum(axis=(0, 2)) / cfg.shots
     return RunResult(
         best_params=vp_best,
         best_objective=best["value"],
@@ -449,10 +429,7 @@ def verify_nonanticipativity(
     state: sv.StateVector, layout: RegisterLayout
 ) -> float:
     """Max |P(first-stage | scenario) - P(first-stage)| over live scenarios."""
-    joint = sv.marginal_probs(
-        sv.probabilities(state),
-        [*layout.scenario_qubits, *layout.first_stage_qubits],
-    ).reshape(2**layout.n_units, 2**layout.n_xi)  # [first stage, scenario]
+    joint = layout.split(sv.probabilities(state)).sum(axis=0)  # (x, s)
     scenario = joint.sum(axis=0)
     marginal = joint.sum(axis=1)
     live = scenario > 1e-12

@@ -71,12 +71,8 @@ def generator_probs(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Exact output distribution, or empirical frequencies at `shots`."""
-    state = sv.run_circuit(generator_circuit(spec))
-    if shots is None:
-        return sv.probabilities(state)
-    if rng is None:
-        raise StructureError("sampled mode needs an rng")
-    return sv.sample(state, shots, rng) / shots
+    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec)))
+    return probs if shots is None else sv.sample(probs, shots, rng) / shots
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,6 @@ from .errors import StructureError
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    values: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True)
 class ScenarioGrid:
     xi: np.ndarray
     probs: np.ndarray
@@ -53,7 +47,7 @@ class TestScenarioSet:
 
 def sample_pv(
     n: int, alpha: float, beta: float, xi_max: float, seed: int
-) -> SampleSet:
+) -> np.ndarray:
     """n i.i.d. PV outputs, Beta-distributed capacity factor scaled by xi_max.
 
     The Beta variate is formed from two Gamma draws, g1/(g1+g2).
@@ -66,7 +60,7 @@ def sample_pv(
     g1 = rng.gamma(alpha, 1.0, size=n)
     g2 = rng.gamma(beta, 1.0, size=n)
     cf = g1 / (g1 + g2)
-    return SampleSet(xi_max * cf, seed)
+    return xi_max * cf
 
 
 def uniform_grid(xi_min: float, xi_max: float, n: int) -> np.ndarray:
@@ -78,13 +72,12 @@ def uniform_grid(xi_min: float, xi_max: float, n: int) -> np.ndarray:
     return np.linspace(xi_min, xi_max, n)
 
 
-def bin_to_grid(samples: SampleSet, grid: np.ndarray) -> ScenarioGrid:
+def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> ScenarioGrid:
     """Relative frequencies in equal-width bins centered on the grid points.
 
     Bin edges sit at midpoints between neighboring grid points; the outer
     bins absorb everything beyond the end points.
     """
-    values = samples.values
     if len(values) == 0:
         raise StructureError("empty sample set")
     edges = (grid[:-1] + grid[1:]) / 2.0
@@ -99,14 +92,13 @@ def bin_to_grid(samples: SampleSet, grid: np.ndarray) -> ScenarioGrid:
     return ScenarioGrid(grid.copy(), probs)
 
 
-def quantile_test_set(samples: SampleSet, n_test: int) -> TestScenarioSet:
+def quantile_test_set(values: np.ndarray, n_test: int) -> TestScenarioSet:
     """Equal-weight scenarios at the (s + 0.5)/n_test empirical quantiles."""
-    if not 1 <= n_test <= len(samples.values):
-        raise StructureError(
-            f"n_test must be in [1, {len(samples.values)}], got {n_test}"
-        )
+    if not 1 <= n_test <= len(values):
+        raise StructureError(f"n_test must be in [1, {len(values)}], "
+                             f"got {n_test}")
     levels = (np.arange(n_test) + 0.5) / n_test
-    return TestScenarioSet(np.quantile(samples.values, levels))
+    return TestScenarioSet(np.quantile(values, levels))
 
 
 def js_agreement(p: np.ndarray, q: np.ndarray) -> float:

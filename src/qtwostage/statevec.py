@@ -11,6 +11,9 @@ Conventions:
 mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
 ``DiagPhase`` is the exact-diagonal analogue used purely as an oracle for
 cross-checking synthesized phase blocks; production circuits use ZPhase.
+
+``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
+vector, of a simulated state or of one computed without a state.
 """
 
 from __future__ import annotations
@@ -241,31 +244,11 @@ def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
     return float(probabilities(state) @ diag)
 
 
-def sample(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts of ``shots`` i.i.d. basis measurements, indexed by basis state."""
+def sample(probs: np.ndarray, shots: int,
+           rng: np.random.Generator | None) -> np.ndarray:
+    """Counts of ``shots`` measurements of a basis-ordered distribution."""
     if shots < 1:
         raise StructureError(f"shots must be >= 1, got {shots}")
-    p = probabilities(state)
-    return rng.multinomial(shots, p / p.sum())
-
-
-def marginal_probs(dist: np.ndarray, qubits) -> np.ndarray:
-    """Marginal of a probability or count vector over the given qubits.
-
-    ``dist`` is indexed by basis state; in the result, ascending index =
-    ascending bit weight of the kept qubits.  Sums of integer counts stay
-    exact integers.
-    """
-    dist = np.asarray(dist)
-    n = dist.size.bit_length() - 1
-    if dist.shape != (2**n,):
-        raise StructureError(f"need a vector of length 2^n, got {dist.shape}")
-    qs = sorted(set(int(q) for q in qubits))
-    if not qs:
-        raise StructureError("marginal over empty qubit set")
-    for q in qs:
-        _check_qubit(q, n)
-    drop = tuple(n - 1 - q for q in range(n) if q not in qs)
-    # remaining axes run from the highest kept qubit down, so a C-order ravel
-    # puts the highest qubit in the most significant outcome bit
-    return dist.reshape([2] * n).sum(axis=drop).ravel()
+    if rng is None:
+        raise StructureError("sampled mode needs an rng")
+    return rng.multinomial(shots, probs / probs.sum())

@@ -6,6 +6,8 @@ Register layout (little-endian over the whole machine word):
     qubits [n_xi, n_xi + M)               first stage: commitment bit per unit
     qubits [n_xi + M, n_xi + 2M)          second stage: output-level bit per unit
 
+so `RegisterLayout.split` views a register vector as a (b, x, s) array.
+
 A first-stage bit x_i switches unit i on; the second-stage bit b_i selects
 its output level through the x-controlled encoding
 
@@ -108,10 +110,6 @@ class RegisterLayout:
         return self.n_xi + self.n_units
 
     @property
-    def scenario_qubits(self) -> range:
-        return range(0, self.n_xi)
-
-    @property
     def first_stage_qubits(self) -> range:
         return range(self.n_xi, self.n_xi + self.n_units)
 
@@ -134,6 +132,12 @@ class RegisterLayout:
         if not 0 <= i < self.n_units:
             raise StructureError(f"unit index {i} out of range")
         return self.second_stage_offset + i
+
+    def split(self, vector: np.ndarray) -> np.ndarray:
+        """The (level bits, commitment, scenario) view of a basis-ordered
+        vector: index s + (x << n_xi) + (b << (n_xi + M)) is C order."""
+        size = 2**self.n_units
+        return vector.reshape(size, size, 2**self.n_xi)
 
 
 @dataclass(frozen=True)

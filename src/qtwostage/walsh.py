@@ -22,6 +22,7 @@ import numpy as np
 from .errors import StructureError
 
 ZERO_THRESHOLD = 1e-12
+MAX_Z_QUBITS = 63  # a support mask is a signed 64-bit integer
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class ZPolynomial:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_qubits < 1 or self.n_qubits > 63:
+        if not 1 <= self.n_qubits <= MAX_Z_QUBITS:
             raise StructureError(f"n_qubits out of range: {self.n_qubits}")
         for mask in self.terms:
             if not 0 <= mask < 2**self.n_qubits:

@@ -17,10 +17,10 @@ import numpy as np
 from qtwostage import statevec as sv
 from qtwostage.baselines import evaluate, expected_cost, lambda_grid, solve_ev
 from qtwostage.qaoa import (
+    FactorizedEvaluator,
     QaoaConfig,
     assemble,
     final_state,
-    objective,
     optimize,
     random_params,
     verify_nonanticipativity,
@@ -155,7 +155,7 @@ def test_criterion_3_factorized_objective_identity():
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
         residual = verify_prop1(gen, params_f, 0.0, XI_MAX, vp)
-        lhs = objective(gen, ham_f, vp)
+        lhs = FactorizedEvaluator(gen, ham_f)(vp)
         worst_rel = max(worst_rel, residual / max(1.0, abs(lhs)))
 
     elapsed = time.perf_counter() - t0
@@ -180,7 +180,8 @@ def test_criterion_4_scenario_decision_independence():
 
     rng = np.random.default_rng(7)  # an optimized circuit
     gen = random_generator(2, rng)
-    result = optimize(gen, ham, QaoaConfig(p1=2, p2=2, maxiter=60), rng)
+    result = optimize(FactorizedEvaluator(gen, ham),
+                      QaoaConfig(p1=2, p2=2, maxiter=60), rng)
     state = final_state(gen, ham, result.best_params)
     worst = max(worst, verify_nonanticipativity(state, layout))
 
@@ -239,23 +240,23 @@ def test_criterion_7_end_to_end_solution_quality():
     cfg = QaoaConfig(p1=4, p2=4, maxiter=400)
 
     params30 = default_params(30.0)
-    ham30 = build_hamiltonian(params30, 2, 0.0, XI_MAX)
+    evaluator30 = FactorizedEvaluator(
+        gen, build_hamiltonian(params30, 2, 0.0, XI_MAX))
     maps = [
         bits_to_string(
-            optimize(gen, ham30, cfg, np.random.default_rng(s))
-            .map_solution
+            optimize(evaluator30, cfg, np.random.default_rng(s)).map_solution
         )
         for s in range(5)
     ]
     hits = sum(m in {"110", "111"} for m in maps)
 
     params200 = default_params(200.0)
-    ham200 = build_hamiltonian(params200, 2, 0.0, XI_MAX)
+    evaluator200 = FactorizedEvaluator(
+        gen, build_hamiltonian(params200, 2, 0.0, XI_MAX))
     report = evaluate(test, params200)
     c_best = min(
         expected_cost(
-            optimize(gen, ham200, cfg, np.random.default_rng(s))
-            .map_solution,
+            optimize(evaluator200, cfg, np.random.default_rng(s)).map_solution,
             test, params200,
         )
         for s in range(5)
@@ -345,7 +346,8 @@ def test_criterion_9_estimator_statistics():
     gen = random_generator(2, np.random.default_rng(41))
     vp = random_params(2, 2, np.random.default_rng(42))
 
-    exact = objective(gen, ham, vp)
+    evaluator = FactorizedEvaluator(gen, ham)
+    exact = evaluator(vp)
     state = final_state(gen, ham, vp)
     diag = reconstruct(ham.total())
     probs = sv.probabilities(state)
@@ -355,17 +357,17 @@ def test_criterion_9_estimator_statistics():
     shots = 50_000
     bound = 4.0 * sigma / np.sqrt(shots)
     estimates = np.array([
-        objective(gen, ham, vp, shots=shots, rng=rng)
+        evaluator(vp, shots=shots, rng=rng)
         for _ in range(50)
     ])
     n_within = int(np.sum(np.abs(estimates - exact) < bound))
 
     quarter = np.array([
-        objective(gen, ham, vp, shots=shots // 4, rng=rng)
+        evaluator(vp, shots=shots // 4, rng=rng)
         for _ in range(100)
     ])
     full = np.array([
-        objective(gen, ham, vp, shots=shots, rng=rng)
+        evaluator(vp, shots=shots, rng=rng)
         for _ in range(100)
     ])
     ratio = float(full.std(ddof=1) / quarter.std(ddof=1))

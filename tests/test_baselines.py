@@ -146,13 +146,13 @@ def test_report_invariants_across_lambda_grid():
 def test_report_rejects_inconsistent_fields():
     with pytest.raises(StructureError):
         bl.EvaluationReport(
-            lam=30.0, rp_value=5.0, rp_solution=(0, 0, 0),
+            rp_value=5.0, rp_solution=(0, 0, 0),
             ev_solution=(0, 0, 0), eev_value=10.0,
             per_x_costs={(0, 0, 0): 10.0},
         )
     with pytest.raises(StructureError):
         bl.EvaluationReport(
-            lam=30.0, rp_value=10.0, rp_solution=(0, 0, 0),
+            rp_value=10.0, rp_solution=(0, 0, 0),
             ev_solution=(0, 0, 0), eev_value=5.0,
             per_x_costs={(0, 0, 0): 10.0},
         )

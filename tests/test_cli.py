@@ -178,6 +178,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("run", "", ["--lambdas", "30,inf"]),
     ("resources", "[sweep]\nn_values = 4, 3\n", []),
     ("resources", "[sweep]\nm_values = 0\n", []),
+    ("resources", "[sweep]\nm_values = 31\n", []),
+    ("resources", "[sweep]\nn_values = 4611686018427387904\nm_values = 1\n",
+     []),
     ("run", "[uncertainty]\nn_grid = 8388608\n", []),
     ("run", "[qaoa]\nshots = many\n", []),
     ("run", "[qaoa]\nshots = -3\n", []),
@@ -188,7 +191,8 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
-        "n_values", "m_values", "above-max-qubits", "unparsed-shots",
+        "n_values", "m_values", "m_values-above-z-limit",
+        "n_values-above-z-limit", "above-max-qubits", "unparsed-shots",
         "exact-negative-shots", "exact-zero-shots", "alpha-inf", "beta-inf",
         "xi_max-inf"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):

@@ -14,7 +14,6 @@ from qtwostage.qaoa import (
     assemble,
     final_state,
     map_solution,
-    objective,
     optimize,
     random_params,
     verify_nonanticipativity,
@@ -160,7 +159,7 @@ def test_objective_zero_lambda_closed_form():
     _, ham = case_study(0.0)
     gen = make_generator(2)
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
-    got = objective(gen, ham, vp)
+    got = FactorizedEvaluator(gen, ham)(vp)
     # E[startup] + E[generation] over independent uniform bits
     assert got == pytest.approx(17187.5, rel=1e-12)
 
@@ -171,7 +170,7 @@ def test_objective_matches_product_oracle():
     theta = np.random.default_rng(5).uniform(-1, 1, 6)
     gen = make_generator(2, theta)
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
-    got = objective(gen, ham, vp)
+    got = FactorizedEvaluator(gen, ham)(vp)
 
     p_s = generator_probs(gen)
     grid = np.linspace(0.0, 2500.0, 4)
@@ -223,8 +222,7 @@ def test_mapping_block_matches_diagonal_oracle():
 def test_diagonal_is_built_on_first_use():
     _, ham = case_study(30.0)
     assert "diagonal" not in vars(ham)
-    objective(make_generator(2), ham,
-              VariationalParams([0.3], [0.2], [0.7], [0.1]))
+    FactorizedEvaluator(make_generator(2), ham)
     assert "diagonal" in vars(ham)
     assert ham.diagonal.tobytes() == reconstruct(ham.total()).tobytes()
 
@@ -243,7 +241,6 @@ def test_evaluator_matches_gate_level_circuit():
                 want = sv.expectation_diagonal(final_state(gen, ham, vp),
                                                ham.diagonal)
                 assert evaluator(vp) == pytest.approx(want, rel=1e-12)
-                assert objective(gen, ham, vp) == evaluator(vp)
 
 
 def test_shots_objective_draws_one_multinomial():
@@ -257,7 +254,7 @@ def test_shots_objective_draws_one_multinomial():
 
     shots = 5000
     rng, twin = np.random.default_rng(59), np.random.default_rng(59)
-    got = objective(gen, ham, vp, shots=shots, rng=rng)
+    got = evaluator(vp, shots=shots, rng=rng)
     counts = twin.multinomial(shots, joint / joint.sum())
     assert counts.size == 2**ham.layout.n_total
     assert rng.bit_generator.state == twin.bit_generator.state
@@ -293,8 +290,7 @@ def test_evaluator_over_the_qubit_cap_is_capacity_error():
     # 23 scenario qubits + 2 * 3 decision qubits: one over the cap
     ham = build_hamiltonian(default_params(30.0), 23, 0.0, 2500.0)
     with pytest.raises(CapacityError):
-        objective(make_generator(23), ham,
-                  VariationalParams([0.1], [0.1], [0.1], [0.1]))
+        FactorizedEvaluator(make_generator(23), ham)
     assert "diagonal" not in vars(ham)  # refused before allocating
 
 
@@ -313,7 +309,7 @@ def test_map_solution():
     counts[0b11_011_10] = 3
     counts[0b00_110_01] = 7
     # first-stage bits sit in the middle register (qubits 2..4)
-    marginal = sv.marginal_probs(counts, layout.first_stage_qubits)
+    marginal = layout.split(counts).sum(axis=(0, 2))
     assert map_solution(marginal) == (0, 1, 1)
 
     with pytest.raises(StructureError):
@@ -326,8 +322,7 @@ def test_map_solution_from_state():
     gen = make_generator(2)
     vp = VariationalParams([0.0], [0.0], [0.0], [0.0])
     state = final_state(gen, ham, vp)
-    marginal = sv.marginal_probs(sv.probabilities(state),
-                                 layout.first_stage_qubits)
+    marginal = layout.split(sv.probabilities(state)).sum(axis=(0, 2))
     bits = map_solution(marginal)
     assert bits == (0, 0, 0)  # uniform marginal, smallest-index tie
 
@@ -336,16 +331,17 @@ def test_optimize_is_deterministic():
     ham = toy_problem()
     gen = make_generator(1)
     cfg = QaoaConfig(p1=1, p2=1, maxiter=60)
-    a = optimize(gen, ham, cfg, np.random.default_rng(21))
-    b = optimize(gen, ham, cfg, np.random.default_rng(21))
+    evaluator = FactorizedEvaluator(gen, ham)
+    a = optimize(evaluator, cfg, np.random.default_rng(21))
+    b = optimize(evaluator, cfg, np.random.default_rng(21))
     np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.best_params.to_vector(),
                                   b.best_params.to_vector())
     assert a.best_objective == min(a.trace)
     assert abs(a.first_stage_marginal.sum() - 1.0) < 1e-9
     assert a.message and a.message == b.message
-    # the best objective is what `objective` returns at the best angles
-    assert objective(gen, ham, a.best_params) == a.best_objective
+    # the best objective is what the evaluator returns at the best angles
+    assert evaluator(a.best_params) == a.best_objective
 
 
 def test_optimize_calls_module_minimize(monkeypatch):
@@ -364,7 +360,7 @@ def test_optimize_calls_module_minimize(monkeypatch):
 
     monkeypatch.setattr(qaoa, "minimize", counting_minimize)
     ham = toy_problem()
-    result = optimize(make_generator(1), ham,
+    result = optimize(FactorizedEvaluator(make_generator(1), ham),
                       QaoaConfig(p1=1, p2=1, maxiter=30),
                       np.random.default_rng(5))
     assert calls["minimize"] == 1
@@ -375,7 +371,7 @@ def test_optimize_without_finite_evaluation_is_structure_error(monkeypatch):
     monkeypatch.setattr(qaoa, "_estimate", lambda *args: float("nan"))
     ham = toy_problem()
     with pytest.raises(StructureError, match="finite"):
-        optimize(make_generator(1), ham,
+        optimize(FactorizedEvaluator(make_generator(1), ham),
                  QaoaConfig(p1=1, p2=1, maxiter=20),
                  np.random.default_rng(3))
 
@@ -387,7 +383,8 @@ def test_optimize_constant_objective():
     )
     ham = build_hamiltonian(params, 1, 0.0, 1.0)
     cfg = QaoaConfig(p1=1, p2=1, maxiter=25)
-    got = optimize(make_generator(1), ham, cfg, np.random.default_rng(2))
+    got = optimize(FactorizedEvaluator(make_generator(1), ham), cfg,
+                   np.random.default_rng(2))
     assert got.best_objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -397,7 +394,8 @@ def test_optimize_spends_its_budget_on_case_study():
     # evaluations; in per-stage scaled angles it spends its budget
     _, ham = case_study(90.0)
     gen = make_generator(2, np.random.default_rng(61).uniform(-1, 1, 6))
-    result = optimize(gen, ham, QaoaConfig(p1=2, p2=2, maxiter=100),
+    result = optimize(FactorizedEvaluator(gen, ham),
+                      QaoaConfig(p1=2, p2=2, maxiter=100),
                       np.random.default_rng(67))
     assert len(result.trace) >= 90
 
@@ -409,7 +407,7 @@ def test_optimize_budget_is_hard_inside_the_initial_simplex():
     cfg = QaoaConfig(p1=4, p2=4, maxiter=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = optimize(make_generator(2), ham, cfg,
+        result = optimize(FactorizedEvaluator(make_generator(2), ham), cfg,
                           np.random.default_rng(13))
     assert len(result.trace) == 5
     assert result.best_objective == min(result.trace)
@@ -449,8 +447,9 @@ def test_optimize_toy_against_grid_oracle():
     grid_best = float(np.min((np.abs(states) ** 2) @ diag))
 
     cfg = QaoaConfig(p1=1, p2=1, maxiter=400)
+    evaluator = FactorizedEvaluator(gen, ham)
     found = min(
-        optimize(gen, ham, cfg, np.random.default_rng(seed)).best_objective
+        optimize(evaluator, cfg, np.random.default_rng(seed)).best_objective
         for seed in range(3)
     )
     assert found <= grid_best + 0.05 * abs(grid_best)
@@ -487,11 +486,12 @@ def test_prop1_case_study_scale_relative():
     params, ham = case_study(30.0)
     theta = np.random.default_rng(17).uniform(-0.6, 0.6, 6)
     gen = make_generator(2, theta)
+    evaluator = FactorizedEvaluator(gen, ham)
     rng = np.random.default_rng(23)
     for _ in range(3):
         vp = random_params(2, 2, rng)
         residual = verify_prop1(gen, params, 0.0, 2500.0, vp)
-        assert residual < 1e-8 * abs(objective(gen, ham, vp))
+        assert residual < 1e-8 * abs(evaluator(vp))
 
 
 def test_prop1_zero_angles_and_empty_second_stage():
@@ -534,7 +534,8 @@ def test_shots_mode_is_unbiased():
     _, ham = case_study(30.0)
     gen = make_generator(2)
     vp = random_params(1, 1, np.random.default_rng(37))
-    exact = objective(gen, ham, vp)
+    evaluator = FactorizedEvaluator(gen, ham)
+    exact = evaluator(vp)
 
     state = final_state(gen, ham, vp)
     diag = reconstruct(ham.total())
@@ -545,11 +546,11 @@ def test_shots_mode_is_unbiased():
     shots = 2000
     reps = 50
     estimates = [
-        objective(gen, ham, vp, shots=shots, rng=rng)
+        evaluator(vp, shots=shots, rng=rng)
         for _ in range(reps)
     ]
     standard_error = sigma / np.sqrt(shots * reps)
     assert abs(np.mean(estimates) - exact) <= 3 * standard_error
 
     with pytest.raises(StructureError):
-        objective(gen, ham, vp, shots=100)
+        evaluator(vp, shots=100)

@@ -9,8 +9,7 @@ from qtwostage.errors import StructureError
 
 
 def test_sample_mean_matches_beta_mean():
-    samples = sc.sample_pv(2000, 3.0, 7.0, 2500.0, seed=101)
-    values = samples.values
+    values = sc.sample_pv(2000, 3.0, 7.0, 2500.0, seed=101)
     assert np.all((0 <= values) & (values <= 2500.0))
     stderr = values.std() / np.sqrt(len(values))
     assert abs(values.mean() - 750.0) < 3 * stderr
@@ -18,7 +17,7 @@ def test_sample_mean_matches_beta_mean():
 
 def test_beta_moments():
     alpha, beta = 3.0, 7.0
-    cf = sc.sample_pv(2000, alpha, beta, 1.0, seed=7).values
+    cf = sc.sample_pv(2000, alpha, beta, 1.0, seed=7)
     mean = alpha / (alpha + beta)
     var = alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1))
     assert abs(cf.mean() - mean) < 4 * np.sqrt(var / 2000)
@@ -29,7 +28,7 @@ def test_beta_moments():
 
 
 def test_flat_beta_is_uniform():
-    values = sc.sample_pv(2000, 1.0, 1.0, 2500.0, seed=3).values
+    values = sc.sample_pv(2000, 1.0, 1.0, 2500.0, seed=3)
     sorted_v = np.sort(values) / 2500.0
     ecdf = np.arange(1, 2001) / 2000.0
     ks = max(np.max(np.abs(ecdf - sorted_v)),
@@ -41,8 +40,8 @@ def test_sampling_deterministic_per_seed():
     a = sc.sample_pv(50, 3.0, 7.0, 2500.0, seed=42)
     b = sc.sample_pv(50, 3.0, 7.0, 2500.0, seed=42)
     c = sc.sample_pv(50, 3.0, 7.0, 2500.0, seed=43)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
     with pytest.raises(StructureError):
         sc.sample_pv(10, 0.0, 7.0, 2500.0, seed=1)
@@ -64,17 +63,16 @@ def test_uniform_grid():
 def test_binning():
     grid = sc.uniform_grid(0.0, 3.0, 4)
 
-    point = sc.SampleSet(np.full(10, 2.0), 0)
+    point = np.full(10, 2.0)
     assert np.array_equal(sc.bin_to_grid(point, grid).probs, [0, 0, 1, 0])
 
     # clamping: outliers beyond the end points land in the outer bins
-    wild = sc.bin_to_grid(sc.SampleSet(np.array([-5.0, 9.0, 9.0]), 0), grid)
+    wild = sc.bin_to_grid(np.array([-5.0, 9.0, 9.0]), grid)
     assert np.allclose(wild.probs, [1 / 3, 0, 0, 2 / 3], atol=1e-15)
     assert abs(wild.probs.sum() - 1.0) <= 5e-16
 
-    uniform = sc.SampleSet(
-        np.random.Generator(np.random.Philox(5)).uniform(0.0, 3.0, size=2000), 5
-    )
+    uniform = np.random.Generator(np.random.Philox(5)).uniform(
+        0.0, 3.0, size=2000)
     binned = sc.bin_to_grid(uniform, grid)
     assert abs(binned.probs.sum() - 1.0) <= 5e-16
     # interior bins cover 1/3 of the mass, outer bins 1/6 each
@@ -101,18 +99,18 @@ def test_binning_never_goes_negative():
 
 
 def test_quantile_test_set():
-    ladder = sc.SampleSet(np.arange(200.0), 0)
+    ladder = np.arange(200.0)
     test_set = sc.quantile_test_set(ladder, 200)
     assert np.max(np.abs(test_set.xi_tilde - np.arange(200.0))) <= 1.0
     assert np.all(np.diff(test_set.xi_tilde) >= 0)
     assert np.allclose(test_set.probs, 1 / 200)
 
     single = sc.quantile_test_set(ladder, 1)
-    assert single.xi_tilde[0] == pytest.approx(np.median(ladder.values))
+    assert single.xi_tilde[0] == pytest.approx(np.median(ladder))
 
     samples = sc.sample_pv(2000, 3.0, 7.0, 2500.0, seed=11)
     qs = sc.quantile_test_set(samples, 200)
-    assert abs(qs.xi_tilde.mean() - samples.values.mean()) < 0.02 * samples.values.mean()
+    assert abs(qs.xi_tilde.mean() - samples.mean()) < 0.02 * samples.mean()
 
     with pytest.raises(StructureError):
         sc.quantile_test_set(ladder, 201)

@@ -209,10 +209,10 @@ def test_expectation_examples():
 
 def test_sample_point_mass_and_determinism():
     state = sv.new_zero_state(3)
-    counts = sv.sample(state, 100, np.random.default_rng(0))
+    counts = sv.sample(sv.probabilities(state), 100, np.random.default_rng(0))
     np.testing.assert_array_equal(counts, [100, 0, 0, 0, 0, 0, 0, 0])
 
-    plus = sv.apply(sv.new_zero_state(1), sv.H(0))
+    plus = sv.probabilities(sv.apply(sv.new_zero_state(1), sv.H(0)))
     c1 = sv.sample(plus, 10_000, np.random.default_rng(42))
     c2 = sv.sample(plus, 10_000, np.random.default_rng(42))
     np.testing.assert_array_equal(c1, c2)
@@ -222,43 +222,17 @@ def test_sample_point_mass_and_determinism():
 
     with pytest.raises(StructureError):
         sv.sample(plus, 0, np.random.default_rng(0))
+    with pytest.raises(StructureError, match="rng"):
+        sv.sample(plus, 10, None)
 
 
 def test_sampling_frequencies_track_probabilities():
     rng = np.random.default_rng(13)
     state = _random_state(4, rng)
     shots = 100_000
-    freq = sv.sample(state, shots, np.random.default_rng(99)) / shots
-    assert np.max(np.abs(freq - sv.probabilities(state))) <= 2 / np.sqrt(shots)
-
-
-def test_marginals():
-    bell = sv.new_zero_state(2)
-    sv.apply(bell, sv.H(0))
-    sv.apply(bell, sv.CX(0, 1))
-    assert np.allclose(sv.marginal_probs(sv.probabilities(bell), [0]),
-                       [0.5, 0.5])
-
-    # |1> on qubit 1, |+> on qubit 0
-    prod = sv.new_zero_state(2)
-    sv.apply(prod, sv.X(1))
-    sv.apply(prod, sv.H(0))
-    p = sv.probabilities(prod)
-    assert np.allclose(sv.marginal_probs(p, [1]), [0.0, 1.0])
-    assert np.allclose(sv.marginal_probs(p, [0, 1]), p)
-
-    # count vectors marginalise to exact integer counts
-    counts = np.array([3, 0, 5, 2, 0, 1, 4, 7])  # index bits: q2 q1 q0
-    np.testing.assert_array_equal(sv.marginal_probs(counts, [0]), [12, 10])
-    np.testing.assert_array_equal(sv.marginal_probs(counts, [2, 1]),
-                                  [3, 7, 1, 11])
-
-    with pytest.raises(StructureError):
-        sv.marginal_probs(p, [])
-    with pytest.raises(StructureError):
-        sv.marginal_probs(p, [2])
-    with pytest.raises(StructureError):
-        sv.marginal_probs(np.ones(6), [0])
+    probs = sv.probabilities(state)
+    freq = sv.sample(probs, shots, np.random.default_rng(99)) / shots
+    assert np.max(np.abs(freq - probs)) <= 2 / np.sqrt(shots)
 
 
 def test_structural_errors():

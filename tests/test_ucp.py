@@ -11,7 +11,6 @@ LAYOUT = ucp.RegisterLayout(n_xi=5, n_units=3)
 
 
 def test_layout_offsets():
-    assert list(LAYOUT.scenario_qubits) == [0, 1, 2, 3, 4]
     assert list(LAYOUT.first_stage_qubits) == [5, 6, 7]
     assert list(LAYOUT.second_stage_qubits) == [8, 9, 10]
     assert LAYOUT.n_total == 11
@@ -85,6 +84,23 @@ def test_decode_encode_round_trip():
     for idx in range(2**LAYOUT.n_total):
         s, x, b = ucp.decode_basis(idx, LAYOUT)
         assert ucp.encode_basis(s, x, b, LAYOUT) == idx
+
+
+def test_register_split():
+    def word(bits):  # unit 1 is the least significant bit
+        return sum(bit << i for i, bit in enumerate(bits))
+
+    counts = np.random.default_rng(3).integers(0, 9, 2**LAYOUT.n_total)
+    split = LAYOUT.split(counts)
+    assert split.shape == (8, 8, 32)
+    assert np.shares_memory(split, counts)
+    commitment = np.zeros(8, dtype=counts.dtype)
+    for idx in range(2**LAYOUT.n_total):
+        s, x, b = ucp.decode_basis(idx, LAYOUT)
+        assert split[word(b), word(x), s] == counts[idx]
+        commitment[word(x)] += counts[idx]
+    # the commitment marginal of integer counts is exact
+    np.testing.assert_array_equal(split.sum(axis=(0, 2)), commitment)
 
 
 def test_hamiltonian_matches_classical_surrogate_everywhere():
