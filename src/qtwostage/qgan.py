@@ -7,6 +7,7 @@ dense network that reads a whole probability vector and scores how likely
 it is to be real data.  Both are trained with Adam on the standard
 non-saturating cross-entropy pair; the generator gradient flows through
 the parameter-shift rule chained with the discriminator's input gradient.
+Its shifted angle sets run as one batched simulation of the same ansatz.
 
 Model selection keeps the epoch with the best mean test agreement
 (1 - Jensen-Shannon divergence) rather than the final epoch.
@@ -14,13 +15,15 @@ Model selection keeps the epoch with the best mean test agreement
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import statevec as sv
 from .errors import StructureError
 from .scenarios import js_agreement
+
+BATCH_AMPS = 2**22  # amplitudes one batched generator run may hold: 64 MiB
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +32,8 @@ from .scenarios import js_agreement
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Angles of the n_xi-qubit ansatz, whose depth is n_xi CZ-chain layers."""
+    """Angles of the n_xi-qubit ansatz, whose depth is n_xi CZ-chain layers:
+    one set, or a 2-D ``theta`` holding one column per circuit."""
 
     n_xi: int
     theta: np.ndarray
@@ -65,13 +69,13 @@ def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
     return sv.Circuit(spec.n_xi, gates)
 
 
-def generator_probs(
-    spec: GeneratorSpec,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Exact output distribution, or empirical frequencies at `shots`."""
-    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec)))
+def generator_probs(spec: GeneratorSpec, shots: int | None = None,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """Exact output distribution, or empirical frequencies at `shots`; a 2-D
+    ``spec.theta`` gives one row per column, sampled in column order."""
+    state = sv.new_zero_state(spec.n_xi)
+    state.amps = np.tile(state.amps, (*spec.theta.shape[1:], 1))
+    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec), state))
     return probs if shots is None else sv.sample(probs, shots, rng) / shots
 
 
@@ -180,33 +184,31 @@ class Adam:
 # generator gradient via the parameter-shift rule
 # ---------------------------------------------------------------------------
 
-def probability_jacobian(spec: GeneratorSpec,
-                         probs=generator_probs) -> np.ndarray:
+def probability_jacobian(spec: GeneratorSpec, shots: int | None = None,
+                         rng: np.random.Generator | None = None) -> np.ndarray:
     """d p_s / d theta_j by the parameter-shift rule; shape (params, 2^n).
 
-    ``probs`` maps a spec to its output distribution, exact by default.
+    The angle sets theta_0 + pi/2, theta_0 - pi/2, theta_1 + pi/2, ... run
+    in that order, batched up to ``BATCH_AMPS`` amplitudes per run.
     """
-    shift = np.pi / 2
-    jac = np.empty((len(spec.theta), 2**spec.n_xi))
-    for j in range(len(spec.theta)):
-        plus = spec.theta.copy()
-        plus[j] += shift
-        minus = spec.theta.copy()
-        minus[j] -= shift
-        p_plus = probs(GeneratorSpec(spec.n_xi, plus))
-        p_minus = probs(GeneratorSpec(spec.n_xi, minus))
-        jac[j] = (p_plus - p_minus) / 2.0
-    return jac
+    n = len(spec.theta)
+    angles = np.repeat(spec.theta[:, None], 2 * n, axis=1)
+    angles[range(n), range(0, 2 * n, 2)] += np.pi / 2
+    angles[range(n), range(1, 2 * n, 2)] -= np.pi / 2
+    rows = max(1, BATCH_AMPS >> spec.n_xi)
+    probs = np.concatenate([
+        generator_probs(GeneratorSpec(spec.n_xi, angles[:, i:i + rows]),
+                        shots, rng) for i in range(0, 2 * n, rows)])
+    return (probs[0::2] - probs[1::2]) / 2.0
 
 
 def generator_gradient(spec: GeneratorSpec, disc: Discriminator,
-                       p: np.ndarray, probs=generator_probs) -> np.ndarray:
-    """Gradient of -log D(p_theta) w.r.t. theta at the observed p = probs(spec).
-
-    ``probs`` is the probability function the Jacobian's shifted specs use.
-    """
+                       p: np.ndarray, shots: int | None = None,
+                       rng: np.random.Generator | None = None) -> np.ndarray:
+    """Gradient of -log D(p_theta) w.r.t. theta at the observed p; ``shots``
+    and ``rng`` read the Jacobian's circuits as in ``generator_probs``."""
     _, input_grad = disc.backward(p, 1.0)  # BCE with target 1 == -log D
-    return probability_jacobian(spec, probs) @ input_grad
+    return probability_jacobian(spec, shots, rng) @ input_grad
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +273,7 @@ def train(
     opt_d = Adam(disc.parameters(), cfg.lr_d)
     opt_g = Adam([theta], cfg.lr_g)
 
-    def observed_probs(spec):
-        if cfg.use_shots:
-            return generator_probs(spec, shots=cfg.shots, rng=rng)
-        return generator_probs(spec)
-
+    shots = cfg.shots if cfg.use_shots else None
     best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
 
     def evaluate(epoch: int) -> None:
@@ -294,14 +292,14 @@ def train(
 
         spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
-        fake = observed_probs(spec)
+        fake = generator_probs(spec, shots, rng)
 
         grads_real, _ = disc.backward(np.asarray(target, dtype=float), 1.0)
         grads_fake, _ = disc.backward(fake, 0.0)
         opt_d.step(disc.parameters(),
                    [gr + gf for gr, gf in zip(grads_real, grads_fake)])
 
-        grad = generator_gradient(spec, disc, fake, observed_probs)
+        grad = generator_gradient(spec, disc, fake, shots, rng)
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)

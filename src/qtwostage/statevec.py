@@ -5,7 +5,9 @@ Conventions:
     ``2**q`` to a basis index;
   * global phase is never tracked or compared;
   * amplitudes are complex128 and gates act in place on the amplitude
-    array (no gate matrix is ever materialized over the full register).
+    array (no gate matrix is ever materialized over the full register),
+    of shape ``(2**n,)`` or ``(rows, 2**n)``: a batch of states that run
+    the same gates, with RX / RY / RZ angles scalar or one per row.
 
 ``ZPhase`` applies ``exp(-i*t*Z_string)`` for the Z-string on a support
 mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
@@ -13,7 +15,8 @@ mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
 cross-checking synthesized phase blocks; production circuits use ZPhase.
 
 ``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
-vector, of a simulated state or of one computed without a state.
+vector, of a simulated state or of one computed without a state, and
+one count vector per row, in row order, of a 2-D ``probs``.
 """
 
 from __future__ import annotations
@@ -134,13 +137,15 @@ def _check_qubit(q: int, n: int) -> None:
         raise StructureError(f"qubit {q} out of range for {n}-qubit register")
 
 
-def _apply_single(amps: np.ndarray, n: int, q: int, u00, u01, u10, u11) -> None:
-    # axis layout: (bits above q, bit q, bits below q)
-    view = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = u00 * lo + u01 * hi
-    view[:, 1, :] = u10 * lo + u11 * hi
+def _apply_single(amps: np.ndarray, n: int, q: int, *u) -> None:
+    _check_qubit(q, n)
+    # axes (rows, bits above q, bit q, bits below q); u scalar or one per row
+    view = amps.reshape(-1, 2 ** (n - 1 - q), 2, 2**q)
+    u00, u01, u10, u11 = (np.reshape(c, (-1, 1, 1)) for c in u)
+    lo = view[:, :, 0, :].copy()
+    hi = view[:, :, 1, :]
+    view[:, :, 0, :] = u00 * lo + u01 * hi
+    view[:, :, 1, :] = u10 * lo + u11 * hi
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
@@ -148,26 +153,20 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     n, amps = state.n_qubits, state.amps
 
     if isinstance(gate, RY):
-        _check_qubit(gate.qubit, n)
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         _apply_single(amps, n, gate.qubit, c, -s, s, c)
     elif isinstance(gate, RZ):
-        _check_qubit(gate.qubit, n)
         ph = np.exp(-0.5j * gate.angle)
         _apply_single(amps, n, gate.qubit, ph, 0.0, 0.0, np.conj(ph))
     elif isinstance(gate, RX):
-        _check_qubit(gate.qubit, n)
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         _apply_single(amps, n, gate.qubit, c, -1j * s, -1j * s, c)
     elif isinstance(gate, H):
-        _check_qubit(gate.qubit, n)
         r = _INV_SQRT2
         _apply_single(amps, n, gate.qubit, r, r, r, -r)
     elif isinstance(gate, X):
-        _check_qubit(gate.qubit, n)
         _apply_single(amps, n, gate.qubit, 0.0, 1.0, 1.0, 0.0)
     elif isinstance(gate, SX):
-        _check_qubit(gate.qubit, n)
         a, b = 0.5 + 0.5j, 0.5 - 0.5j
         _apply_single(amps, n, gate.qubit, a, b, b, a)
     elif isinstance(gate, (CX, CZ)):
@@ -178,17 +177,17 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
             raise StructureError(
                 f"{type(gate).__name__} control and target must differ"
             )
-        # axis n-1-q of the (2,)*n view is qubit q; slicing (not integer
-        # indexing, which yields a scalar at n=2) keeps every part a view
-        view = amps.reshape((2,) * n)
-        sel = [slice(None)] * n
-        sel[n - 1 - c] = slice(1, 2)
-        sel[n - 1 - t] = slice(1, 2)
+        # axis n-q of the (rows,) + (2,)*n view is qubit q; length-1 slices
+        # keep every part a writable view
+        view = amps.reshape((-1,) + (2,) * n)
+        sel = [slice(None)] * (n + 1)
+        sel[n - c] = slice(1, 2)
+        sel[n - t] = slice(1, 2)
         one = view[tuple(sel)]
         if isinstance(gate, CZ):
             one *= -1.0
         else:
-            sel[n - 1 - t] = slice(0, 1)
+            sel[n - t] = slice(0, 1)
             zero = view[tuple(sel)]
             tmp = zero.copy()
             # a ufunc resolves the interleaved slices' overlap exactly, where
@@ -246,9 +245,9 @@ def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
 
 def sample(probs: np.ndarray, shots: int,
            rng: np.random.Generator | None) -> np.ndarray:
-    """Counts of ``shots`` measurements of a basis-ordered distribution."""
+    """Counts of ``shots`` measurements of each basis-ordered distribution."""
     if shots < 1:
         raise StructureError(f"shots must be >= 1, got {shots}")
     if rng is None:
         raise StructureError("sampled mode needs an rng")
-    return rng.multinomial(shots, probs / probs.sum())
+    return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True))

@@ -127,6 +127,54 @@ def test_probability_jacobian_matches_finite_differences():
         np.testing.assert_allclose(jac[j], fd, atol=1e-7)
 
 
+def test_probability_jacobian_samples_in_shift_order():
+    # the batched draws must equal today's loop: theta_j + pi/2, then
+    # theta_j - pi/2, for j in order, on one rng
+    theta = np.random.default_rng(4).uniform(-1, 1, size=12)
+    spec = GeneratorSpec(3, theta)
+    rng = np.random.default_rng(8)
+    jac = probability_jacobian(spec, 700, rng)
+
+    ref_rng = np.random.default_rng(8)
+    ref = np.empty_like(jac)
+    for j in range(len(theta)):
+        p = []
+        for sign in (1, -1):
+            shifted = theta.copy()
+            shifted[j] += sign * np.pi / 2
+            p.append(generator_probs(GeneratorSpec(3, shifted), 700, ref_rng))
+        ref[j] = (p[0] - p[1]) / 2.0
+    assert np.array_equal(jac, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("batch_rows", [1, 3, 5])
+def test_probability_jacobian_chunks_match_one_batch(monkeypatch, batch_rows):
+    theta = np.random.default_rng(6).uniform(-1, 1, size=6)
+    spec = GeneratorSpec(2, theta)
+    exact = probability_jacobian(spec)
+    sampled = probability_jacobian(spec, 300, np.random.default_rng(2))
+    monkeypatch.setattr(qgan, "BATCH_AMPS", batch_rows * 4)
+    assert np.array_equal(probability_jacobian(spec), exact)
+    assert np.array_equal(
+        probability_jacobian(spec, 300, np.random.default_rng(2)), sampled)
+
+
+@pytest.mark.parametrize("n_xi", [3, 6])  # the workloads' scenario registers
+def test_probability_jacobian_is_one_circuit_run(monkeypatch, n_xi):
+    calls = []
+    run = sv.run_circuit
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "run_circuit", counted)
+    jac = probability_jacobian(default_spec(n_xi))
+    assert jac.shape == (n_xi * (n_xi + 1), 2**n_xi)
+    assert len(calls) == 1
+
+
 def test_generator_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     theta = rng.uniform(-1, 1, size=6)

@@ -1,5 +1,6 @@
 """Simulator checks, including a dense-matrix oracle for every gate kind."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qtwostage import statevec as sv
 from qtwostage.errors import CapacityError, StructureError
+from qtwostage.qgan import GeneratorSpec, generator_probs
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,55 @@ def test_random_circuit_matches_matrix_product_oracle():
         assert abs(sv.probabilities(state).sum() - 1.0) < 1e-10
 
 
+def test_batch_axis_matches_row_by_row():
+    # every gate kind on a (rows, 2^n) batch, rotations with one angle per
+    # row, must give exactly the bits of the same circuits run row by row
+    rng = np.random.default_rng(31)
+    n, rows = 4, 5
+
+    def per_row():
+        return rng.uniform(-np.pi, np.pi, size=rows)
+
+    gates = [
+        sv.H(0), sv.RY(0, per_row()), sv.RX(3, per_row()),
+        sv.RZ(2, per_row()), sv.RY(1, 0.7), sv.X(2), sv.SX(1),
+        sv.CX(0, 3), sv.CX(3, 1), sv.CZ(2, 0), sv.CZ(1, 3),
+        sv.ZPhase(0b1011, 0.9), sv.DiagPhase(rng.normal(size=2**n), -0.4),
+        sv.RY(3, per_row()), sv.RX(0, 1.1), sv.RZ(1, -2.3),
+    ]
+    start = np.stack([_random_state(n, rng).amps for _ in range(rows)])
+    batch = sv.run_circuit(sv.Circuit(n, gates), sv.StateVector(n, start.copy()))
+    assert batch.amps.shape == (rows, 2**n)
+    for r in range(rows):
+        row_gates = [
+            dataclasses.replace(g, angle=g.angle[r])
+            if isinstance(getattr(g, "angle", None), np.ndarray) else g
+            for g in gates
+        ]
+        single = sv.run_circuit(sv.Circuit(n, row_gates),
+                                sv.StateVector(n, start[r].copy()))
+        assert np.array_equal(batch.amps[r], single.amps), r
+
+
+def test_sample_rows_match_row_by_row_draws():
+    # one multinomial per row of a 2-D probs, drawn in row order: the same
+    # counts and the same final rng state as drawing the rows one by one
+    cases = np.random.default_rng(17)
+    for case in range(200):
+        rows = int(cases.integers(1, 9))
+        size = 2 ** int(cases.integers(1, 7))
+        probs = cases.random((rows, size)) ** 3
+        probs[cases.random((rows, size)) < 0.2] = 0.0
+        probs[:, 0] += 1e-3  # no all-zero row
+        shots = int(cases.integers(1, 5000))
+        rng_a = np.random.default_rng(case)
+        rng_b = np.random.default_rng(case)
+        batched = sv.sample(probs, shots, rng_a)
+        by_row = np.stack([sv.sample(p, shots, rng_b) for p in probs])
+        assert np.array_equal(batched, by_row), case
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state, case
+
+
 # ---------------------------------------------------------------------------
 # constructors and basic semantics
 # ---------------------------------------------------------------------------
@@ -127,6 +178,9 @@ def test_zero_state_capacity_guard():
         sv.new_zero_state(0)
     with pytest.raises(CapacityError):
         sv.new_zero_state(29)
+    # the generator's batched path starts from the same checked state
+    with pytest.raises(CapacityError):
+        generator_probs(GeneratorSpec(29, np.zeros(29 * 30)))
 
 
 def test_ry_pi_flips_qubit():
