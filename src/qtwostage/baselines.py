@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .scenarios import TestScenarioSet
 from .ucp import UcpParams
 
 
@@ -62,35 +61,37 @@ def second_stage_best(x, xi, params: UcpParams):
     return levels[best], cost[np.arange(len(cost)), best]
 
 
-def expected_cost(x, test: TestScenarioSet, params: UcpParams) -> float:
-    """Start-up cost plus the mean best second-stage cost over scenarios."""
+def expected_cost(x, xi: np.ndarray, params: UcpParams) -> float:
+    """Start-up cost plus the mean best second-stage cost over the equally
+    weighted scenarios ``xi``."""
     startup = sum(
         params.startup_cost[i] * x[i] for i in range(params.n_units)
     )
-    _, cost = second_stage_best(x, test.xi_tilde, params)
-    # cumsum adds left to right; `@` and np.sum round pairwise
-    return float(startup + np.cumsum(test.probs * cost)[-1])
+    _, cost = second_stage_best(x, xi, params)
+    # cumsum adds left to right; `@` and np.sum round pairwise.  Weighting
+    # by 1/n rounds differently from dividing by n, so keep the product.
+    return float(startup + np.cumsum((1.0 / len(xi)) * cost)[-1])
 
 
-def _costs_per_commitment(test: TestScenarioSet, params: UcpParams) -> dict:
+def _costs_per_commitment(xi: np.ndarray, params: UcpParams) -> dict:
     return {
-        x: expected_cost(x, test, params)
+        x: expected_cost(x, xi, params)
         for x in itertools.product((0, 1), repeat=params.n_units)
     }
 
 
 def solve_ev(xi_mean: float, params: UcpParams):
     """Best commitment when the uncertainty collapses to its mean."""
-    costs = _costs_per_commitment(TestScenarioSet(np.array([xi_mean])), params)
+    costs = _costs_per_commitment(np.array([xi_mean]), params)
     best_x = min(costs, key=costs.get)  # the first of tied minima
     return best_x, costs[best_x]
 
 
-def evaluate(test: TestScenarioSet, params: UcpParams) -> EvaluationReport:
-    """All baselines for one lambda in a single report row."""
-    per_x = _costs_per_commitment(test, params)
+def evaluate(xi: np.ndarray, params: UcpParams) -> EvaluationReport:
+    """All baselines for one lambda over the equally weighted scenarios xi."""
+    per_x = _costs_per_commitment(xi, params)
     rp_solution = min(per_x, key=per_x.get)  # the first of tied minima
-    ev_solution, _ = solve_ev(float(np.mean(test.xi_tilde)), params)
+    ev_solution, _ = solve_ev(float(np.mean(xi)), params)
     return EvaluationReport(
         rp_value=per_x[rp_solution],
         rp_solution=rp_solution,

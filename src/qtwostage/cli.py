@@ -10,8 +10,8 @@ Configuration is an INI file (every key optional; built-in desk-scale
 defaults otherwise).  All randomness descends from one master seed through
 ``derive_seed``, so reruns with the same configuration are byte-identical.
 
-Exit codes: 0 success, 1 runtime invariant violation, 2 I/O or
-configuration error.
+Exit codes: 0 success, 1 runtime invariant violation or out of memory, 2 I/O
+or configuration error.
 """
 
 from __future__ import annotations
@@ -40,13 +40,7 @@ from .qgan import (
     train,
 )
 from .resources import SWEEP_FIELDS, sweep_scaling
-from .scenarios import (
-    TestScenarioSet,
-    bin_to_grid,
-    quantile_test_set,
-    sample_pv,
-    uniform_grid,
-)
+from .scenarios import bin_to_grid, quantile_test_set, sample_pv, uniform_grid
 from .statevec import MAX_QUBITS
 from .ucp import (
     RegisterLayout,
@@ -286,14 +280,13 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
                             derive_seed(cfg.master_seed, "data", i))
         _write_csv(out / f"samples_{i:02d}.csv", ["xi"],
                    ([_fmt(v)] for v in samples))
-        dist = bin_to_grid(samples, grid)
+        probs = bin_to_grid(samples, grid)
         _write_csv(out / f"dist_{i:02d}.csv", ["xi", "prob"],
-                   ([_fmt(x), _fmt(p)] for x, p in zip(dist.xi, dist.probs)))
+                   ([_fmt(x), _fmt(p)] for x, p in zip(grid, probs)))
     hold_out = sample_pv(cfg.n_data, cfg.alpha, cfg.beta, cfg.xi_max,
                          derive_seed(cfg.master_seed, "test-data", 0))
-    test = quantile_test_set(hold_out, cfg.n_test)
     _write_csv(out / "test_scenarios.csv", ["xi_tilde"],
-               ([_fmt(v)] for v in test.xi_tilde))
+               ([_fmt(v)] for v in quantile_test_set(hold_out, cfg.n_test)))
     n_files = 2 * (N_TRAIN_SETS + N_TEST_SETS) + 1
     print(f"wrote {n_files} files to {out}/ "
           f"({N_TRAIN_SETS} train + {N_TEST_SETS} test distributions, "
@@ -329,9 +322,8 @@ def cmd_train_qgan(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_test_set(cfg: ExperimentConfig) -> TestScenarioSet:
-    return TestScenarioSet(_read_column(cfg.out_dir / "test_scenarios.csv",
-                                        "xi_tilde"))
+def _load_test_set(cfg: ExperimentConfig) -> np.ndarray:
+    return _read_column(cfg.out_dir / "test_scenarios.csv", "xi_tilde")
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
@@ -515,6 +507,9 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except _DOMAIN_ERRORS as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a capacity shortfall the settings imply
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

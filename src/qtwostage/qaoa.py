@@ -110,8 +110,9 @@ class QaoaConfig:
     def __post_init__(self):
         if self.p1 < 1 or self.p2 < 1:
             raise StructureError("layer depths must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise StructureError("shots must be >= 1 when given")
+        if self.shots is not None and not 1 <= self.shots < 2**63:
+            # a multinomial draw takes its count as a C long
+            raise StructureError("shots must be in [1, 2**63) when given")
         if self.maxiter < 1:
             raise StructureError("maxiter must be >= 1")
 
@@ -177,7 +178,7 @@ def assemble(
 
 def final_state(
     spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
-) -> sv.StateVector:
+) -> np.ndarray:
     return sv.run_circuit(assemble(spec, ham, vp))
 
 
@@ -426,10 +427,10 @@ def verify_prop1(
 
 
 def verify_nonanticipativity(
-    state: sv.StateVector, layout: RegisterLayout
+    amps: np.ndarray, layout: RegisterLayout
 ) -> float:
     """Max |P(first-stage | scenario) - P(first-stage)| over live scenarios."""
-    joint = layout.split(sv.probabilities(state)).sum(axis=0)  # (x, s)
+    joint = layout.split(sv.probabilities(amps)).sum(axis=0)  # (x, s)
     scenario = joint.sum(axis=0)
     marginal = joint.sum(axis=1)
     live = scenario > 1e-12

@@ -73,9 +73,8 @@ def generator_probs(spec: GeneratorSpec, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Exact output distribution, or empirical frequencies at `shots`; a 2-D
     ``spec.theta`` gives one row per column, sampled in column order."""
-    state = sv.new_zero_state(spec.n_xi)
-    state.amps = np.tile(state.amps, (*spec.theta.shape[1:], 1))
-    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec), state))
+    amps = np.tile(sv.new_zero_state(spec.n_xi), (*spec.theta.shape[1:], 1))
+    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec), amps))
     return probs if shots is None else sv.sample(probs, shots, rng) / shots
 
 
@@ -227,12 +226,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise StructureError("epochs must be >= 0")
-        if self.shots < 1:
-            raise StructureError("shots must be >= 1")
-        if not (self.lr_g > 0 and self.lr_d > 0):
-            raise StructureError("learning rates must be > 0")
-        if not self.init_scale >= 0:
-            raise StructureError("init_scale must be >= 0")
+        if not 1 <= self.shots < 2**63:  # a multinomial draw's C long
+            raise StructureError("shots must be in [1, 2**63)")
+        if not (0 < self.lr_g < np.inf and 0 < self.lr_d < np.inf):
+            raise StructureError("learning rates must be finite and > 0")
+        # the initial angles are uniform on a range of width 2 * init_scale
+        if not 0 <= 2 * self.init_scale < np.inf:
+            raise StructureError("init_scale must be >= 0, with "
+                                 "2 * init_scale finite")
 
 
 @dataclass(frozen=True)

@@ -11,38 +11,9 @@ divergence, so the score lives in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StructureError
-
-
-@dataclass(frozen=True)
-class ScenarioGrid:
-    xi: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.xi) != len(self.probs):
-            raise StructureError("grid and probabilities differ in length")
-        diffs = np.diff(self.xi)
-        if len(self.xi) < 2 or not np.all(diffs > 0) or \
-                not np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-            raise StructureError("grid must be strictly increasing and "
-                                 "equally spaced")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise StructureError("probabilities must be a distribution")
-
-
-@dataclass(frozen=True)
-class TestScenarioSet:
-    xi_tilde: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        n = len(self.xi_tilde)
-        return np.full(n, 1.0 / n)
 
 
 def sample_pv(
@@ -72,7 +43,7 @@ def uniform_grid(xi_min: float, xi_max: float, n: int) -> np.ndarray:
     return np.linspace(xi_min, xi_max, n)
 
 
-def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> ScenarioGrid:
+def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Relative frequencies in equal-width bins centered on the grid points.
 
     Bin edges sit at midpoints between neighboring grid points; the outer
@@ -89,16 +60,16 @@ def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> ScenarioGrid:
     # a couple of ulps without any empty bin ever dipping below zero; an
     # exact float total is not always representable under round-to-even
     probs[np.argmax(probs)] -= probs.sum() - 1.0
-    return ScenarioGrid(grid.copy(), probs)
+    return probs
 
 
-def quantile_test_set(values: np.ndarray, n_test: int) -> TestScenarioSet:
+def quantile_test_set(values: np.ndarray, n_test: int) -> np.ndarray:
     """Equal-weight scenarios at the (s + 0.5)/n_test empirical quantiles."""
     if not 1 <= n_test <= len(values):
         raise StructureError(f"n_test must be in [1, {len(values)}], "
                              f"got {n_test}")
     levels = (np.arange(n_test) + 0.5) / n_test
-    return TestScenarioSet(np.quantile(values, levels))
+    return np.quantile(values, levels)
 
 
 def js_agreement(p: np.ndarray, q: np.ndarray) -> float:

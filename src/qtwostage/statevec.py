@@ -4,10 +4,11 @@ Conventions:
   * little-endian indexing — qubit ``q`` contributes the bit of weight
     ``2**q`` to a basis index;
   * global phase is never tracked or compared;
-  * amplitudes are complex128 and gates act in place on the amplitude
-    array (no gate matrix is ever materialized over the full register),
-    of shape ``(2**n,)`` or ``(rows, 2**n)``: a batch of states that run
-    the same gates, with RX / RY / RZ angles scalar or one per row.
+  * a state is its complex128 amplitude array, of shape ``(2**n,)`` or
+    ``(rows, 2**n)``: a batch of states that run the same gates, with
+    RX / RY / RZ angles scalar or one per row; ``n`` is read from the last
+    axis.  Gates act in place on that array (no gate matrix is ever
+    materialized over the full register).
 
 ``ZPhase`` applies ``exp(-i*t*Z_string)`` for the Z-string on a support
 mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
@@ -101,12 +102,6 @@ Gate = Union[RX, RY, RZ, H, X, SX, CX, CZ, ZPhase, DiagPhase]
 
 
 @dataclass
-class StateVector:
-    n_qubits: int
-    amps: np.ndarray
-
-
-@dataclass
 class Circuit:
     n_qubits: int
     gates: list = field(default_factory=list)
@@ -116,13 +111,13 @@ class Circuit:
 # construction
 # ---------------------------------------------------------------------------
 
-def new_zero_state(n_qubits: int) -> StateVector:
-    """All-zeros computational basis state on ``n_qubits`` qubits."""
+def new_zero_state(n_qubits: int) -> np.ndarray:
+    """Amplitudes of the all-zeros basis state on ``n_qubits`` qubits."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +143,9 @@ def _apply_single(amps: np.ndarray, n: int, q: int, *u) -> None:
     view[:, :, 1, :] = u10 * lo + u11 * hi
 
 
-def apply(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place; returns the same StateVector for chaining."""
-    n, amps = state.n_qubits, state.amps
+def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate in place; returns the same array for chaining."""
+    n = amps.shape[-1].bit_length() - 1
 
     if isinstance(gate, RY):
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
@@ -208,39 +203,39 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         amps *= np.exp(-1j * gate.angle * gate.values)
     else:
         raise StructureError(f"unknown gate {gate!r}")
-    return state
+    return amps
 
 
-def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVector:
-    """Run all gates; starts from |0...0> when no state is given."""
-    if state is None:
-        state = new_zero_state(circuit.n_qubits)
-    elif state.n_qubits != circuit.n_qubits:
+def run_circuit(circuit: Circuit, amps: np.ndarray | None = None) -> np.ndarray:
+    """Run all gates in place; starts from |0...0> when no state is given."""
+    if amps is None:
+        amps = new_zero_state(circuit.n_qubits)
+    elif amps.shape[-1] != 2**circuit.n_qubits:
         raise StructureError(
-            f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}"
+            f"circuit on {circuit.n_qubits} qubits, state of "
+            f"{amps.shape[-1]} amplitudes"
         )
     for gate in circuit.gates:
-        apply(state, gate)
-    return state
+        apply(amps, gate)
+    return amps
 
 
 # ---------------------------------------------------------------------------
 # measurement-side operations
 # ---------------------------------------------------------------------------
 
-def probabilities(state: StateVector) -> np.ndarray:
-    a = state.amps
-    return a.real * a.real + a.imag * a.imag
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    return amps.real * amps.real + amps.imag * amps.imag
 
 
-def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
+def expectation_diagonal(amps: np.ndarray, diag: np.ndarray) -> float:
     """<state| diag(diag) |state> for a real diagonal operator."""
     diag = np.asarray(diag, dtype=float)
-    if diag.shape != state.amps.shape:
+    if diag.shape != amps.shape:
         raise StructureError(
-            f"diagonal length {diag.shape} does not match state {state.amps.shape}"
+            f"diagonal length {diag.shape} does not match state {amps.shape}"
         )
-    return float(probabilities(state) @ diag)
+    return float(probabilities(amps) @ diag)
 
 
 def sample(probs: np.ndarray, shots: int,

@@ -58,7 +58,7 @@ def finish(num: int, ok: bool, elapsed: float, budget: float, detail: str) -> No
 
 def pv_distribution(n_grid: int, seed: int) -> np.ndarray:
     samples = sample_pv(2000, 3.0, 7.0, XI_MAX, seed=seed)
-    return bin_to_grid(samples, uniform_grid(0.0, XI_MAX, n_grid)).probs
+    return bin_to_grid(samples, uniform_grid(0.0, XI_MAX, n_grid))
 
 
 def train_generator(n_grid: int, seed: int) -> TrainedGenerator:
@@ -322,10 +322,8 @@ def test_criterion_8_resource_scaling_trends():
     circuit = sv.Circuit(n, gates)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    out_a = sv.run_circuit(circuit, sv.StateVector(n, amps.copy())).amps
-    out_b = sv.run_circuit(
-        lower_to_basis(circuit), sv.StateVector(n, amps.copy())
-    ).amps
+    out_a = sv.run_circuit(circuit, amps.copy())
+    out_b = sv.run_circuit(lower_to_basis(circuit), amps.copy())
     overlap = np.vdot(out_b, out_a)
     lowering_err = float(
         np.max(np.abs(out_a - (overlap / abs(overlap)) * out_b))

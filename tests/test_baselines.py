@@ -6,12 +6,11 @@ import pytest
 from qtwostage import baselines as bl
 from qtwostage.errors import StructureError
 from qtwostage.scenarios import quantile_test_set, sample_pv
-from qtwostage.scenarios import TestScenarioSet as ScenarioSet
 from qtwostage.ucp import UcpParams, default_params
 
 
-def single_scenario(xi: float) -> ScenarioSet:
-    return ScenarioSet(np.array([xi]))
+def single_scenario(xi: float) -> np.ndarray:
+    return np.array([xi])
 
 
 def test_second_stage_best_hand_enumeration():
@@ -69,9 +68,9 @@ def test_expected_cost_single_scenario():
 
 def test_expected_cost_empty_commitment_formula():
     params = default_params(30.0)
-    test = ScenarioSet(np.array([100.0, 900.0, 1600.0]))
-    got = bl.expected_cost((0, 0, 0), test, params)
-    want = 30.0 * np.mean(np.abs(2500.0 - test.xi_tilde))
+    xi = np.array([100.0, 900.0, 1600.0])
+    got = bl.expected_cost((0, 0, 0), xi, params)
+    want = 30.0 * np.mean(np.abs(2500.0 - xi))
     assert got == pytest.approx(want)
 
 
@@ -186,10 +185,11 @@ def scalar_second_stage_best(x, xi, params):
     return best_y, best_cost
 
 
-def scalar_expected_cost(x, test, params):
+def scalar_expected_cost(x, xi, params):
     startup = sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
-    recourse = sum(p * scalar_second_stage_best(x, xi, params)[1]
-                   for xi, p in zip(test.xi_tilde, test.probs))
+    p = 1.0 / len(xi)
+    recourse = sum(p * scalar_second_stage_best(x, xi_s, params)[1]
+                   for xi_s in xi)
     return float(startup + recourse)
 
 
@@ -215,13 +215,12 @@ def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
         xi = rng.uniform(-100.0, params.demand + 200.0,
                          size=int(rng.integers(1, 40)))
         xi[0] = params.demand - sum(params.p_min)  # an exact balance
-        test = ScenarioSet(xi)
         for x in itertools.product((0, 1), repeat=n_units):
             y, cost = bl.second_stage_best(x, xi, params)
             for s, xi_s in enumerate(xi):
                 want_y, want_cost = scalar_second_stage_best(x, xi_s, params)
                 assert tuple(y[s]) == want_y
                 assert cost[s] == want_cost
-            assert bl.expected_cost(x, test, params) == \
-                scalar_expected_cost(x, test, params)
+            assert bl.expected_cost(x, xi, params) == \
+                scalar_expected_cost(x, xi, params)
 

@@ -188,13 +188,24 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("gen-data", "[uncertainty]\nalpha = inf\n", []),
     ("gen-data", "[uncertainty]\nbeta = inf\n", []),
     ("gen-data", "[uncertainty]\nxi_max = inf\n", []),
+    ("train-qgan", "[qgan]\nlr_g = inf\n", []),
+    ("train-qgan", "[qgan]\nlr_d = inf\n", []),
+    ("train-qgan", "[qgan]\ninit_scale = inf\n", []),
+    ("train-qgan", "[qgan]\ninit_scale = 1e308\n", []),
+    ("train-qgan", "[qgan]\nuse_shots = true\nshots = 9223372036854775808\n",
+     []),
+    ("run", "[qaoa]\neval_mode = shots\nshots = 100000000000000000000\n",
+     []),
+    ("run", "", ["--shots", "9223372036854775808"]),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
         "n_values", "m_values", "m_values-above-z-limit",
         "n_values-above-z-limit", "above-max-qubits", "unparsed-shots",
         "exact-negative-shots", "exact-zero-shots", "alpha-inf", "beta-inf",
-        "xi_max-inf"])
+        "xi_max-inf", "lr_g-inf", "lr_d-inf", "init_scale-inf",
+        "init_scale-overflow", "qgan-shots-above-c-long",
+        "eval-shots-above-c-long", "shots-flag-above-c-long"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
@@ -366,6 +377,19 @@ def test_run_without_finite_objective_is_exit_1(tmp_path, capsys,
     monkeypatch.setattr(qaoa, "_estimate", lambda *args: float("nan"))
     assert main(["run", "--config", cfg_path]) == 1
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_exit_1(tmp_path, capsys, monkeypatch):
+    # what numpy raises when [uncertainty] n_data = 100000000000 is sampled
+    def unable(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr("qtwostage.cli.sample_pv", unable)
+    assert main(["gen-data", "--config", tiny_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("out of memory: Unable to allocate 745. GiB for an array "
+                   "with shape (100000000000,) and data type float64\n")
 
 
 def test_run_respects_lambda_and_seed_flags(tmp_path):

@@ -216,7 +216,7 @@ def test_mapping_block_matches_diagonal_oracle():
     gates += [sv.RX(q, -2 * vp.beta2[0]) for q in layout.second_stage_qubits]
     oracle = sv.run_circuit(sv.Circuit(layout.n_total, gates))
 
-    np.testing.assert_allclose(state.amps, oracle.amps, atol=1e-10)
+    np.testing.assert_allclose(state, oracle, atol=1e-10)
 
 
 def test_diagonal_is_built_on_first_use():

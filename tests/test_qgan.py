@@ -273,7 +273,7 @@ def test_train_improves_on_skewed_target():
     rng = np.random.default_rng(123)
     samples = sample_pv(1000, 3.0, 7.0, 2500.0, seed=9)
     grid = uniform_grid(0.0, 2500.0, 4)
-    target = bin_to_grid(samples, grid).probs
+    target = bin_to_grid(samples, grid)
     got = train([target], [target], TrainConfig(epochs=300), rng)
     start = js_agreement(np.full(4, 0.25), target)
     assert got.test_score > start

@@ -26,8 +26,8 @@ def assert_unitary_equivalent(circuit: sv.Circuit, rng, tol=1e-9) -> None:
     n = circuit.n_qubits
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    out_a = sv.run_circuit(circuit, sv.StateVector(n, amps.copy())).amps
-    out_b = sv.run_circuit(lowered, sv.StateVector(n, amps.copy())).amps
+    out_a = sv.run_circuit(circuit, amps.copy())
+    out_b = sv.run_circuit(lowered, amps.copy())
     overlap = np.vdot(out_b, out_a)
     assert abs(abs(overlap) - 1.0) < tol
     phase = overlap / abs(overlap)

@@ -69,7 +69,7 @@ def _dense_unitary(gate, n):
 def _random_state(n, rng):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    return sv.StateVector(n, amps.astype(np.complex128))
+    return amps.astype(np.complex128)
 
 
 def test_every_gate_matches_dense_matrix_oracle():
@@ -85,9 +85,9 @@ def test_every_gate_matches_dense_matrix_oracle():
     ]
     for gate in gates:
         state = _random_state(n, rng)
-        expected = _dense_unitary(gate, n) @ state.amps
+        expected = _dense_unitary(gate, n) @ state
         sv.apply(state, gate)
-        assert np.allclose(state.amps, expected, atol=1e-12), gate
+        assert np.allclose(state, expected, atol=1e-12), gate
 
 
 def test_random_circuit_matches_matrix_product_oracle():
@@ -95,7 +95,7 @@ def test_random_circuit_matches_matrix_product_oracle():
     n = 4
     for _ in range(10):
         state = _random_state(n, rng)
-        ref = state.amps.copy()
+        ref = state.copy()
         for _ in range(12):
             kind = rng.integers(6)
             q = int(rng.integers(n))
@@ -108,7 +108,7 @@ def test_random_circuit_matches_matrix_product_oracle():
             ][kind]
             ref = _dense_unitary(gate, n) @ ref
             sv.apply(state, gate)
-        assert np.allclose(state.amps, ref, atol=1e-10)
+        assert np.allclose(state, ref, atol=1e-10)
         assert abs(sv.probabilities(state).sum() - 1.0) < 1e-10
 
 
@@ -128,18 +128,17 @@ def test_batch_axis_matches_row_by_row():
         sv.ZPhase(0b1011, 0.9), sv.DiagPhase(rng.normal(size=2**n), -0.4),
         sv.RY(3, per_row()), sv.RX(0, 1.1), sv.RZ(1, -2.3),
     ]
-    start = np.stack([_random_state(n, rng).amps for _ in range(rows)])
-    batch = sv.run_circuit(sv.Circuit(n, gates), sv.StateVector(n, start.copy()))
-    assert batch.amps.shape == (rows, 2**n)
+    start = np.stack([_random_state(n, rng) for _ in range(rows)])
+    batch = sv.run_circuit(sv.Circuit(n, gates), start.copy())
+    assert batch.shape == (rows, 2**n)
     for r in range(rows):
         row_gates = [
             dataclasses.replace(g, angle=g.angle[r])
             if isinstance(getattr(g, "angle", None), np.ndarray) else g
             for g in gates
         ]
-        single = sv.run_circuit(sv.Circuit(n, row_gates),
-                                sv.StateVector(n, start[r].copy()))
-        assert np.array_equal(batch.amps[r], single.amps), r
+        single = sv.run_circuit(sv.Circuit(n, row_gates), start[r].copy())
+        assert np.array_equal(batch[r], single), r
 
 
 def test_sample_rows_match_row_by_row_draws():
@@ -166,10 +165,10 @@ def test_sample_rows_match_row_by_row_draws():
 # ---------------------------------------------------------------------------
 
 def test_zero_state_examples():
-    assert np.array_equal(sv.new_zero_state(1).amps, [1, 0])
-    assert np.array_equal(sv.new_zero_state(2).amps, [1, 0, 0, 0])
+    assert np.array_equal(sv.new_zero_state(1), [1, 0])
+    assert np.array_equal(sv.new_zero_state(2), [1, 0, 0, 0])
     big = sv.new_zero_state(11)
-    assert big.amps.shape == (2048,)
+    assert big.shape == (2048,)
     assert abs(sv.probabilities(big).sum() - 1.0) < 1e-12
 
 
@@ -197,10 +196,10 @@ def test_little_endian_bit_convention():
 
 def test_zphase_single_qubit_phases():
     t = 0.37
-    state = sv.StateVector(1, np.array([0.6, 0.8], dtype=complex))
+    state = np.array([0.6, 0.8], dtype=complex)
     sv.apply(state, sv.ZPhase(1, t))
     assert np.allclose(
-        state.amps, [0.6 * np.exp(-1j * t), 0.8 * np.exp(1j * t)], atol=1e-14
+        state, [0.6 * np.exp(-1j * t), 0.8 * np.exp(1j * t)], atol=1e-14
     )
 
 
@@ -220,11 +219,11 @@ def test_zphase_equals_diagphase_oracle():
         mask = int(rng.integers(1, 2**n))
         t = float(rng.uniform(-3, 3))
         a = _random_state(n, rng)
-        b = sv.StateVector(n, a.amps.copy())
+        b = a.copy()
         sv.apply(a, sv.ZPhase(mask, t))
         values = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(2**n)])
         sv.apply(b, sv.DiagPhase(values, t))
-        assert np.allclose(a.amps, b.amps, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_diagonal_gates_commute():
@@ -233,12 +232,12 @@ def test_diagonal_gates_commute():
     gates = [sv.ZPhase(int(rng.integers(1, 16)), float(rng.uniform(-2, 2)))
              for _ in range(8)]
     a = _random_state(n, rng)
-    b = sv.StateVector(n, a.amps.copy())
+    b = a.copy()
     for g in gates:
         sv.apply(a, g)
     for g in reversed(gates):
         sv.apply(b, g)
-    assert np.allclose(a.amps, b.amps, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
