@@ -428,11 +428,14 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
                 record = json.loads(line)
             except ValueError as exc:  # a truncated or garbled line
                 raise OSError(f"{path} line {num}: {exc}") from exc
+            # json reads NaN and Infinity as floats, a bool is an int, and an
+            # int may lie beyond float range, where the table's format fails
             if not isinstance(record, dict) or not all(
-                    isinstance(record.get(key), (int, float))
+                    type(record.get(key)) in (int, float)
+                    and abs(record[key]) <= sys.float_info.max
                     for key in _REPORT_FIELDS):
-                raise OSError(f"{path} line {num}: a record needs numeric "
-                              f"{', '.join(_REPORT_FIELDS)}")
+                raise OSError(f"{path} line {num}: a record needs finite "
+                              f"numeric {', '.join(_REPORT_FIELDS)}")
             records.append(record)
     if not records:
         raise FileNotFoundError(f"{path} contains no records")

@@ -6,12 +6,13 @@ commitment register, and second-stage layers couple all registers through
 the scenario-dependent phase block before mixing the dispatch register.
 Because every cost layer is diagonal and the decision mixers never touch
 the scenario register, the joint (scenario, first-stage) measurement
-distribution factorizes exactly; `verify_prop1` and
-`verify_nonanticipativity` check the two consequences on the gate-level
-circuit.  `FactorizedEvaluator` is the objective through that factorization,
-never simulating the whole register; `assemble` and `final_state` stay as its
-oracles.  `optimize(evaluator, cfg, rng)` reads the register only through
-one evaluator, which a caller builds once per problem for every restart.
+distribution factorizes exactly.  `FactorizedEvaluator` is the objective
+through that factorization, never simulating the whole register.
+`assemble` builds the gate-level circuit it stands for, the one `resources`
+counts, and `final_state` simulates it: the tests check the evaluator, and
+the paper's factorization and non-anticipativity claims, against that
+state.  `optimize(evaluator, cfg, rng)` reads the register only through one
+evaluator, which a caller builds once per problem for every restart.
 
 Optimization is derivative-free, by the package's numpy port of Powell's
 COBYLA (`cobyla.minimize`), from random angles in per-stage scaled
@@ -29,14 +30,8 @@ from . import statevec as sv
 from .cobyla import minimize
 from .errors import CapacityError, StructureError
 from .qgan import GeneratorSpec, generator_circuit, generator_probs
-from .ucp import (
-    ProblemHamiltonian,
-    RegisterLayout,
-    UcpParams,
-    build_hamiltonian,
-    classical_surrogate,
-)
-from .walsh import ZPolynomial, fwht_expand, reconstruct
+from .ucp import ProblemHamiltonian, RegisterLayout
+from .walsh import ZPolynomial, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -365,74 +360,3 @@ def map_solution(marginal: np.ndarray) -> tuple:
         )
     k = int(np.argmax(marginal))  # argmax returns the first (smallest) tie
     return tuple((k >> j) & 1 for j in range(size.bit_length() - 1))
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-# ---------------------------------------------------------------------------
-
-def verify_prop1(
-    spec: GeneratorSpec,
-    params: UcpParams,
-    xi_min: float,
-    xi_max: float,
-    vp: VariationalParams,
-) -> float:
-    """|full-circuit expectation - factorized recomputation|.
-
-    Both sides read the problem from ``params`` and the generator alone.
-    The factorized side never builds the joint circuit: first-stage
-    amplitudes come from a first-stage-only circuit, scenario weights from
-    the generator alone, and each second-stage value from an independently
-    simulated dispatch-register circuit with the commitment bits and the
-    scenario value substituted as plain numbers.
-    """
-    n_xi, m = spec.n_xi, params.n_units
-    ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
-    lhs = sv.expectation_diagonal(final_state(spec, ham, vp), ham.diagonal)
-
-    # first-stage-only circuit on an M-qubit register
-    h1_local = ZPolynomial(
-        m, {mask >> n_xi: c for mask, c in ham.h1.terms.items() if mask != 0}
-    )
-    gates1 = [sv.H(q) for q in range(m)]
-    gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
-    first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
-
-    scenario_probs = generator_probs(spec)
-    grid = np.linspace(xi_min, xi_max, 2**n_xi)
-
-    rhs = 0.0
-    for k in range(2**m):
-        x = tuple((k >> i) & 1 for i in range(m))
-        h1_val = sum(params.startup_cost[i] * x[i] for i in range(m))
-        expected_second = 0.0
-        for s in range(2**n_xi):
-            diag2 = np.array([
-                classical_surrogate(
-                    x, tuple((b >> i) & 1 for i in range(m)), grid[s], params
-                ) - h1_val
-                for b in range(2**m)
-            ])
-            poly2 = fwht_expand(diag2)
-            gates2 = [sv.H(q) for q in range(m)]
-            gates2 += stage_layers([poly2], vp.gamma2, vp.beta2, range(m))
-            state2 = sv.run_circuit(sv.Circuit(m, gates2))
-            expected_second += scenario_probs[s] * sv.expectation_diagonal(
-                state2, diag2
-            )
-        rhs += first_probs[k] * (h1_val + expected_second)
-
-    return abs(lhs - rhs)
-
-
-def verify_nonanticipativity(
-    amps: np.ndarray, layout: RegisterLayout
-) -> float:
-    """Max |P(first-stage | scenario) - P(first-stage)| over live scenarios."""
-    joint = layout.split(sv.probabilities(amps)).sum(axis=0)  # (x, s)
-    scenario = joint.sum(axis=0)
-    marginal = joint.sum(axis=1)
-    live = scenario > 1e-12
-    conditional = joint[:, live] / scenario[live]
-    return float(np.max(np.abs(conditional - marginal[:, None]), initial=0.0))

@@ -114,9 +114,6 @@ class Discriminator:
             acts.append(a)
         return acts, pre, float((self.weights[-1] @ a + self.biases[-1])[0])
 
-    def forward(self, p: np.ndarray) -> float:
-        return float(_sigmoid(self._forward(p)[2]))
-
     def backward(self, p: np.ndarray, target: float):
         """Gradients of BCE(D(p), target) w.r.t. weights and the input.
 
@@ -144,12 +141,6 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + np.exp(-z))
     e = np.exp(z)
     return e / (1.0 + e)
-
-
-def bce_loss(output: float, target: float) -> float:
-    eps = 1e-12
-    return -(target * np.log(output + eps)
-             + (1.0 - target) * np.log(1.0 - output + eps))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +268,7 @@ def train(
     shots = cfg.shots if cfg.use_shots else None
     best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
 
-    def evaluate(epoch: int) -> None:
+    def evaluate(epoch: int) -> np.ndarray:  # theta's exact distribution
         p_exact = generator_probs(GeneratorSpec(n_xi, theta))
         score = float(np.mean([js_agreement(p_exact, t) for t in target_test]))
         if score > best["score"]:
@@ -287,13 +278,17 @@ def train(
             best.update(
                 score=score, epoch=epoch, theta=theta.copy(), train=train_score
             )
+        return p_exact
 
     for epoch in range(cfg.epochs):
-        evaluate(epoch)
+        p_exact = evaluate(epoch)
 
         spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
-        fake = generator_probs(spec, shots, rng)
+        # measured as `generator_probs(spec, shots, rng)` would, from the
+        # distribution `evaluate` already simulated at theta
+        fake = (p_exact if shots is None
+                else sv.sample(p_exact, shots, rng) / shots)
 
         grads_real, _ = disc.backward(np.asarray(target, dtype=float), 1.0)
         grads_fake, _ = disc.backward(fake, 0.0)

@@ -209,51 +209,6 @@ def build_hamiltonian(
                               ZPolynomial(n, dep))
 
 
-# ---------------------------------------------------------------------------
-# classical evaluation and index plumbing
-# ---------------------------------------------------------------------------
-
-def outputs_from_bits(x, b, params: UcpParams):
-    """Map commitment bits and level bits to output levels."""
-    return tuple(
-        x[i] * (params.p_min[i] + (params.p_max[i] - params.p_min[i]) * b[i])
-        for i in range(params.n_units)
-    )
-
-
-def classical_surrogate(x, b, xi: float, params: UcpParams) -> float:
-    """Start-up + generation + quadratic imbalance penalty for one scenario."""
-    if len(x) != params.n_units or len(b) != params.n_units:
-        raise StructureError("x and b must have one bit per unit")
-    y = outputs_from_bits(x, b, params)
-    gap = params.demand - xi - sum(y)
-    return (
-        sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
-        + sum(params.unit_cost[i] * y[i] for i in range(params.n_units))
-        + params.lam * gap * gap
-    )
-
-
-def decode_basis(index: int, layout: RegisterLayout):
-    """Split a basis index into (scenario index, x bits, level bits)."""
-    if not 0 <= index < 2**layout.n_total:
-        raise StructureError(f"basis index {index} out of range")
-    s = index & layout.scenario_mask
-    x = tuple((index >> layout.commit_qubit(i)) & 1 for i in range(layout.n_units))
-    b = tuple((index >> layout.level_qubit(i)) & 1 for i in range(layout.n_units))
-    return s, x, b
-
-
-def encode_basis(s: int, x, b, layout: RegisterLayout) -> int:
-    if not 0 <= s < 2**layout.n_xi:
-        raise StructureError(f"scenario index {s} out of range")
-    index = s
-    for i in range(layout.n_units):
-        index |= (x[i] & 1) << layout.commit_qubit(i)
-        index |= (b[i] & 1) << layout.level_qubit(i)
-    return index
-
-
 def bits_to_string(bits) -> str:
     """Display order: unit 1 leftmost."""
     return "".join(str(int(v)) for v in bits)

@@ -6,11 +6,12 @@ mask 0 is the identity term.  Its value at basis index ``i`` is
 
     sum over masks m of  c_m * (-1)**popcount(m & i).
 
-The expansion of an arbitrary diagonal is its Walsh-Hadamard transform
-(unnormalized butterfly followed by a single 1/N scale).  Diagonals that
-form an arithmetic progression admit a sparse closed form with n+1 terms,
-which is what makes amplitude-encoded scenario registers cheap to couple
-into cost Hamiltonians.
+Operators are built from sparse pieces and never expanded from a dense
+diagonal, whose expansion would be its Walsh-Hadamard transform.  A
+diagonal that forms an arithmetic progression has a closed form with n+1
+terms (`arithmetic_expansion`), which is what makes amplitude-encoded
+scenario registers cheap to couple into cost Hamiltonians; `reconstruct`
+evaluates a polynomial back into its dense diagonal.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class ZPolynomial:
                     f"mask {mask} out of range for {self.n_qubits} qubits"
                 )
 
-    def coefficient(self, mask: int) -> float:
-        return self.terms.get(mask, 0.0)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -55,28 +53,6 @@ def _pruned(n_qubits: int, terms: dict) -> ZPolynomial:
 
 def constant(n_qubits: int, value: float) -> ZPolynomial:
     return _pruned(n_qubits, {0: float(value)})
-
-
-def fwht_expand(values: np.ndarray) -> ZPolynomial:
-    """Expand a length-2^n diagonal into Z-strings, c = (1/2^n) * H_n * values."""
-    values = np.asarray(values, dtype=float)
-    size = values.shape[0] if values.ndim == 1 else 0
-    if size < 2 or size & (size - 1):
-        raise StructureError(f"diagonal length must be a power of two, got {values.shape}")
-    n = size.bit_length() - 1
-
-    a = values.copy()
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bot
-        a = a.reshape(size)
-        h *= 2
-    coeffs = a / size
-    return _pruned(n, {int(m): float(c) for m, c in enumerate(coeffs)})
 
 
 def arithmetic_expansion(xi_min: float, xi_max: float, n_xi: int) -> ZPolynomial:
@@ -130,15 +106,6 @@ def zpoly_mul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
     return _pruned(a.n_qubits, out)
 
 
-def eval_at(poly: ZPolynomial, basis_index: int) -> float:
-    if not 0 <= basis_index < 2**poly.n_qubits:
-        raise StructureError(f"basis index {basis_index} out of range")
-    total = 0.0
-    for m, c in poly.terms.items():
-        total += c if (m & basis_index).bit_count() % 2 == 0 else -c
-    return total
-
-
 def parity(n_qubits: int, mask: int) -> np.ndarray:
     """popcount(mask & i) % 2 for every basis index i, as bools."""
     v = np.arange(2**n_qubits, dtype=np.int64) & np.int64(mask)
@@ -148,7 +115,7 @@ def parity(n_qubits: int, mask: int) -> np.ndarray:
 
 
 def reconstruct(poly: ZPolynomial) -> np.ndarray:
-    """Dense diagonal of the operator (inverse of fwht_expand)."""
+    """Dense diagonal of the operator: its value at every basis index."""
     out = np.zeros(2**poly.n_qubits, dtype=float)
     for m, c in poly.terms.items():
         if m == 0:

@@ -1,0 +1,199 @@
+"""Reference implementations the tests compare the package against.
+
+No CLI stage runs any of these.  They hold the paper's two structural
+claims as checks on the gate-level circuit (`verify_prop1`,
+`verify_nonanticipativity`), the unit-commitment cost one basis state at a
+time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
+(`decode_basis`, `encode_basis`), the dense Walsh transform and pointwise
+evaluation of Z-polynomials (`fwht_expand`, `eval_at`), and the
+discriminator's loss and output (`bce_loss`, `forward`).
+
+Test modules import them as ``from oracles import ...``: ``tests/`` has no
+``__init__.py``, so pytest puts the directory itself on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qtwostage import statevec as sv
+from qtwostage.errors import StructureError
+from qtwostage.qaoa import VariationalParams, final_state, stage_layers
+from qtwostage.qgan import Discriminator, GeneratorSpec, _sigmoid, generator_probs
+from qtwostage.ucp import RegisterLayout, UcpParams, build_hamiltonian
+from qtwostage.walsh import ZPolynomial, _pruned
+
+
+# ---------------------------------------------------------------------------
+# the classical model, one basis state at a time
+# ---------------------------------------------------------------------------
+
+def classical_surrogate(x, b, xi: float, params: UcpParams) -> float:
+    """Start-up + generation + quadratic imbalance penalty for one scenario."""
+    if len(x) != params.n_units or len(b) != params.n_units:
+        raise StructureError("x and b must have one bit per unit")
+    y = tuple(
+        x[i] * (params.p_min[i] + (params.p_max[i] - params.p_min[i]) * b[i])
+        for i in range(params.n_units)
+    )
+    gap = params.demand - xi - sum(y)
+    return (
+        sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
+        + sum(params.unit_cost[i] * y[i] for i in range(params.n_units))
+        + params.lam * gap * gap
+    )
+
+
+def decode_basis(index: int, layout: RegisterLayout):
+    """Split a basis index into (scenario index, x bits, level bits)."""
+    if not 0 <= index < 2**layout.n_total:
+        raise StructureError(f"basis index {index} out of range")
+    s = index & layout.scenario_mask
+    x = tuple((index >> layout.commit_qubit(i)) & 1 for i in range(layout.n_units))
+    b = tuple((index >> layout.level_qubit(i)) & 1 for i in range(layout.n_units))
+    return s, x, b
+
+
+def encode_basis(s: int, x, b, layout: RegisterLayout) -> int:
+    if not 0 <= s < 2**layout.n_xi:
+        raise StructureError(f"scenario index {s} out of range")
+    index = s
+    for i in range(layout.n_units):
+        index |= (x[i] & 1) << layout.commit_qubit(i)
+        index |= (b[i] & 1) << layout.level_qubit(i)
+    return index
+
+
+def surrogate_diagonal(
+    params: UcpParams, n_xi: int, xi_min: float, xi_max: float
+) -> np.ndarray:
+    """`classical_surrogate` at every basis state of the n_xi-scenario-qubit
+    register, with scenario s at the grid point linspace(xi_min, xi_max)[s]."""
+    layout = RegisterLayout(n_xi, params.n_units)
+    grid = np.linspace(xi_min, xi_max, 2**n_xi)
+    out = np.empty(2**layout.n_total)
+    for index in range(len(out)):
+        s, x, b = decode_basis(index, layout)
+        out[index] = classical_surrogate(x, b, grid[s], params)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Z-polynomials
+# ---------------------------------------------------------------------------
+
+def fwht_expand(values: np.ndarray) -> ZPolynomial:
+    """Expand a length-2^n diagonal into Z-strings, c = (1/2^n) * H_n * values."""
+    values = np.asarray(values, dtype=float)
+    size = values.shape[0] if values.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
+        raise StructureError(f"diagonal length must be a power of two, got {values.shape}")
+    n = size.bit_length() - 1
+
+    a = values.copy()
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :] + a[:, 1, :]
+        bot = a[:, 0, :] - a[:, 1, :]
+        a[:, 0, :] = top
+        a[:, 1, :] = bot
+        a = a.reshape(size)
+        h *= 2
+    coeffs = a / size
+    return _pruned(n, {int(m): float(c) for m, c in enumerate(coeffs)})
+
+
+def eval_at(poly: ZPolynomial, basis_index: int) -> float:
+    if not 0 <= basis_index < 2**poly.n_qubits:
+        raise StructureError(f"basis index {basis_index} out of range")
+    total = 0.0
+    for m, c in poly.terms.items():
+        total += c if (m & basis_index).bit_count() % 2 == 0 else -c
+    return total
+
+
+# ---------------------------------------------------------------------------
+# discriminator
+# ---------------------------------------------------------------------------
+
+def forward(disc: Discriminator, p: np.ndarray) -> float:
+    """D(p): the discriminator's logistic output."""
+    return float(_sigmoid(disc._forward(p)[2]))
+
+
+def bce_loss(output: float, target: float) -> float:
+    eps = 1e-12
+    return -(target * np.log(output + eps)
+             + (1.0 - target) * np.log(1.0 - output + eps))
+
+
+# ---------------------------------------------------------------------------
+# the paper's structural claims on the gate-level circuit
+# ---------------------------------------------------------------------------
+
+def verify_prop1(
+    spec: GeneratorSpec,
+    params: UcpParams,
+    xi_min: float,
+    xi_max: float,
+    vp: VariationalParams,
+) -> float:
+    """|full-circuit expectation - factorized recomputation|.
+
+    Both sides read the problem from ``params`` and the generator alone.
+    The factorized side never builds the joint circuit: first-stage
+    amplitudes come from a first-stage-only circuit, scenario weights from
+    the generator alone, and each second-stage value from an independently
+    simulated dispatch-register circuit with the commitment bits and the
+    scenario value substituted as plain numbers.
+    """
+    n_xi, m = spec.n_xi, params.n_units
+    ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
+    lhs = sv.expectation_diagonal(final_state(spec, ham, vp), ham.diagonal)
+
+    # first-stage-only circuit on an M-qubit register
+    h1_local = ZPolynomial(
+        m, {mask >> n_xi: c for mask, c in ham.h1.terms.items() if mask != 0}
+    )
+    gates1 = [sv.H(q) for q in range(m)]
+    gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
+    first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
+
+    scenario_probs = generator_probs(spec)
+    grid = np.linspace(xi_min, xi_max, 2**n_xi)
+
+    rhs = 0.0
+    for k in range(2**m):
+        x = tuple((k >> i) & 1 for i in range(m))
+        h1_val = sum(params.startup_cost[i] * x[i] for i in range(m))
+        expected_second = 0.0
+        for s in range(2**n_xi):
+            diag2 = np.array([
+                classical_surrogate(
+                    x, tuple((b >> i) & 1 for i in range(m)), grid[s], params
+                ) - h1_val
+                for b in range(2**m)
+            ])
+            poly2 = fwht_expand(diag2)
+            gates2 = [sv.H(q) for q in range(m)]
+            gates2 += stage_layers([poly2], vp.gamma2, vp.beta2, range(m))
+            state2 = sv.run_circuit(sv.Circuit(m, gates2))
+            expected_second += scenario_probs[s] * sv.expectation_diagonal(
+                state2, diag2
+            )
+        rhs += first_probs[k] * (h1_val + expected_second)
+
+    return abs(lhs - rhs)
+
+
+def verify_nonanticipativity(
+    amps: np.ndarray, layout: RegisterLayout
+) -> float:
+    """Max |P(first-stage | scenario) - P(first-stage)| over live scenarios."""
+    joint = layout.split(sv.probabilities(amps)).sum(axis=0)  # (x, s)
+    scenario = joint.sum(axis=0)
+    marginal = joint.sum(axis=1)
+    live = scenario > 1e-12
+    conditional = joint[:, live] / scenario[live]
+    return float(np.max(np.abs(conditional - marginal[:, None]), initial=0.0))

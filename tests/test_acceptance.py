@@ -23,8 +23,6 @@ from qtwostage.qaoa import (
     final_state,
     optimize,
     random_params,
-    verify_nonanticipativity,
-    verify_prop1,
 )
 from qtwostage.qgan import GeneratorSpec, TrainConfig, TrainedGenerator, train
 from qtwostage.resources import count_and_depth, lower_to_basis, sweep_scaling
@@ -39,11 +37,16 @@ from qtwostage.ucp import (
     UcpParams,
     bits_to_string,
     build_hamiltonian,
-    classical_surrogate,
-    decode_basis,
     default_params,
 )
-from qtwostage.walsh import arithmetic_expansion, fwht_expand, reconstruct
+from qtwostage.walsh import arithmetic_expansion, reconstruct
+
+from oracles import (
+    fwht_expand,
+    surrogate_diagonal,
+    verify_nonanticipativity,
+    verify_prop1,
+)
 
 XI_MAX = 2500.0
 
@@ -101,20 +104,13 @@ def test_criterion_2_hamiltonian_matches_surrogate():
     # keep rounding at that scale's ulp, not at their own magnitude
     t0 = time.perf_counter()
     layout = RegisterLayout(5, 3)
-    grid = np.linspace(0.0, XI_MAX, 2**5)
     worst = 0.0
     for lam in (30.0, 200.0):
         params = default_params(lam)
         diag = reconstruct(
             build_hamiltonian(params, layout.n_xi, 0.0, XI_MAX).total()
         )
-        want = np.array([
-            classical_surrogate(x, b, grid[s], params)
-            for s, x, b in (
-                decode_basis(index, layout)
-                for index in range(2**layout.n_total)
-            )
-        ])
+        want = surrogate_diagonal(params, layout.n_xi, 0.0, XI_MAX)
         scale = float(np.max(np.abs(want)))
         rel = np.abs(diag - want) / np.maximum(1.0 + np.abs(want), scale)
         worst = max(worst, float(np.max(rel)))

@@ -35,10 +35,12 @@ n_test = {overrides.get("n_test", 5)}
 
 [qgan]
 epochs = {overrides.get("epochs", 3)}
+use_shots = {overrides.get("use_shots", "false")}
 
 [qaoa]
 p1 = 1
 p2 = 1
+eval_mode = {overrides.get("eval_mode", "exact")}
 maxiter = {overrides.get("maxiter", 8)}
 n_seeds = {overrides.get("n_seeds", 1)}
 
@@ -238,14 +240,21 @@ def test_gen_data_writes_expected_files(tmp_path):
     assert len(scenario_rows) == 1 + 5
 
 
-def test_gen_data_rerun_byte_identical(tmp_path):
-    cfg_path = tiny_config(tmp_path)
-    assert main(["gen-data", "--config", cfg_path]) == 0
+def test_pipeline_rerun_byte_identical(tmp_path):
+    # the sampled paths too: shots in QGAN training and in the QAOA objective
+    cfg_path = tiny_config(tmp_path, use_shots="true", eval_mode="shots")
+    cfg = load_config(cfg_path)
+    assert cfg.qgan.use_shots and cfg.qaoa.shots is not None
     out = tmp_path / "results"
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert main(["gen-data", "--config", cfg_path]) == 0
-    second = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert first == second
+    outputs = []
+    for _ in range(2):
+        for stage in ("gen-data", "train-qgan", "run", "baselines",
+                      "resources", "report"):
+            assert main([stage, "--config", cfg_path]) == 0, stage
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert {"generator.txt", "records.jsonl", "baselines.csv",
+            "resources.csv"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_gen_data_master_seed_changes_output(tmp_path):
@@ -460,9 +469,14 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
     (tmp_path / "results" / "records.jsonl").write_text('{"lam": 30.0, "se')
     assert main(["report", "--config", cfg_path]) == 2
     assert "i/o error" in capsys.readouterr().err
-    # valid JSON without the numeric fields the table needs
+    # valid JSON without the finite numeric fields the table needs
     for line in ('{"seed": 0}', '[30.0]', '{"lam": "30", "cost_map": 1, '
-                 '"rp": 1, "eev": 1}'):
+                 '"rp": 1, "eev": 1}',
+                 '{"lam": NaN, "cost_map": 1, "rp": 1, "eev": 1}',
+                 '{"lam": true, "cost_map": 1, "rp": 1, "eev": 1}',
+                 '{"lam": 30, "cost_map": Infinity, "rp": 1, "eev": 1}',
+                 '{"lam": 30, "cost_map": 1, "rp": 1' + "0" * 400
+                 + ', "eev": 1}'):
         (tmp_path / "results" / "records.jsonl").write_text(line + "\n")
         assert main(["report", "--config", cfg_path]) == 2
         assert "records.jsonl line 1" in capsys.readouterr().err

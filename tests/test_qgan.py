@@ -8,7 +8,6 @@ from qtwostage.qgan import (
     Discriminator,
     GeneratorSpec,
     TrainConfig,
-    bce_loss,
     default_spec,
     generator_circuit,
     generator_from_text,
@@ -24,6 +23,8 @@ from qtwostage.scenarios import (
     sample_pv,
     uniform_grid,
 )
+
+from oracles import bce_loss, forward
 
 
 def test_spec_validates_theta_length():
@@ -91,9 +92,9 @@ def test_discriminator_gradients_match_finite_differences():
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                up = bce_loss(disc.forward(p), target)
+                up = bce_loss(forward(disc, p), target)
                 flat[i] = keep - h
-                down = bce_loss(disc.forward(p), target)
+                down = bce_loss(forward(disc, p), target)
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 assert abs(fd - gflat[i]) <= 1e-5 * max(1.0, abs(fd))
@@ -101,9 +102,9 @@ def test_discriminator_gradients_match_finite_differences():
         for i in range(4):
             keep = p[i]
             p[i] = keep + h
-            up = bce_loss(disc.forward(p), target)
+            up = bce_loss(forward(disc, p), target)
             p[i] = keep - h
-            down = bce_loss(disc.forward(p), target)
+            down = bce_loss(forward(disc, p), target)
             p[i] = keep
             fd = (up - down) / (2 * h)
             assert abs(fd - input_grad[i]) <= 1e-5 * max(1.0, abs(fd))
@@ -184,7 +185,7 @@ def test_generator_gradient_matches_finite_differences():
 
     def loss(t):
         p = generator_probs(GeneratorSpec(2, t))
-        return bce_loss(disc.forward(p), 1.0)
+        return bce_loss(forward(disc, p), 1.0)
 
     h = 1e-4
     for j in range(6):
@@ -255,6 +256,24 @@ def test_train_with_shots_is_deterministic_per_seed():
     got_b = train([target], [target], cfg, np.random.default_rng(42))
     np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
     assert got_a.best_epoch > 0  # the sampled gradients moved theta
+
+
+@pytest.mark.parametrize("use_shots", [False, True])
+def test_train_simulates_the_generator_once_per_epoch(monkeypatch, use_shots):
+    # per epoch: the exact distribution at theta, which also gives the
+    # discriminator's fake input, and one batched Jacobian; then a last score
+    calls = []
+    run = sv.run_circuit
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "run_circuit", counted)
+    target = np.array([0.6, 0.2, 0.15, 0.05])
+    cfg = TrainConfig(epochs=7, shots=500, use_shots=use_shots)
+    train([target], [target], cfg, np.random.default_rng(42))
+    assert len(calls) == 2 * cfg.epochs + 1
 
 
 def test_train_one_hot_targets():

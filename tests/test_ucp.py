@@ -1,10 +1,20 @@
 """Unit-commitment model checks: encoding, Hamiltonian, classical costs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qtwostage import ucp, walsh
 from qtwostage.errors import StructureError
+
+from oracles import (
+    classical_surrogate,
+    decode_basis,
+    encode_basis,
+    eval_at,
+    surrogate_diagonal,
+)
 
 
 LAYOUT = ucp.RegisterLayout(n_xi=5, n_units=3)
@@ -36,17 +46,17 @@ def test_y_operator_levels():
     assert max(m.bit_count() for m in y3.terms) <= 2
     # unit 3 off -> 0 regardless of its level bit
     for b in (0, 1):
-        idx = ucp.encode_basis(0, (0, 0, 0), (0, 0, b), LAYOUT)
-        assert walsh.eval_at(y3, idx) == pytest.approx(0.0, abs=1e-12)
+        idx = encode_basis(0, (0, 0, 0), (0, 0, b), LAYOUT)
+        assert eval_at(y3, idx) == pytest.approx(0.0, abs=1e-12)
     # unit 3 on: the two levels are its output bounds
-    idx = ucp.encode_basis(0, (0, 0, 1), (0, 0, 0), LAYOUT)
-    assert walsh.eval_at(y3, idx) == pytest.approx(100.0)
-    idx = ucp.encode_basis(0, (0, 0, 1), (0, 0, 1), LAYOUT)
-    assert walsh.eval_at(y3, idx) == pytest.approx(200.0)
+    idx = encode_basis(0, (0, 0, 1), (0, 0, 0), LAYOUT)
+    assert eval_at(y3, idx) == pytest.approx(100.0)
+    idx = encode_basis(0, (0, 0, 1), (0, 0, 1), LAYOUT)
+    assert eval_at(y3, idx) == pytest.approx(200.0)
 
     y1 = ucp.build_y_operator(0, params, LAYOUT)
-    idx = ucp.encode_basis(0, (1, 0, 0), (1, 0, 0), LAYOUT)
-    assert walsh.eval_at(y1, idx) == pytest.approx(750.0)
+    idx = encode_basis(0, (1, 0, 0), (1, 0, 0), LAYOUT)
+    assert eval_at(y1, idx) == pytest.approx(750.0)
 
     with pytest.raises(StructureError):
         ucp.build_y_operator(3, params, LAYOUT)
@@ -58,32 +68,32 @@ def test_capacity_window_by_construction():
         y = ucp.build_y_operator(i, params, LAYOUT)
         diag = walsh.reconstruct(y)
         for idx in range(2**LAYOUT.n_total):
-            _, x, b = ucp.decode_basis(idx, LAYOUT)
+            _, x, b = decode_basis(idx, LAYOUT)
             lo, hi = params.p_min[i] * x[i], params.p_max[i] * x[i]
             assert lo - 1e-9 <= diag[idx] <= hi + 1e-9
 
 
 def test_surrogate_cost_examples():
     params = ucp.default_params(lam=30.0)
-    assert ucp.classical_surrogate((1, 1, 0), (1, 1, 0), 750.0, params) == \
+    assert classical_surrogate((1, 1, 0), (1, 1, 0), 750.0, params) == \
         pytest.approx(40250.0)
-    assert ucp.classical_surrogate((1, 1, 0), (1, 1, 1), 750.0, params) == \
+    assert classical_surrogate((1, 1, 0), (1, 1, 1), 750.0, params) == \
         pytest.approx(40250.0)  # off unit's level bit is ignored
 
     params0 = ucp.default_params(lam=7.0)
-    assert ucp.classical_surrogate((0, 0, 0), (0, 0, 0), 0.0, params0) == \
+    assert classical_surrogate((0, 0, 0), (0, 0, 0), 0.0, params0) == \
         pytest.approx(7.0 * 6.25e6)
-    assert ucp.classical_surrogate((0, 0, 1), (0, 0, 1), 2500.0, params0) == \
+    assert classical_surrogate((0, 0, 1), (0, 0, 1), 2500.0, params0) == \
         pytest.approx(1000.0 + 2000.0 + 7.0 * 4e4)
 
 
 def test_decode_encode_round_trip():
-    assert ucp.decode_basis(0, LAYOUT) == (0, (0, 0, 0), (0, 0, 0))
-    s, x, b = ucp.decode_basis((1 << 5) | (1 << 6), LAYOUT)
+    assert decode_basis(0, LAYOUT) == (0, (0, 0, 0), (0, 0, 0))
+    s, x, b = decode_basis((1 << 5) | (1 << 6), LAYOUT)
     assert (s, ucp.bits_to_string(x), b) == (0, "110", (0, 0, 0))
     for idx in range(2**LAYOUT.n_total):
-        s, x, b = ucp.decode_basis(idx, LAYOUT)
-        assert ucp.encode_basis(s, x, b, LAYOUT) == idx
+        s, x, b = decode_basis(idx, LAYOUT)
+        assert encode_basis(s, x, b, LAYOUT) == idx
 
 
 def test_register_split():
@@ -96,7 +106,7 @@ def test_register_split():
     assert np.shares_memory(split, counts)
     commitment = np.zeros(8, dtype=counts.dtype)
     for idx in range(2**LAYOUT.n_total):
-        s, x, b = ucp.decode_basis(idx, LAYOUT)
+        s, x, b = decode_basis(idx, LAYOUT)
         assert split[word(b), word(x), s] == counts[idx]
         commitment[word(x)] += counts[idx]
     # the commitment marginal of integer counts is exact
@@ -113,14 +123,9 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
     for n_xi in (2, 3, 5):
         for lam in (30.0, 200.0):
             params = ucp.default_params(lam=lam)
-            grid = np.linspace(0.0, 2500.0, 2**n_xi)
             ham = ucp.build_hamiltonian(params, n_xi, 0.0, 2500.0)
-            layout = ham.layout
             diag = walsh.reconstruct(ham.total())
-            want = np.empty_like(diag)
-            for idx in range(2**layout.n_total):
-                s, x, b = ucp.decode_basis(idx, layout)
-                want[idx] = ucp.classical_surrogate(x, b, grid[s], params)
+            want = surrogate_diagonal(params, n_xi, 0.0, 2500.0)
             scale = np.max(np.abs(want))
             tol = 1e-9 * np.maximum(1 + np.abs(want), scale)
             assert np.all(np.abs(diag - want) <= tol)
@@ -137,13 +142,13 @@ def test_hamiltonian_structure():
     first_mask = sum(1 << q for q in LAYOUT.first_stage_qubits)
     assert all(m & ~first_mask == 0 for m in ham.h1.terms)
     assert max(m.bit_count() for m in ham.total().terms) <= 4
-    assert ham.total().coefficient(0) == pytest.approx(
-        ham.h1.coefficient(0) + ham.h2_indep.coefficient(0)
+    assert ham.total().terms.get(0, 0.0) == pytest.approx(
+        ham.h1.terms.get(0, 0.0) + ham.h2_indep.terms.get(0, 0.0)
     )
 
     # direct evaluation at a hand-computed point: x=110, b=01x, xi_s = 0
-    idx = ucp.encode_basis(0, (1, 1, 0), (0, 1, 0), LAYOUT)
-    diag_val = walsh.eval_at(ham.total(), idx)
+    idx = encode_basis(0, (1, 1, 0), (0, 1, 0), LAYOUT)
+    diag_val = eval_at(ham.total(), idx)
     assert diag_val == pytest.approx(33500.0 + 1_440_000.0 * 30.0)
 
 
@@ -163,15 +168,10 @@ def test_lambda_zero_decouples_scenarios():
 def test_split_reassembles_unsplit_h2():
     params = ucp.default_params(lam=30.0)
     ham = ucp.build_hamiltonian(params, 3, 0.0, 2500.0)
-    layout = ham.layout
-    n = layout.n_total
-    grid = np.linspace(0.0, 2500.0, 8)
     rebuilt = walsh.reconstruct(ham.second_stage())
-    direct = np.empty_like(rebuilt)
-    for idx in range(2**n):
-        s, x, b = ucp.decode_basis(idx, layout)
-        direct[idx] = ucp.classical_surrogate(x, b, grid[s], params) - sum(
-            params.startup_cost[i] * x[i] for i in range(3)
-        )
+    # the start-up cost alone: no generation cost, no imbalance penalty
+    startup = replace(params, unit_cost=(0.0, 0.0, 0.0), lam=0.0)
+    direct = (surrogate_diagonal(params, 3, 0.0, 2500.0)
+              - surrogate_diagonal(startup, 3, 0.0, 2500.0))
     scale = np.max(np.abs(direct))
     assert np.all(np.abs(rebuilt - direct) <= 1e-9 * np.maximum(1 + np.abs(direct), scale))
