@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a capacity shortfall the settings imply
         print(f"out of memory: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a data file is not UTF-8
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

@@ -136,8 +136,8 @@ def _cost_gates(poly: ZPolynomial, gamma: float) -> list:
 
 
 def stage_layers(polys, gammas, betas, qubits) -> list:
-    """Per (gamma, beta): the cost layers of ``polys``, then the RX mixer."""
-    gates: list = []
+    """The H column, then per (gamma, beta): cost layers, then the RX mixer."""
+    gates = [sv.H(q) for q in qubits]
     for gamma, beta in zip(gammas, betas):
         for poly in polys:
             gates.extend(_cost_gates(poly, gamma))
@@ -156,14 +156,10 @@ def _check_register(spec: GeneratorSpec, layout: RegisterLayout) -> None:
 def assemble(
     spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.Circuit:
-    """Generator block, then first-stage layers, then second-stage layers."""
+    """Generator block, then the first stage, then the second stage."""
     layout = ham.layout
     _check_register(spec, layout)
     gates = list(generator_circuit(spec).gates)
-    for q in layout.first_stage_qubits:
-        gates.append(sv.H(q))
-    for q in layout.second_stage_qubits:
-        gates.append(sv.H(q))
     gates += stage_layers([ham.h1], vp.gamma1, vp.beta1,
                           layout.first_stage_qubits)
     gates += stage_layers([ham.h2_dep, ham.h2_indep], vp.gamma2, vp.beta2,
@@ -186,9 +182,9 @@ def _stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
 
     Row r of the (rows, 2^m) ``table`` is the cost diagonal its own copy of
     the register sees.  Each copy starts in |+>^m; per (gamma, beta) it takes
-    exp(-i gamma table[r]) and then RX(-2 beta) on every qubit, which is what
-    `stage_layers` applies to that register.  A phase constant along a row is
-    a global phase of that row and drops out of |amplitude|^2.
+    exp(-i gamma table[r]) and then RX(-2 beta) on every qubit: `stage_layers`
+    on that register, H column included.  A phase constant along a row is a
+    global phase of that row and drops out of |amplitude|^2.
     """
     rows, size = table.shape
     amps = np.full(table.shape, size ** -0.5, dtype=np.complex128)

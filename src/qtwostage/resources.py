@@ -1,12 +1,15 @@
 """Lowering to the {RZ, SX, X, CX} basis plus gate/depth accounting.
 
-The rewrite table is fixed (one Euler convention per gate, no cancellation
-pass), so counts are reproducible and layer increments stay exactly additive.
-Z-string phase blocks synthesize as a CX parity ladder onto the lowest
-support qubit, a single RZ, and the mirrored ladder.
+One rewrite rule, ``_rewrite``, holds the fixed table (one Euler convention
+per gate, no cancellation pass), so counts are reproducible and layer
+increments stay exactly additive.  Z-string phase blocks synthesize as a CX
+parity ladder onto the lowest support qubit, a single RZ, and the mirrored
+ladder.  ``lower_to_basis`` builds the gates the rule names;
+``count_and_depth`` tallies them for any circuit the rule can lower,
+without building them.
 
 ``sweep_scaling`` builds circuits at zero angles over grids of scenario
-counts and unit counts, lowers them, and tabulates counts and depth.  Four
+counts and unit counts and tabulates their lowered counts and depth.  Four
 row families share one schema and are distinguished by their configuration
 columns:
 
@@ -16,8 +19,8 @@ columns:
   * full assembly across unit counts -> p1, p2 > 0, include_qgan = 1
 
 A full-assembly row counts ``qaoa.assemble``'s circuit, the one ``run``
-simulates.  A single-stage row counts a sub-circuit: that stage's H column
-and its ``stage_layers``.
+simulates.  A single-stage row counts a sub-circuit: that stage's
+``stage_layers``, H column included.
 
 Absolute numbers depend on this table's conventions; only trends and the
 structural identities pinned in the tests are meaningful.
@@ -35,8 +38,6 @@ from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import UcpParams, build_hamiltonian, default_params
 
-BASIS_KINDS = ("rz", "sx", "x", "cx")
-
 SWEEP_FIELDS = (
     "N", "M", "p1", "p2", "include_qgan",
     "rz", "sx", "x", "cx", "total", "depth",
@@ -44,79 +45,69 @@ SWEEP_FIELDS = (
 
 _HALF_PI = np.pi / 2.0
 
+# the basis: each kind's constructor, from qubits and then the angle if any
+_BASIS = {"rz": sv.RZ, "sx": sv.SX, "x": sv.X, "cx": sv.CX}
+
 
 # ---------------------------------------------------------------------------
-# lowering
+# the rewrite rule
 # ---------------------------------------------------------------------------
 
-def _lower_h(q: int) -> list:
-    return [sv.RZ(q, _HALF_PI), sv.SX(q), sv.RZ(q, _HALF_PI)]
+def _h(q: int) -> list:
+    return [("rz", (q,), _HALF_PI), ("sx", (q,), None), ("rz", (q,), _HALF_PI)]
 
 
-def _lower_ry(q: int, angle: float) -> list:
-    # RZ(pi) . SX . RZ(angle+pi) . SX . RZ(0), rightmost applied first
-    return [
-        sv.RZ(q, 0.0),
-        sv.SX(q),
-        sv.RZ(q, angle + np.pi),
-        sv.SX(q),
-        sv.RZ(q, np.pi),
-    ]
+def _euler(q: int, first: float, angle: float, last: float) -> list:
+    # RZ(last) . SX . RZ(angle+pi) . SX . RZ(first), rightmost applied first
+    return [("rz", (q,), first), ("sx", (q,), None),
+            ("rz", (q,), angle + np.pi), ("sx", (q,), None),
+            ("rz", (q,), last)]
 
 
-def _lower_rx(q: int, angle: float) -> list:
-    return [
-        sv.RZ(q, _HALF_PI),
-        sv.SX(q),
-        sv.RZ(q, angle + np.pi),
-        sv.SX(q),
-        sv.RZ(q, _HALF_PI),
-    ]
+def _rewrite(gate, n_qubits: int) -> list:
+    """The basis gates ``gate`` becomes, as (kind, qubits, angle) in order.
 
-
-def _lower_zphase(mask: int, angle: float) -> list:
-    mask = int(mask)  # masks may arrive as numpy integers
-    support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
-    if not support:
-        return []  # identity up to global phase
-    if len(support) == 1:
-        return [sv.RZ(support[0], 2.0 * angle)]
-    down = [
-        sv.CX(support[k], support[k - 1]) for k in range(len(support) - 1, 0, -1)
-    ]
-    up = [sv.CX(support[k], support[k - 1]) for k in range(1, len(support))]
-    return down + [sv.RZ(support[0], 2.0 * angle)] + up
-
-
-def _lower_gate(gate) -> list:
-    if isinstance(gate, (sv.RZ, sv.SX, sv.X, sv.CX)):
-        return [gate]
-    if isinstance(gate, sv.H):
-        return _lower_h(gate.qubit)
-    if isinstance(gate, sv.RY):
-        return _lower_ry(gate.qubit, gate.angle)
-    if isinstance(gate, sv.RX):
-        return _lower_rx(gate.qubit, gate.angle)
-    if isinstance(gate, sv.CZ):
-        return (
-            _lower_h(gate.target)
-            + [sv.CX(gate.control, gate.target)]
-            + _lower_h(gate.target)
-        )
+    A gate ``statevec.apply`` would reject on an ``n_qubits`` register is a
+    StructureError here too, except that a ZPhase of mask 0, the identity
+    up to global phase, becomes nothing.
+    """
     if isinstance(gate, sv.ZPhase):
-        return _lower_zphase(gate.mask, gate.angle)
+        mask = int(gate.mask)  # masks may arrive as numpy integers
+        if mask == 0:
+            return []
+        sv.check_mask(n_qubits, mask)
+        support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
+        up = [("cx", pair, None) for pair in zip(support[1:], support)]
+        return up[::-1] + [("rz", (support[0],), 2.0 * gate.angle)] + up
     if isinstance(gate, sv.DiagPhase):
-        raise UnsupportedGateError(
-            "exact-diagonal oracle gates have no hardware lowering"
-        )
-    raise StructureError(f"unknown gate {gate!r}")
+        raise UnsupportedGateError("a DiagPhase oracle has no hardware lowering")
+    if isinstance(gate, (sv.CX, sv.CZ)):
+        c, t = gate.control, gate.target
+        sv.check_qubits(n_qubits, c, t)
+        cx = [("cx", (c, t), None)]
+        return cx if isinstance(gate, sv.CX) else _h(t) + cx + _h(t)
+    if not isinstance(gate, (sv.RZ, sv.SX, sv.X, sv.H, sv.RX, sv.RY)):
+        raise StructureError(f"unknown gate {gate!r}")
+    q = gate.qubit
+    sv.check_qubits(n_qubits, q)
+    if isinstance(gate, sv.H):
+        return _h(q)
+    if isinstance(gate, sv.RX):
+        return _euler(q, _HALF_PI, gate.angle, _HALF_PI)
+    if isinstance(gate, sv.RY):
+        return _euler(q, 0.0, gate.angle, np.pi)
+    if isinstance(gate, sv.RZ):
+        return [("rz", (q,), gate.angle)]
+    return [("sx" if isinstance(gate, sv.SX) else "x", (q,), None)]
 
 
 def lower_to_basis(circuit: sv.Circuit) -> sv.Circuit:
     """Rewrite every gate into {RZ, SX, X, CX}; no cancellation afterwards."""
-    gates: list = []
-    for gate in circuit.gates:
-        gates.extend(_lower_gate(gate))
+    gates = [
+        _BASIS[kind](*qubits) if angle is None else _BASIS[kind](*qubits, angle)
+        for gate in circuit.gates
+        for kind, qubits, angle in _rewrite(gate, circuit.n_qubits)
+    ]
     return sv.Circuit(circuit.n_qubits, gates)
 
 
@@ -144,29 +135,18 @@ class ResourceReport:
 
 
 def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
-    """Tally basis gates and the layered depth (greedy per-qubit frontier)."""
-    counts = {kind: 0 for kind in BASIS_KINDS}
+    """Basis-gate tallies and layered depth (greedy per-qubit frontier) of
+    ``lower_to_basis(circuit)``, without building the lowered gates."""
+    counts = dict.fromkeys(_BASIS, 0)
     frontier = [0] * circuit.n_qubits
-    depth = 0
     for gate in circuit.gates:
-        if isinstance(gate, sv.RZ):
-            kind, qubits = "rz", (gate.qubit,)
-        elif isinstance(gate, sv.SX):
-            kind, qubits = "sx", (gate.qubit,)
-        elif isinstance(gate, sv.X):
-            kind, qubits = "x", (gate.qubit,)
-        elif isinstance(gate, sv.CX):
-            kind, qubits = "cx", (gate.control, gate.target)
-        else:
-            raise UnsupportedGateError(
-                f"{type(gate).__name__} is not a basis gate; lower first"
-            )
-        counts[kind] += 1
-        level = 1 + max(frontier[q] for q in qubits)
-        for q in qubits:
-            frontier[q] = level
-        depth = max(depth, level)
-    return ResourceReport(**counts, total=sum(counts.values()), depth=depth)
+        for kind, qubits, _ in _rewrite(gate, circuit.n_qubits):
+            counts[kind] += 1
+            level = 1 + max(frontier[q] for q in qubits)
+            for q in qubits:
+                frontier[q] = level
+    return ResourceReport(**counts, total=sum(counts.values()),
+                          depth=max(frontier, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +181,20 @@ def _sweep_circuit(n_xi: int, n_units: int, p1: int, p2: int) -> sv.Circuit:
     if n_units == 0:
         return generator_circuit(spec)
     ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
+    zero1, zero2 = np.zeros(p1), np.zeros(p2)
     if p1 and p2:
-        zero1, zero2 = np.zeros(p1), np.zeros(p2)
         return assemble(spec, ham, VariationalParams(zero1, zero1, zero2, zero2))
     layout = ham.layout
     if p1:
-        polys, qubits, depth = [ham.h1], layout.first_stage_qubits, p1
+        gates = stage_layers([ham.h1], zero1, zero1, layout.first_stage_qubits)
     else:
-        polys, qubits, depth = ([ham.h2_dep, ham.h2_indep],
-                                layout.second_stage_qubits, p2)
-    zeros = [0.0] * depth
-    gates = [sv.H(q) for q in qubits]
-    gates += stage_layers(polys, zeros, zeros, qubits)
+        gates = stage_layers([ham.h2_dep, ham.h2_indep], zero2, zero2,
+                             layout.second_stage_qubits)
     return sv.Circuit(layout.n_total, gates)
 
 
 def _row(n_scen: int, n_units: int, p1: int, p2: int) -> dict:
-    circuit = _sweep_circuit(int(np.log2(n_scen)), n_units, p1, p2)
-    report = count_and_depth(lower_to_basis(circuit))
+    report = count_and_depth(_sweep_circuit(int(np.log2(n_scen)), n_units, p1, p2))
     return {
         "N": n_scen,
         "M": n_units,

@@ -127,13 +127,23 @@ def new_zero_state(n_qubits: int) -> np.ndarray:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _check_qubit(q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise StructureError(f"qubit {q} out of range for {n}-qubit register")
+def check_qubits(n: int, *qubits: int) -> None:
+    """Each qubit lies in [0, n), and no qubit appears twice."""
+    for q in qubits:
+        if not 0 <= q < n:
+            raise StructureError(f"qubit {q} out of range for {n}-qubit register")
+    if len(set(qubits)) < len(qubits):
+        raise StructureError(f"control and target must differ, got {qubits}")
+
+
+def check_mask(n: int, mask: int) -> None:
+    """A Z-string support mask names at least one of the n qubits."""
+    if not 0 < mask < 2**n:
+        raise StructureError(f"ZPhase mask {mask} invalid for {n} qubits")
 
 
 def _apply_single(amps: np.ndarray, n: int, q: int, *u) -> None:
-    _check_qubit(q, n)
+    check_qubits(n, q)
     # axes (rows, bits above q, bit q, bits below q); u scalar or one per row
     view = amps.reshape(-1, 2 ** (n - 1 - q), 2, 2**q)
     u00, u01, u10, u11 = (np.reshape(c, (-1, 1, 1)) for c in u)
@@ -166,12 +176,7 @@ def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
         _apply_single(amps, n, gate.qubit, a, b, b, a)
     elif isinstance(gate, (CX, CZ)):
         c, t = gate.control, gate.target
-        _check_qubit(c, n)
-        _check_qubit(t, n)
-        if c == t:
-            raise StructureError(
-                f"{type(gate).__name__} control and target must differ"
-            )
+        check_qubits(n, c, t)
         # axis n-q of the (rows,) + (2,)*n view is qubit q; length-1 slices
         # keep every part a writable view
         view = amps.reshape((-1,) + (2,) * n)
@@ -190,8 +195,7 @@ def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
             np.positive(one, out=zero)
             one[...] = tmp
     elif isinstance(gate, ZPhase):
-        if not 0 < gate.mask < 2**n:
-            raise StructureError(f"ZPhase mask {gate.mask} invalid for {n} qubits")
+        check_mask(n, gate.mask)
         par = parity(n, gate.mask)
         f_even = np.exp(-1j * gate.angle)
         amps *= np.where(par, np.conj(f_even), f_even)

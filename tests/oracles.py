@@ -156,8 +156,7 @@ def verify_prop1(
     h1_local = ZPolynomial(
         m, {mask >> n_xi: c for mask, c in ham.h1.terms.items() if mask != 0}
     )
-    gates1 = [sv.H(q) for q in range(m)]
-    gates1 += stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
+    gates1 = stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
     first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
 
     scenario_probs = generator_probs(spec)
@@ -176,8 +175,7 @@ def verify_prop1(
                 for b in range(2**m)
             ])
             poly2 = fwht_expand(diag2)
-            gates2 = [sv.H(q) for q in range(m)]
-            gates2 += stage_layers([poly2], vp.gamma2, vp.beta2, range(m))
+            gates2 = stage_layers([poly2], vp.gamma2, vp.beta2, range(m))
             state2 = sv.run_circuit(sv.Circuit(m, gates2))
             expected_second += scenario_probs[s] * sv.expectation_diagonal(
                 state2, diag2

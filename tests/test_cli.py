@@ -301,6 +301,10 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
         assert main(["train-qgan", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert "i/o error" in err and "dist_03.csv" in err
+    # a byte that is not UTF-8
+    (tmp_path / "results" / "dist_00.csv").write_bytes(b"xi,prob\n\xff,1\n")
+    assert main(["train-qgan", "--config", cfg_path]) == 2
+    assert "i/o error" in capsys.readouterr().err
     assert not (tmp_path / "results" / "generator.txt").exists()
 
 
@@ -362,6 +366,9 @@ def test_run_malformed_generator_is_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "i/o error" in err and "generator.txt" in err
         assert not (out / "records.jsonl").exists()
+    (out / "generator.txt").write_bytes(valid.encode().replace(b"0.1", b"\xff"))
+    assert main(["run", "--config", cfg_path]) == 2
+    assert "i/o error" in capsys.readouterr().err
     (out / "generator.txt").write_text(valid)
     assert main(["run", "--config", cfg_path]) == 0
 
@@ -445,6 +452,9 @@ def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):
         scenarios.write_text(body)
         assert main(["baselines", "--config", cfg_path]) == 2
         assert "test_scenarios.csv" in capsys.readouterr().err
+    scenarios.write_bytes(b"xi_tilde\n\xff\n")  # not UTF-8
+    assert main(["baselines", "--config", cfg_path]) == 2
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_resources_csv(tmp_path):
@@ -480,6 +490,9 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
         (tmp_path / "results" / "records.jsonl").write_text(line + "\n")
         assert main(["report", "--config", cfg_path]) == 2
         assert "records.jsonl line 1" in capsys.readouterr().err
+    (tmp_path / "results" / "records.jsonl").write_bytes(b'{"lam": \xff}\n')
+    assert main(["report", "--config", cfg_path]) == 2
+    assert "i/o error" in capsys.readouterr().err
 
 
 _NO_SCIPY_STAGES = """

@@ -10,13 +10,17 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qtwostage"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qtwostage"
 
 # Names the package keeps without a caller of its own, each with its reason.
 ALLOWED = {
     "qaoa.final_state": "perfbench traces it; calls = 0 shows the pipeline "
                         "never simulates the full register",
     "statevec.expectation_diagonal": "perfbench traces it by name",
+    "resources.lower_to_basis": "perfbench traces it by name, and the tests "
+                                "check lowered circuits for unitary "
+                                "equivalence against it",
 }
 
 
@@ -55,3 +59,13 @@ def test_every_public_name_has_a_caller_in_the_package():
     # an allowed name that gains a caller, or goes, leaves the list too
     assert unreferenced == sorted(ALLOWED), \
         f"without a caller in the package: {', '.join(unreferenced)}"
+
+
+def test_every_allowed_name_is_traced():
+    """Each allowance rests on perfbench's tracer naming the function."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    lists = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")}
+    traced = set(lists["SPANNED"] + lists["COUNTED"])
+    assert set(ALLOWED) <= traced, sorted(set(ALLOWED) - traced)

@@ -108,12 +108,12 @@ def test_assemble_structure():
     n_gen = 2 + 2 + 2 * (1 + 2)
     for g in gates[:2]:
         assert isinstance(g, sv.H)
-    # superposition layer on both decision registers
-    h_layer = gates[n_gen:n_gen + 6]
-    assert all(isinstance(g, sv.H) for g in h_layer)
-    assert [g.qubit for g in h_layer] == list(range(2, 8))
+    # each stage opens with its superposition column
+    h_first = gates[n_gen:n_gen + 3]
+    assert all(isinstance(g, sv.H) for g in h_first)
+    assert [g.qubit for g in h_first] == [2, 3, 4]
 
-    pos = n_gen + 6
+    pos = n_gen + 3
     h1_masks = sorted(m for m in ham.h1.terms if m != 0)
     for mask in h1_masks:
         g = gates[pos]
@@ -126,6 +126,10 @@ def test_assemble_structure():
         assert g.angle == pytest.approx(-0.4)
         pos += 1
 
+    h_second = gates[pos:pos + 3]
+    assert all(isinstance(g, sv.H) for g in h_second)
+    assert [g.qubit for g in h_second] == [5, 6, 7]
+    pos += 3
     dep_masks = sorted(m for m in ham.h2_dep.terms if m != 0)
     indep_masks = sorted(m for m in ham.h2_indep.terms if m != 0)
     for mask in dep_masks + indep_masks:

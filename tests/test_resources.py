@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qtwostage.qgan import GeneratorSpec, default_spec
 from qtwostage.resources import (
     SWEEP_FIELDS,
     ResourceReport,
+    _sweep_circuit,
     count_and_depth,
     lower_to_basis,
     sweep_params,
@@ -138,9 +140,24 @@ def test_zphase_mask_zero_dropped():
 
 
 def test_diag_phase_rejected():
-    gate = sv.DiagPhase(np.zeros(4), 0.5)
+    circuit = sv.Circuit(2, [sv.DiagPhase(np.zeros(4), 0.5)])
     with pytest.raises(UnsupportedGateError):
-        lower_to_basis(sv.Circuit(2, [gate]))
+        lower_to_basis(circuit)
+    with pytest.raises(UnsupportedGateError):
+        count_and_depth(circuit)
+
+
+@pytest.mark.parametrize("gate", [
+    sv.RZ(-1, 0.0), sv.CX(0, -1), sv.H(2), sv.CX(1, 1), sv.CZ(0, 0),
+    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3),
+])
+def test_rewrite_rejects_what_the_simulator_rejects(gate):
+    # a qubit outside [0, n), a control equal to its target, or a mask
+    # outside [0, 2^n); at n = 2
+    circuit = sv.Circuit(2, [gate])
+    for consumer in (lower_to_basis, count_and_depth, sv.run_circuit):
+        with pytest.raises(StructureError):
+            consumer(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +218,31 @@ def test_depth_mixed_frontier():
     assert report.total == 3
 
 
-def test_count_rejects_unlowered_gate():
-    with pytest.raises(UnsupportedGateError):
-        count_and_depth(sv.Circuit(1, [sv.H(0)]))
+def tally(lowered: sv.Circuit) -> ResourceReport:
+    """Kinds by gate type, depth by the per-qubit frontier of a lowered
+    circuit."""
+    kinds = Counter(type(g).__name__.lower() for g in lowered.gates)
+    frontier = [0] * lowered.n_qubits
+    for g in lowered.gates:
+        qubits = (g.control, g.target) if isinstance(g, sv.CX) else (g.qubit,)
+        level = 1 + max(frontier[q] for q in qubits)
+        for q in qubits:
+            frontier[q] = level
+    return ResourceReport(kinds["rz"], kinds["sx"], kinds["x"], kinds["cx"],
+                          total=len(lowered.gates),
+                          depth=max(frontier, default=0))
+
+
+@pytest.mark.parametrize("circuit", [
+    # generator rows, single-stage rows of either stage, full assemblies
+    *(_sweep_circuit(n_xi, 0, 0, 0) for n_xi in (1, 2, 5)),
+    *(_sweep_circuit(n_xi, 3, 2, 0) for n_xi in (2, 4)),
+    *(_sweep_circuit(n_xi, 4, 0, 3) for n_xi in (2, 4)),
+    *(_sweep_circuit(n_xi, m, 2, 2) for n_xi in (2, 3) for m in (3, 5)),
+    *(random_circuit(n, 80, np.random.default_rng(n)) for n in (2, 5, 9)),
+])
+def test_counter_equals_tally_of_lowered_circuit(circuit):
+    assert count_and_depth(circuit) == tally(lower_to_basis(circuit))
 
 
 def test_report_validates_total():
