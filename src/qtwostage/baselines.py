@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import UcpParams
 from .errors import StructureError
-from .ucp import UcpParams
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,3 @@ def evaluate(xi: np.ndarray, params: UcpParams) -> EvaluationReport:
         eev_value=per_x[ev_solution],
         per_x_costs=per_x,
     )
-
-
-def lambda_grid() -> np.ndarray:
-    """18 equally spaced penalty weights on [30, 200]."""
-    return np.linspace(30.0, 200.0, 18)

@@ -1,0 +1,286 @@
+"""Every setting of an experiment, read and checked with the standard library.
+
+The problem data, QGAN training, QAOA and experiment settings, the INI
+grammar and flag overrides, the register caps, and `read_text`, the reader
+of every data file.  No numpy: loading settings, a config error and
+`report` start without it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import math
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+from .errors import StructureError
+
+MAX_QUBITS = 28  # the statevector simulator's register cap
+MAX_Z_QUBITS = 63  # a Z-polynomial's support mask is a signed 64-bit integer
+
+# Default evaluation shots, for `[qaoa] eval_mode = shots` and for --paper.
+PAPER_SHOTS = 50_000
+# The paper's 18 penalty weights, 30, 40, ..., 200.
+PAPER_LAMBDAS = tuple(30.0 + 10.0 * k for k in range(18))
+_LAMBDAS = (30.0, 90.0, 150.0, 200.0)
+
+
+def read_text(path) -> str:
+    """A whole UTF-8 text file, every line ending read as "\\n"; a file that
+    does not decode is an OSError naming it, like any malformed data file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class UcpParams:
+    """Generator fleet and cost data. Units: kWh for energy, JPY for cost."""
+
+    n_units: int
+    demand: float
+    p_min: tuple
+    p_max: tuple
+    startup_cost: tuple
+    unit_cost: tuple
+    lam: float
+
+    def __post_init__(self):
+        m = self.n_units
+        if not (len(self.p_min) == len(self.p_max) == len(self.startup_cost)
+                == len(self.unit_cost) == m):
+            raise StructureError("parameter arrays must all have length n_units")
+        if not all(map(math.isfinite, (self.demand, self.lam, *self.p_min,
+                                       *self.p_max, *self.startup_cost,
+                                       *self.unit_cost))):
+            raise StructureError("problem data must be finite")
+        for i in range(m):
+            if not self.p_min[i] < self.p_max[i]:
+                raise StructureError(f"unit {i}: p_min must be < p_max")
+            if self.startup_cost[i] < 0 or self.unit_cost[i] < 0:
+                raise StructureError(f"unit {i}: costs must be >= 0")
+        # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
+        if self.lam < 0:
+            raise StructureError("lam must be >= 0")
+
+
+def default_params(lam: float) -> UcpParams:
+    """Bundled three-unit configuration used by the demo pipeline and tests."""
+    return UcpParams(
+        n_units=3,
+        demand=2500.0,
+        p_min=(300.0, 500.0, 100.0),
+        p_max=(750.0, 1000.0, 200.0),
+        startup_cost=(4000.0, 5000.0, 1000.0),
+        unit_cost=(15.0, 20.0, 10.0),
+        lam=lam,
+    )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 400
+    lr_g: float = 0.002
+    lr_d: float = 0.002
+    shots: int = 10_000
+    use_shots: bool = False
+    init_scale: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise StructureError("epochs must be >= 0")
+        if not 1 <= self.shots < 2**63:  # a multinomial draw's C long
+            raise StructureError("shots must be in [1, 2**63)")
+        if not (0 < self.lr_g < math.inf and 0 < self.lr_d < math.inf):
+            raise StructureError("learning rates must be finite and > 0")
+        # the initial angles are uniform on a range of width 2 * init_scale
+        if not 0 <= 2 * self.init_scale < math.inf:
+            raise StructureError("init_scale must be >= 0, with "
+                                 "2 * init_scale finite")
+
+
+@dataclass(frozen=True)
+class QaoaConfig:
+    p1: int = 4
+    p2: int = 4
+    shots: int | None = None  # None = exact statevector evaluation
+    maxiter: int = 400  # objective-evaluation budget
+
+    def __post_init__(self):
+        if self.p1 < 1 or self.p2 < 1:
+            raise StructureError("layer depths must be >= 1")
+        if self.shots is not None and not 1 <= self.shots < 2**63:
+            # a multinomial draw takes its count as a C long
+            raise StructureError("shots must be in [1, 2**63) when given")
+        if self.maxiter < 1:
+            raise StructureError("maxiter must be >= 1")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every setting of an experiment; the defaults are the desk-scale run."""
+
+    problem: UcpParams = default_params(_LAMBDAS[0])
+    alpha: float = 3.0
+    beta: float = 7.0
+    xi_max: float = 2500.0
+    n_grid: int = 8
+    n_data: int = 2000
+    n_test: int = 200
+    qgan: TrainConfig = TrainConfig()
+    qaoa: QaoaConfig = QaoaConfig()
+    n_seeds: int = 5
+    lambdas: tuple = _LAMBDAS
+    n_values: tuple = (4, 8, 16, 32, 64)
+    m_values: tuple = (3, 4, 5, 6)
+    out_dir: Path = Path("results")
+    master_seed: int = 7
+
+    def __post_init__(self):
+        if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
+            raise StructureError("n_grid must be a power of two >= 2")
+        # the register: scenario qubits, then two qubits per unit
+        n_qubits = self.n_grid.bit_length() - 1 + 2 * self.problem.n_units
+        if n_qubits > MAX_QUBITS:
+            raise StructureError(f"n_grid and n_units need {n_qubits} qubits, "
+                                 f"above the {MAX_QUBITS}-qubit cap")
+        if not 1 <= self.n_test <= self.n_data:
+            raise StructureError("n_test must lie in [1, n_data]")
+        if not all(0 < v < math.inf
+                   for v in (self.alpha, self.beta, self.xi_max)):
+            raise StructureError("alpha, beta and xi_max must be finite and > 0")
+        if self.n_seeds < 1:
+            raise StructureError("n_seeds must be >= 1")
+        if not self.lambdas:
+            raise StructureError("lambda sweep cannot be empty")
+        for lam in self.lambdas:
+            replace(self.problem, lam=lam)  # UcpParams checks every weight
+        if min(self.m_values) < 1 or any(
+                n < 2 or n & (n - 1) for n in self.n_values):
+            raise StructureError("n_values must be powers of two >= 2 "
+                                 "and m_values >= 1")
+        widest = max(self.n_values).bit_length() - 1 + 2 * max(self.m_values)
+        if widest > MAX_Z_QUBITS:
+            raise StructureError(f"the resource sweep needs {widest} qubits; "
+                                 f"a Z-polynomial holds {MAX_Z_QUBITS}")
+        if not 0 <= self.master_seed < 2**64:
+            raise StructureError("master_seed must fit in 64 bits")
+
+
+# ---------------------------------------------------------------------------
+# the INI grammar and the flags
+# ---------------------------------------------------------------------------
+
+_TRUE_WORDS = {"1", "true", "yes", "on"}
+_FALSE_WORDS = {"0", "false", "no", "off"}
+
+
+def _number_list(text: str, cast) -> tuple:
+    items = text.replace(",", " ").split()
+    if not items:
+        raise StructureError("empty list value")
+    return tuple(cast(item) for item in items)
+
+
+def _floats(text: str) -> tuple:
+    return _number_list(text, float)
+
+
+def _ints(text: str) -> tuple:
+    return _number_list(text, int)
+
+
+def _as_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise StructureError(f"not a boolean: {text!r}")
+
+
+def _eval_mode(text: str) -> str:
+    if text not in ("exact", "shots"):
+        raise StructureError(f"eval_mode must be 'exact' or 'shots', got {text!r}")
+    return text
+
+
+# section -> key -> parser of its text.  A key sets the field of its name on
+# UcpParams, TrainConfig, QaoaConfig or ExperimentConfig, except [output] dir
+# (out_dir) and [qaoa] eval_mode, which says whether [qaoa] shots is used.
+_KEYS = {
+    "problem": {"n_units": int, "demand": float, "p_min": _floats,
+                "p_max": _floats, "startup_cost": _floats, "unit_cost": _floats},
+    "uncertainty": {"alpha": float, "beta": float, "xi_max": float,
+                    "n_grid": int, "n_data": int, "n_test": int},
+    "qgan": {"epochs": int, "lr_g": float, "lr_d": float, "shots": int,
+             "use_shots": _as_bool, "init_scale": float},
+    "qaoa": {"p1": int, "p2": int, "eval_mode": _eval_mode, "shots": int,
+             "maxiter": int, "n_seeds": int},
+    "sweep": {"lambdas": _floats, "n_values": _ints, "m_values": _ints},
+    "output": {"dir": Path},
+    "experiment": {"master_seed": int},
+}
+
+
+def load_config(path: str | None) -> ExperimentConfig:
+    """Defaults overlaid with an optional INI file; unknown keys rejected."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    if path is not None:
+        parser.read_string(read_text(path), source=path)
+    given = {section: {} for section in _KEYS}
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise StructureError(f"unknown config section [{section}]")
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
+                raise StructureError(f"unknown key {key!r} in [{section}]")
+            given[section][key] = _KEYS[section][key](text)
+
+    qaoa = given["qaoa"]
+    fields = {**given["uncertainty"], **given["sweep"], **given["experiment"]}
+    if "n_seeds" in qaoa:
+        fields["n_seeds"] = qaoa.pop("n_seeds")
+    if "dir" in given["output"]:
+        fields["out_dir"] = given["output"]["dir"]
+    exact = qaoa.pop("eval_mode", "exact") == "exact"
+    # built before exact mode drops the shots, so a bad value is still an error
+    qaoa_cfg = QaoaConfig(**{"shots": PAPER_SHOTS, **qaoa})
+    lam = fields.get("lambdas", _LAMBDAS)[0]
+    return ExperimentConfig(
+        problem=replace(default_params(lam), **given["problem"]),
+        qgan=TrainConfig(**given["qgan"]),
+        qaoa=replace(qaoa_cfg, shots=None) if exact else qaoa_cfg,
+        **fields,
+    )
+
+
+def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """Flag precedence: config file < --paper < explicit flags."""
+    if getattr(args, "paper", False):
+        cfg = replace(
+            cfg,
+            lambdas=PAPER_LAMBDAS,
+            n_seeds=40,
+            qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS),
+        )
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, master_seed=args.seed)
+    if getattr(args, "lambdas", None) is not None:
+        cfg = replace(cfg, lambdas=_floats(args.lambdas))
+    if getattr(args, "seeds", None) is not None:
+        cfg = replace(cfg, n_seeds=args.seeds)
+    if getattr(args, "shots", None) is not None:
+        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
+    if getattr(args, "exact", False):
+        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=None))
+    if cfg.problem.lam != cfg.lambdas[0]:
+        cfg = replace(cfg, problem=replace(cfg.problem, lam=cfg.lambdas[0]))
+    return cfg

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import statevec as sv
 from .cobyla import minimize
+from .config import MAX_QUBITS, QaoaConfig
 from .errors import CapacityError, StructureError
 from .qgan import GeneratorSpec, generator_circuit, generator_probs
 from .ucp import ProblemHamiltonian, RegisterLayout
@@ -93,23 +94,6 @@ def random_params(p1: int, p2: int, rng: np.random.Generator) -> VariationalPara
         rng.uniform(0.0, 2 * np.pi, size=p2),
         rng.uniform(0.0, np.pi, size=p2),
     )
-
-
-@dataclass(frozen=True)
-class QaoaConfig:
-    p1: int = 4
-    p2: int = 4
-    shots: int | None = None  # None = exact statevector evaluation
-    maxiter: int = 400  # objective-evaluation budget
-
-    def __post_init__(self):
-        if self.p1 < 1 or self.p2 < 1:
-            raise StructureError("layer depths must be >= 1")
-        if self.shots is not None and not 1 <= self.shots < 2**63:
-            # a multinomial draw takes its count as a C long
-            raise StructureError("shots must be in [1, 2**63) when given")
-        if self.maxiter < 1:
-            raise StructureError("maxiter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -212,9 +196,9 @@ class FactorizedEvaluator:
     def __init__(self, spec: GeneratorSpec, ham: ProblemHamiltonian):
         layout = ham.layout
         _check_register(spec, layout)
-        if layout.n_total > sv.MAX_QUBITS:
+        if layout.n_total > MAX_QUBITS:
             raise CapacityError(
-                f"{layout.n_total} qubits exceed the {sv.MAX_QUBITS}-qubit cap"
+                f"{layout.n_total} qubits exceed the {MAX_QUBITS}-qubit cap"
             )
         m, n_xi = layout.n_units, layout.n_xi
         self.layout = layout

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec as sv
+from .config import TrainConfig, read_text
 from .errors import StructureError
 from .scenarios import js_agreement
 
@@ -206,28 +207,6 @@ def generator_gradient(spec: GeneratorSpec, disc: Discriminator,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 400
-    lr_g: float = 0.002
-    lr_d: float = 0.002
-    shots: int = 10_000
-    use_shots: bool = False
-    init_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise StructureError("epochs must be >= 0")
-        if not 1 <= self.shots < 2**63:  # a multinomial draw's C long
-            raise StructureError("shots must be in [1, 2**63)")
-        if not (0 < self.lr_g < np.inf and 0 < self.lr_d < np.inf):
-            raise StructureError("learning rates must be finite and > 0")
-        # the initial angles are uniform on a range of width 2 * init_scale
-        if not 0 <= 2 * self.init_scale < np.inf:
-            raise StructureError("init_scale must be >= 0, with "
-                                 "2 * init_scale finite")
-
-
-@dataclass(frozen=True)
 class TrainedGenerator:
     spec: GeneratorSpec
     best_epoch: int
@@ -351,9 +330,7 @@ def save_generator(gen: TrainedGenerator, path) -> None:
 
 def load_generator(path) -> TrainedGenerator:
     """A malformed file is an OSError naming it, like any bad data file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return generator_from_text(text)
+        return generator_from_text(read_text(path))
     except StructureError as exc:
         raise OSError(f"{path}: {exc}") from exc

@@ -33,10 +33,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import statevec as sv
+from .config import UcpParams, default_params
 from .errors import StructureError, UnsupportedGateError
 from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
-from .ucp import UcpParams, build_hamiltonian, default_params
+from .ucp import build_hamiltonian
 
 SWEEP_FIELDS = (
     "N", "M", "p1", "p2", "include_qgan",

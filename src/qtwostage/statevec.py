@@ -27,10 +27,9 @@ from typing import Union
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .errors import CapacityError, StructureError
 from .walsh import parity
-
-MAX_QUBITS = 28
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import UcpParams
 from .errors import StructureError
 from .walsh import (
     ZPolynomial,
@@ -44,50 +45,6 @@ from .walsh import (
     zpoly_scale,
     zpoly_sub,
 )
-
-
-@dataclass(frozen=True)
-class UcpParams:
-    """Generator fleet and cost data. Units: kWh for energy, JPY for cost."""
-
-    n_units: int
-    demand: float
-    p_min: tuple
-    p_max: tuple
-    startup_cost: tuple
-    unit_cost: tuple
-    lam: float
-
-    def __post_init__(self):
-        m = self.n_units
-        if not (len(self.p_min) == len(self.p_max) == len(self.startup_cost)
-                == len(self.unit_cost) == m):
-            raise StructureError("parameter arrays must all have length n_units")
-        if not np.all(np.isfinite([self.demand, self.lam, *self.p_min,
-                                   *self.p_max, *self.startup_cost,
-                                   *self.unit_cost])):
-            raise StructureError("problem data must be finite")
-        for i in range(m):
-            if not self.p_min[i] < self.p_max[i]:
-                raise StructureError(f"unit {i}: p_min must be < p_max")
-            if self.startup_cost[i] < 0 or self.unit_cost[i] < 0:
-                raise StructureError(f"unit {i}: costs must be >= 0")
-        # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
-        if self.lam < 0:
-            raise StructureError("lam must be >= 0")
-
-
-def default_params(lam: float) -> UcpParams:
-    """Bundled three-unit configuration used by the demo pipeline and tests."""
-    return UcpParams(
-        n_units=3,
-        demand=2500.0,
-        p_min=(300.0, 500.0, 100.0),
-        p_max=(750.0, 1000.0, 200.0),
-        startup_cost=(4000.0, 5000.0, 1000.0),
-        unit_cost=(15.0, 20.0, 10.0),
-        lam=lam,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MAX_Z_QUBITS
 from .errors import StructureError
 
 ZERO_THRESHOLD = 1e-12
-MAX_Z_QUBITS = 63  # a support mask is a signed 64-bit integer
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from qtwostage import statevec as sv
+from qtwostage.config import UcpParams
 from qtwostage.errors import StructureError
 from qtwostage.qaoa import VariationalParams, final_state, stage_layers
 from qtwostage.qgan import Discriminator, GeneratorSpec, _sigmoid, generator_probs
-from qtwostage.ucp import RegisterLayout, UcpParams, build_hamiltonian
+from qtwostage.ucp import RegisterLayout, build_hamiltonian
 from qtwostage.walsh import ZPolynomial, _pruned
 
 

@@ -15,16 +15,22 @@ from dataclasses import replace
 import numpy as np
 
 from qtwostage import statevec as sv
-from qtwostage.baselines import evaluate, expected_cost, lambda_grid, solve_ev
+from qtwostage.baselines import evaluate, expected_cost, solve_ev
+from qtwostage.config import (
+    PAPER_LAMBDAS,
+    QaoaConfig,
+    TrainConfig,
+    UcpParams,
+    default_params,
+)
 from qtwostage.qaoa import (
     FactorizedEvaluator,
-    QaoaConfig,
     assemble,
     final_state,
     optimize,
     random_params,
 )
-from qtwostage.qgan import GeneratorSpec, TrainConfig, TrainedGenerator, train
+from qtwostage.qgan import GeneratorSpec, TrainedGenerator, train
 from qtwostage.resources import count_and_depth, lower_to_basis, sweep_scaling
 from qtwostage.scenarios import (
     bin_to_grid,
@@ -32,13 +38,7 @@ from qtwostage.scenarios import (
     sample_pv,
     uniform_grid,
 )
-from qtwostage.ucp import (
-    RegisterLayout,
-    UcpParams,
-    bits_to_string,
-    build_hamiltonian,
-    default_params,
-)
+from qtwostage.ucp import RegisterLayout, bits_to_string, build_hamiltonian
 from qtwostage.walsh import arithmetic_expansion, reconstruct
 
 from oracles import (
@@ -215,7 +215,7 @@ def test_criterion_6_baseline_values():
 
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     order_ok = True
-    for lam in lambda_grid():
+    for lam in PAPER_LAMBDAS:
         report = evaluate(test, default_params(float(lam)))
         tol = 1e-9 * max(1.0, abs(report.eev_value))
         order_ok &= report.rp_value <= report.eev_value + tol

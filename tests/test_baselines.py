@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qtwostage import baselines as bl
+from qtwostage.config import PAPER_LAMBDAS, UcpParams, default_params
 from qtwostage.errors import StructureError
 from qtwostage.scenarios import quantile_test_set, sample_pv
-from qtwostage.ucp import UcpParams, default_params
 
 
 def single_scenario(xi: float) -> np.ndarray:
@@ -79,7 +79,7 @@ def test_expected_cost_monotone_in_lambda():
     for x in ((1, 1, 0), (0, 1, 1), (1, 1, 1)):
         values = [
             bl.expected_cost(x, test, default_params(lam))
-            for lam in bl.lambda_grid()
+            for lam in PAPER_LAMBDAS
         ]
         assert np.all(np.diff(values) >= -1e-9)
 
@@ -132,7 +132,7 @@ def test_eev_degenerate_test_set_equals_ev():
 def test_report_invariants_across_lambda_grid():
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, 2500.0, seed=11), 200)
     gaps = []
-    for lam in bl.lambda_grid():
+    for lam in PAPER_LAMBDAS:
         report = bl.evaluate(test, default_params(lam))
         assert report.rp_value <= report.eev_value + 1e-9
         assert report.rp_value == pytest.approx(min(report.per_x_costs.values()))
@@ -158,10 +158,11 @@ def test_report_rejects_inconsistent_fields():
 
 
 def test_lambda_grid():
-    grid = bl.lambda_grid()
-    assert len(grid) == 18
-    assert grid[0] == 30.0 and grid[-1] == 200.0
-    assert np.allclose(np.diff(grid), 10.0)
+    # the paper's 18 weights on [30, 200], bit for bit as numpy spaces them
+    assert len(PAPER_LAMBDAS) == 18
+    assert all(type(lam) is float for lam in PAPER_LAMBDAS)
+    assert (np.array(PAPER_LAMBDAS).tobytes()
+            == np.linspace(30.0, 200.0, 18).tobytes())
 
 
 # ---------------------------------------------------------------------------

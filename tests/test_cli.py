@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from qtwostage import qaoa
-from qtwostage.cli import (
-    ExperimentConfig,
-    apply_flags,
-    build_parser,
-    derive_seed,
-    load_config,
-    main,
-)
+from qtwostage.cli import build_parser, derive_seed, main
+from qtwostage.config import ExperimentConfig, apply_flags, load_config
 from qtwostage.errors import StructureError
 
 
@@ -159,6 +153,11 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "[problem]\ndemand = nan\n")
     assert main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+    # a byte that is not UTF-8
+    Path(path).write_bytes(b"[problem]\ndemand = \xff\n")
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "config.ini" in err
 
 
 @pytest.mark.parametrize("command, body, flags", [
@@ -304,7 +303,8 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
     # a byte that is not UTF-8
     (tmp_path / "results" / "dist_00.csv").write_bytes(b"xi,prob\n\xff,1\n")
     assert main(["train-qgan", "--config", cfg_path]) == 2
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "dist_00.csv" in err
     assert not (tmp_path / "results" / "generator.txt").exists()
 
 
@@ -368,7 +368,8 @@ def test_run_malformed_generator_is_exit_2(tmp_path, capsys):
         assert not (out / "records.jsonl").exists()
     (out / "generator.txt").write_bytes(valid.encode().replace(b"0.1", b"\xff"))
     assert main(["run", "--config", cfg_path]) == 2
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "generator.txt" in err
     (out / "generator.txt").write_text(valid)
     assert main(["run", "--config", cfg_path]) == 0
 
@@ -401,7 +402,7 @@ def test_out_of_memory_is_exit_1(tmp_path, capsys, monkeypatch):
         raise MemoryError("Unable to allocate 745. GiB for an array with "
                           "shape (100000000000,) and data type float64")
 
-    monkeypatch.setattr("qtwostage.cli.sample_pv", unable)
+    monkeypatch.setattr("qtwostage.scenarios.sample_pv", unable)
     assert main(["gen-data", "--config", tiny_config(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == ("out of memory: Unable to allocate 745. GiB for an array "
@@ -454,7 +455,8 @@ def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):
         assert "test_scenarios.csv" in capsys.readouterr().err
     scenarios.write_bytes(b"xi_tilde\n\xff\n")  # not UTF-8
     assert main(["baselines", "--config", cfg_path]) == 2
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "test_scenarios.csv" in err
 
 
 def test_resources_csv(tmp_path):
@@ -492,7 +494,27 @@ def test_report_missing_records_is_exit_2(tmp_path, capsys):
         assert "records.jsonl line 1" in capsys.readouterr().err
     (tmp_path / "results" / "records.jsonl").write_bytes(b'{"lam": \xff}\n')
     assert main(["report", "--config", cfg_path]) == 2
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "records.jsonl" in err
+
+
+def write_records(path, costs_by_lam: dict) -> None:
+    """A records file holding one record per cost, as ``run`` writes them."""
+    path.write_text("".join(
+        json.dumps({"lam": lam, "seed": s, "map": "110", "cost_map": cost,
+                    "rp": 31250.0, "eev": 40250.0, "best_objective": 0.0,
+                    "evals": 4, "trace_first": 1.0, "trace_best": 0.5}) + "\n"
+        for lam, costs in costs_by_lam.items()
+        for s, cost in enumerate(costs)))
+
+
+def src_env() -> dict:
+    """The environment of a child interpreter that imports this ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 _NO_SCIPY_STAGES = """
@@ -509,28 +531,72 @@ print(json.dumps(sorted(m for m in sys.modules
 
 def test_no_stage_imports_scipy(tmp_path):
     # the package's runtime needs numpy alone; scipy is a test-only oracle
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_STAGES, tiny_config(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+_NO_NUMPY_STEPS = """
+import contextlib, io, json, sys
+config, records, unknown = sys.argv[1:]
+steps = []
+
+def after(step):
+    steps.append([step, "numpy" in sys.modules])
+
+import qtwostage.cli as cli
+after("import qtwostage.cli")
+cli.load_config(config)
+after("load_config")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["report", records]) == 0
+after("report")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["run", "--config", unknown]) == 2
+after("config error")
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+after("--help")
+print(json.dumps(steps))
+"""
+
+
+def test_settings_and_report_import_no_numpy(tmp_path):
+    # start-up cost: only the stages that compute load the numeric modules
+    records = tmp_path / "r.jsonl"
+    write_records(records, {30.0: [31250.0, 31260.0]})
+    config = tiny_config(tmp_path)
+    (tmp_path / "bad").mkdir()
+    unknown = write_config(tmp_path / "bad", "[uncertainty]\nn_gridd = 8\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_STEPS, config, str(records), unknown],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [step for step, numpy in steps if numpy] == []
+    assert len(steps) == 5
+
+
 def test_report_accepts_explicit_path(tmp_path, capsys):
     records = tmp_path / "r.jsonl"
-    rows = [
-        {"lam": 30.0, "seed": s, "map": "110", "cost_map": 31250.0 + s,
-         "rp": 31250.0, "eev": 40250.0, "best_objective": 0.0,
-         "evals": 4, "trace_first": 1.0, "trace_best": 0.5}
-        for s in range(3)
-    ]
-    records.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    # at 8 or more values numpy sums pairwise, in eight running sums
+    costs = {30.0: [31250.0, 31251.0, 31252.0],
+             90.0: list(31250.0 + np.random.default_rng(4).uniform(0, 1e5, 13))}
+    write_records(records, costs)
     assert main(["report", str(records)]) == 0
     out = capsys.readouterr().out
     assert "31251.0" in out  # mean of 31250, 31251, 31252
     assert "40250.0" in out
+    table = [
+        f"{lam:>8g} {len(c):>5d} {31250.0:>12.1f} {40250.0:>12.1f} "
+        f"{np.mean(c):>12.1f} {np.min(c):>12.1f} {np.max(c):>12.1f}"
+        for lam, c in costs.items()
+    ]
+    assert out.splitlines()[1:] == table

@@ -6,10 +6,10 @@ import pytest
 
 from qtwostage import qaoa
 from qtwostage import statevec as sv
+from qtwostage.config import QaoaConfig, UcpParams, default_params
 from qtwostage.errors import CapacityError, StructureError
 from qtwostage.qaoa import (
     FactorizedEvaluator,
-    QaoaConfig,
     VariationalParams,
     assemble,
     final_state,
@@ -18,12 +18,7 @@ from qtwostage.qaoa import (
     random_params,
 )
 from qtwostage.qgan import GeneratorSpec, generator_probs
-from qtwostage.ucp import (
-    RegisterLayout,
-    UcpParams,
-    build_hamiltonian,
-    default_params,
-)
+from qtwostage.ucp import RegisterLayout, build_hamiltonian
 from qtwostage.walsh import reconstruct
 
 from oracles import (

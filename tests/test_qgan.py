@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qtwostage import qgan, statevec as sv
+from qtwostage.config import TrainConfig
 from qtwostage.errors import StructureError
 from qtwostage.qgan import (
     Adam,
     Discriminator,
     GeneratorSpec,
-    TrainConfig,
     default_spec,
     generator_circuit,
     generator_from_text,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtwostage import statevec as sv
+from qtwostage.config import default_params
 from qtwostage.errors import StructureError, UnsupportedGateError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
 from qtwostage.qgan import GeneratorSpec, default_spec
@@ -17,7 +18,7 @@ from qtwostage.resources import (
     sweep_params,
     sweep_scaling,
 )
-from qtwostage.ucp import build_hamiltonian, default_params
+from qtwostage.ucp import build_hamiltonian
 
 HALF_PI = np.pi / 2.0
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qtwostage import ucp, walsh
+from qtwostage import config, ucp, walsh
 from qtwostage.errors import StructureError
 
 from oracles import (
@@ -29,19 +29,19 @@ def test_layout_offsets():
 
 def test_params_validation():
     with pytest.raises(StructureError):
-        ucp.UcpParams(1, 10.0, (5.0,), (5.0,), (0.0,), (1.0,), 1.0)
+        config.UcpParams(1, 10.0, (5.0,), (5.0,), (0.0,), (1.0,), 1.0)
     with pytest.raises(StructureError):
-        ucp.UcpParams(1, 10.0, (1.0,), (5.0,), (-1.0,), (1.0,), 1.0)
+        config.UcpParams(1, 10.0, (1.0,), (5.0,), (-1.0,), (1.0,), 1.0)
     with pytest.raises(StructureError):
-        ucp.UcpParams(2, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
+        config.UcpParams(2, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
     with pytest.raises(StructureError):
-        ucp.UcpParams(1, float("nan"), (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
+        config.UcpParams(1, float("nan"), (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
     with pytest.raises(StructureError):
-        ucp.UcpParams(1, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), float("inf"))
+        config.UcpParams(1, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), float("inf"))
 
 
 def test_y_operator_levels():
-    params = ucp.default_params(lam=30.0)
+    params = config.default_params(lam=30.0)
     y3 = ucp.build_y_operator(2, params, LAYOUT)
     assert max(m.bit_count() for m in y3.terms) <= 2
     # unit 3 off -> 0 regardless of its level bit
@@ -63,7 +63,7 @@ def test_y_operator_levels():
 
 
 def test_capacity_window_by_construction():
-    params = ucp.default_params(lam=30.0)
+    params = config.default_params(lam=30.0)
     for i in range(3):
         y = ucp.build_y_operator(i, params, LAYOUT)
         diag = walsh.reconstruct(y)
@@ -74,13 +74,13 @@ def test_capacity_window_by_construction():
 
 
 def test_surrogate_cost_examples():
-    params = ucp.default_params(lam=30.0)
+    params = config.default_params(lam=30.0)
     assert classical_surrogate((1, 1, 0), (1, 1, 0), 750.0, params) == \
         pytest.approx(40250.0)
     assert classical_surrogate((1, 1, 0), (1, 1, 1), 750.0, params) == \
         pytest.approx(40250.0)  # off unit's level bit is ignored
 
-    params0 = ucp.default_params(lam=7.0)
+    params0 = config.default_params(lam=7.0)
     assert classical_surrogate((0, 0, 0), (0, 0, 0), 0.0, params0) == \
         pytest.approx(7.0 * 6.25e6)
     assert classical_surrogate((0, 0, 1), (0, 0, 1), 2500.0, params0) == \
@@ -122,7 +122,7 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
     """
     for n_xi in (2, 3, 5):
         for lam in (30.0, 200.0):
-            params = ucp.default_params(lam=lam)
+            params = config.default_params(lam=lam)
             ham = ucp.build_hamiltonian(params, n_xi, 0.0, 2500.0)
             diag = walsh.reconstruct(ham.total())
             want = surrogate_diagonal(params, n_xi, 0.0, 2500.0)
@@ -132,7 +132,7 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
 
 
 def test_hamiltonian_structure():
-    params = ucp.default_params(lam=30.0)
+    params = config.default_params(lam=30.0)
     ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
     smask = LAYOUT.scenario_mask
     assert all(m & smask for m in ham.h2_dep.terms)
@@ -153,7 +153,7 @@ def test_hamiltonian_structure():
 
 
 def test_lambda_zero_decouples_scenarios():
-    params = ucp.default_params(lam=0.0)
+    params = config.default_params(lam=0.0)
     ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
     assert ham.h2_dep.terms == {}
     want = walsh.ZPolynomial(LAYOUT.n_total, {})
@@ -166,7 +166,7 @@ def test_lambda_zero_decouples_scenarios():
 
 
 def test_split_reassembles_unsplit_h2():
-    params = ucp.default_params(lam=30.0)
+    params = config.default_params(lam=30.0)
     ham = ucp.build_hamiltonian(params, 3, 0.0, 2500.0)
     rebuilt = walsh.reconstruct(ham.second_stage())
     # the start-up cost alone: no generation cost, no imbalance penalty
