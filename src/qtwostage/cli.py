@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -34,16 +33,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_flags, load_config, read_text
-from .errors import CapacityError, StructureError, UnsupportedGateError
+from .errors import CapacityError, StructureError
 
 N_TRAIN_SETS = 10
 N_TEST_SETS = 5
 
-_DOMAIN_ERRORS = (StructureError, CapacityError, UnsupportedGateError)
+_DOMAIN_ERRORS = (StructureError, CapacityError)
 
 
 def derive_seed(master: int, role: str, index: int) -> int:
     """Deterministic 64-bit sub-seed from the master seed, a role, an index."""
+    import hashlib  # here, so config loading and `report` never import it
+
     digest = hashlib.sha256(f"{master}:{role}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

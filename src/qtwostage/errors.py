@@ -7,7 +7,3 @@ class CapacityError(ValueError):
 
 class StructureError(ValueError):
     """Malformed input: bad index, register mismatch, wrong array shape."""
-
-
-class UnsupportedGateError(ValueError):
-    """Gate has no rewrite rule in the target basis."""

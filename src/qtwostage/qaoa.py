@@ -60,14 +60,6 @@ class VariationalParams:
             if not np.all(np.isfinite(arr)):
                 raise StructureError("angles must be finite")
 
-    @property
-    def p1(self) -> int:
-        return len(self.gamma1)
-
-    @property
-    def p2(self) -> int:
-        return len(self.gamma2)
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate(
             [self.gamma1, self.beta1, self.gamma2, self.beta2]

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import statevec as sv
 from .config import UcpParams, default_params
-from .errors import StructureError, UnsupportedGateError
+from .errors import StructureError
 from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import build_hamiltonian
@@ -68,9 +68,10 @@ def _euler(q: int, first: float, angle: float, last: float) -> list:
 def _rewrite(gate, n_qubits: int) -> list:
     """The basis gates ``gate`` becomes, as (kind, qubits, angle) in order.
 
-    A gate ``statevec.apply`` would reject on an ``n_qubits`` register is a
-    StructureError here too, except that a ZPhase of mask 0, the identity
-    up to global phase, becomes nothing.
+    Every gate kind ``statevec.apply`` runs has a rewrite.  Any other
+    object, or a gate ``apply`` would reject on an ``n_qubits`` register,
+    is a StructureError here too, except that a ZPhase of mask 0, the
+    identity up to global phase, becomes nothing.
     """
     if isinstance(gate, sv.ZPhase):
         mask = int(gate.mask)  # masks may arrive as numpy integers
@@ -80,8 +81,6 @@ def _rewrite(gate, n_qubits: int) -> list:
         support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
         up = [("cx", pair, None) for pair in zip(support[1:], support)]
         return up[::-1] + [("rz", (support[0],), 2.0 * gate.angle)] + up
-    if isinstance(gate, sv.DiagPhase):
-        raise UnsupportedGateError("a DiagPhase oracle has no hardware lowering")
     if isinstance(gate, (sv.CX, sv.CZ)):
         c, t = gate.control, gate.target
         sv.check_qubits(n_qubits, c, t)

@@ -12,8 +12,7 @@ Conventions:
 
 ``ZPhase`` applies ``exp(-i*t*Z_string)`` for the Z-string on a support
 mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
-``DiagPhase`` is the exact-diagonal analogue used purely as an oracle for
-cross-checking synthesized phase blocks; production circuits use ZPhase.
+These gate kinds are exactly the ones ``resources`` lowers to hardware.
 
 ``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
 vector, of a simulated state or of one computed without a state, and
@@ -89,15 +88,7 @@ class ZPhase:
     angle: float
 
 
-@dataclass(frozen=True, eq=False)
-class DiagPhase:
-    """exp(-i*angle*diag(values)); oracle only, never lowered to hardware."""
-
-    values: np.ndarray
-    angle: float
-
-
-Gate = Union[RX, RY, RZ, H, X, SX, CX, CZ, ZPhase, DiagPhase]
+Gate = Union[RX, RY, RZ, H, X, SX, CX, CZ, ZPhase]
 
 
 @dataclass
@@ -198,12 +189,6 @@ def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
         par = parity(n, gate.mask)
         f_even = np.exp(-1j * gate.angle)
         amps *= np.where(par, np.conj(f_even), f_even)
-    elif isinstance(gate, DiagPhase):
-        if gate.values.shape != (2**n,):
-            raise StructureError(
-                f"DiagPhase needs {2**n} values, got {gate.values.shape}"
-            )
-        amps *= np.exp(-1j * gate.angle * gate.values)
     else:
         raise StructureError(f"unknown gate {gate!r}")
     return amps

@@ -63,32 +63,16 @@ class RegisterLayout:
         return self.n_xi + 2 * self.n_units
 
     @property
-    def second_stage_offset(self) -> int:
-        return self.n_xi + self.n_units
-
-    @property
     def first_stage_qubits(self) -> range:
         return range(self.n_xi, self.n_xi + self.n_units)
 
     @property
     def second_stage_qubits(self) -> range:
-        return range(self.second_stage_offset, self.n_total)
+        return range(self.n_xi + self.n_units, self.n_total)
 
     @property
     def scenario_mask(self) -> int:
         return (1 << self.n_xi) - 1
-
-    def commit_qubit(self, i: int) -> int:
-        """First-stage qubit of unit i (0-based)."""
-        if not 0 <= i < self.n_units:
-            raise StructureError(f"unit index {i} out of range")
-        return self.n_xi + i
-
-    def level_qubit(self, i: int) -> int:
-        """Second-stage qubit of unit i (0-based)."""
-        if not 0 <= i < self.n_units:
-            raise StructureError(f"unit index {i} out of range")
-        return self.second_stage_offset + i
 
     def split(self, vector: np.ndarray) -> np.ndarray:
         """The (level bits, commitment, scenario) view of a basis-ordered
@@ -128,10 +112,10 @@ def build_y_operator(i: int, params: UcpParams, layout: RegisterLayout) -> ZPoly
     if not 0 <= i < params.n_units:
         raise StructureError(f"unit index {i} out of range")
     n = layout.n_total
-    bit = _occupancy(layout.level_qubit(i), n)
+    bit = _occupancy(layout.second_stage_qubits[i], n)
     level = zpoly_add(constant(n, params.p_min[i]),
                       zpoly_scale(bit, params.p_max[i] - params.p_min[i]))
-    return zpoly_mul(_occupancy(layout.commit_qubit(i), n), level)
+    return zpoly_mul(_occupancy(layout.first_stage_qubits[i], n), level)
 
 
 def build_hamiltonian(
@@ -150,7 +134,7 @@ def build_hamiltonian(
     supply = ZPolynomial(n, {})
     h2 = ZPolynomial(n, {})
     for i in range(params.n_units):
-        x_i = _occupancy(layout.commit_qubit(i), n)
+        x_i = _occupancy(layout.first_stage_qubits[i], n)
         h1 = zpoly_add(h1, zpoly_scale(x_i, params.startup_cost[i]))
         y_i = build_y_operator(i, params, layout)
         supply = zpoly_add(supply, y_i)

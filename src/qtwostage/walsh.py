@@ -42,9 +42,6 @@ class ZPolynomial:
                     f"mask {mask} out of range for {self.n_qubits} qubits"
                 )
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def _pruned(n_qubits: int, terms: dict) -> ZPolynomial:
     kept = {m: c for m, c in terms.items() if abs(c) >= ZERO_THRESHOLD}

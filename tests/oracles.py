@@ -4,8 +4,9 @@ No CLI stage runs any of these.  They hold the paper's two structural
 claims as checks on the gate-level circuit (`verify_prop1`,
 `verify_nonanticipativity`), the unit-commitment cost one basis state at a
 time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
-(`decode_basis`, `encode_basis`), the dense Walsh transform and pointwise
-evaluation of Z-polynomials (`fwht_expand`, `eval_at`), and the
+(`decode_basis`, `encode_basis`), the exact diagonal phase a synthesized
+Z-string block must equal (`diagonal_phase`), the dense Walsh transform and
+pointwise evaluation of Z-polynomials (`fwht_expand`, `eval_at`), and the
 discriminator's loss and output (`bce_loss`, `forward`).
 
 Test modules import them as ``from oracles import ...``: ``tests/`` has no
@@ -50,8 +51,8 @@ def decode_basis(index: int, layout: RegisterLayout):
     if not 0 <= index < 2**layout.n_total:
         raise StructureError(f"basis index {index} out of range")
     s = index & layout.scenario_mask
-    x = tuple((index >> layout.commit_qubit(i)) & 1 for i in range(layout.n_units))
-    b = tuple((index >> layout.level_qubit(i)) & 1 for i in range(layout.n_units))
+    x = tuple((index >> q) & 1 for q in layout.first_stage_qubits)
+    b = tuple((index >> q) & 1 for q in layout.second_stage_qubits)
     return s, x, b
 
 
@@ -60,8 +61,8 @@ def encode_basis(s: int, x, b, layout: RegisterLayout) -> int:
         raise StructureError(f"scenario index {s} out of range")
     index = s
     for i in range(layout.n_units):
-        index |= (x[i] & 1) << layout.commit_qubit(i)
-        index |= (b[i] & 1) << layout.level_qubit(i)
+        index |= (x[i] & 1) << layout.first_stage_qubits[i]
+        index |= (b[i] & 1) << layout.second_stage_qubits[i]
     return index
 
 
@@ -82,6 +83,11 @@ def surrogate_diagonal(
 # ---------------------------------------------------------------------------
 # Z-polynomials
 # ---------------------------------------------------------------------------
+
+def diagonal_phase(amps: np.ndarray, values: np.ndarray, angle: float) -> None:
+    """exp(-i*angle*diag(values)) applied in place to a state's amplitudes."""
+    amps *= np.exp(-1j * angle * np.asarray(values, dtype=float))
+
 
 def fwht_expand(values: np.ndarray) -> ZPolynomial:
     """Expand a length-2^n diagonal into Z-strings, c = (1/2^n) * H_n * values."""

@@ -185,7 +185,7 @@ def test_criterion_4_scenario_decision_independence():
     gen_c = random_generator(2, np.random.default_rng(29))
     vp_c = random_params(2, 2, np.random.default_rng(31))
     circuit = assemble(gen_c, ham, vp_c)
-    circuit.gates.append(sv.CX(0, layout.commit_qubit(0)))
+    circuit.gates.append(sv.CX(0, layout.first_stage_qubits[0]))
     control = verify_nonanticipativity(sv.run_circuit(circuit), layout)
 
     elapsed = time.perf_counter() - t0

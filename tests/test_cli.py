@@ -545,7 +545,7 @@ config, records, unknown = sys.argv[1:]
 steps = []
 
 def after(step):
-    steps.append([step, "numpy" in sys.modules])
+    steps.append([step, [m for m in ("numpy", "hashlib") if m in sys.modules]])
 
 import qtwostage.cli as cli
 after("import qtwostage.cli")
@@ -568,7 +568,8 @@ print(json.dumps(steps))
 
 
 def test_settings_and_report_import_no_numpy(tmp_path):
-    # start-up cost: only the stages that compute load the numeric modules
+    # start-up cost: only the stages that compute load the numeric modules,
+    # and only the stages that derive seeds load hashlib
     records = tmp_path / "r.jsonl"
     write_records(records, {30.0: [31250.0, 31260.0]})
     config = tiny_config(tmp_path)
@@ -580,7 +581,7 @@ def test_settings_and_report_import_no_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
-    assert [step for step, numpy in steps if numpy] == []
+    assert [(step, loaded) for step, loaded in steps if loaded] == []
     assert len(steps) == 5
 
 

@@ -23,6 +23,7 @@ from qtwostage.walsh import reconstruct
 
 from oracles import (
     classical_surrogate,
+    diagonal_phase,
     surrogate_diagonal,
     verify_nonanticipativity,
     verify_prop1,
@@ -67,7 +68,7 @@ def toy_problem():
 
 def test_variational_params_validation():
     vp = VariationalParams([0.1, 0.2], [0.3, 0.4], [0.5], [0.6])
-    assert vp.p1 == 2 and vp.p2 == 1
+    assert len(vp.gamma1) == 2 and len(vp.gamma2) == 1
     back = VariationalParams.from_vector(2, 1, vp.to_vector())
     np.testing.assert_array_equal(back.gamma1, vp.gamma1)
     np.testing.assert_array_equal(back.beta2, vp.beta2)
@@ -205,15 +206,16 @@ def test_mapping_block_matches_diagonal_oracle():
     # replace the synthesized scenario-coupled block by one diagonal phase
     from qtwostage.qaoa import _cost_gates
     from qtwostage.qgan import generator_circuit
-    gates = list(generator_circuit(gen).gates)
-    gates += [sv.H(q) for q in layout.first_stage_qubits]
-    gates += [sv.H(q) for q in layout.second_stage_qubits]
-    gates += _cost_gates(ham.h1, vp.gamma1[0])
-    gates += [sv.RX(q, -2 * vp.beta1[0]) for q in layout.first_stage_qubits]
-    gates.append(sv.DiagPhase(reconstruct(ham.h2_dep), vp.gamma2[0]))
-    gates += _cost_gates(ham.h2_indep, vp.gamma2[0])
-    gates += [sv.RX(q, -2 * vp.beta2[0]) for q in layout.second_stage_qubits]
-    oracle = sv.run_circuit(sv.Circuit(layout.n_total, gates))
+    before = list(generator_circuit(gen).gates)
+    before += [sv.H(q) for q in layout.first_stage_qubits]
+    before += [sv.H(q) for q in layout.second_stage_qubits]
+    before += _cost_gates(ham.h1, vp.gamma1[0])
+    before += [sv.RX(q, -2 * vp.beta1[0]) for q in layout.first_stage_qubits]
+    after = _cost_gates(ham.h2_indep, vp.gamma2[0])
+    after += [sv.RX(q, -2 * vp.beta2[0]) for q in layout.second_stage_qubits]
+    oracle = sv.run_circuit(sv.Circuit(layout.n_total, before))
+    diagonal_phase(oracle, reconstruct(ham.h2_dep), vp.gamma2[0])
+    sv.run_circuit(sv.Circuit(layout.n_total, after), oracle)
 
     np.testing.assert_allclose(state, oracle, atol=1e-10)
 
@@ -515,7 +517,7 @@ def test_nonanticipativity_holds_and_control_breaks():
 
     # negative control: couple a scenario qubit into the first stage
     circ = assemble(gen, ham, vp)
-    circ.gates.append(sv.CX(0, layout.commit_qubit(0)))
+    circ.gates.append(sv.CX(0, layout.first_stage_qubits[0]))
     broken = sv.run_circuit(circ)
     assert verify_nonanticipativity(broken, layout) > 1e-2
 

@@ -6,7 +6,7 @@ import pytest
 
 from qtwostage import statevec as sv
 from qtwostage.config import default_params
-from qtwostage.errors import StructureError, UnsupportedGateError
+from qtwostage.errors import StructureError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
 from qtwostage.qgan import GeneratorSpec, default_spec
 from qtwostage.resources import (
@@ -140,21 +140,13 @@ def test_zphase_mask_zero_dropped():
     assert lowered.gates == [sv.X(0)]
 
 
-def test_diag_phase_rejected():
-    circuit = sv.Circuit(2, [sv.DiagPhase(np.zeros(4), 0.5)])
-    with pytest.raises(UnsupportedGateError):
-        lower_to_basis(circuit)
-    with pytest.raises(UnsupportedGateError):
-        count_and_depth(circuit)
-
-
 @pytest.mark.parametrize("gate", [
     sv.RZ(-1, 0.0), sv.CX(0, -1), sv.H(2), sv.CX(1, 1), sv.CZ(0, 0),
-    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3),
+    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3), object(),
 ])
 def test_rewrite_rejects_what_the_simulator_rejects(gate):
-    # a qubit outside [0, n), a control equal to its target, or a mask
-    # outside [0, 2^n); at n = 2
+    # a qubit outside [0, n), a control equal to its target, a mask
+    # outside [0, 2^n), or an object that is no gate; at n = 2
     circuit = sv.Circuit(2, [gate])
     for consumer in (lower_to_basis, count_and_depth, sv.run_circuit):
         with pytest.raises(StructureError):

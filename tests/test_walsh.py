@@ -59,7 +59,7 @@ def test_arithmetic_expansion_examples():
     poly = walsh.arithmetic_expansion(0.0, 2500.0, 5)
     assert poly.terms.get(0, 0.0) == pytest.approx(1250.0)
     assert poly.terms.get(1, 0.0) == pytest.approx(-(2500.0 / 31) / 2)
-    assert len(poly) == 6
+    assert len(poly.terms) == 6
 
     with pytest.raises(StructureError):
         walsh.arithmetic_expansion(1.0, 1.0, 3)
@@ -77,7 +77,7 @@ def test_arithmetic_expansion_sparsity_and_closed_form():
             grid = np.linspace(xi_min, xi_max, 2**n_xi)
             poly = fwht_expand(grid)
             dxi = (xi_max - xi_min) / (2**n_xi - 1)
-            assert len(poly) == n_xi + 1
+            assert len(poly.terms) == n_xi + 1
             assert poly.terms.get(0, 0.0) == pytest.approx(
                 xi_min + dxi * (2**n_xi - 1) / 2, abs=1e-12
             )
@@ -160,7 +160,7 @@ def test_squared_grid_term_count_bound():
     for n_xi in range(1, 9):
         xi = walsh.arithmetic_expansion(0.0, 2500.0, n_xi)
         sq = walsh.zpoly_mul(xi, xi)
-        assert len(sq) <= (n_xi + 1) ** 2
+        assert len(sq.terms) <= (n_xi + 1) ** 2
 
 
 def test_pruning_drops_tiny_coefficients():
