@@ -4,9 +4,10 @@ One rewrite rule, ``_rewrite``, holds the fixed table (one Euler convention
 per gate, no cancellation pass), so counts are reproducible and layer
 increments stay exactly additive.  Z-string phase blocks synthesize as a CX
 parity ladder onto the lowest support qubit, a single RZ, and the mirrored
-ladder.  ``lower_to_basis`` builds the gates the rule names;
-``count_and_depth`` tallies them for any circuit the rule can lower,
-without building them.
+ladder.  A basis gate exists only as the rule's ``(kind, qubits, angle)``
+triple: ``lower_to_basis`` returns a circuit of those triples, and
+``count_and_depth`` tallies them.  No gate the simulator runs lowers to X,
+so the ``x`` count is kept as schema and reads 0.
 
 ``sweep_scaling`` builds circuits at zero angles over grids of scenario
 counts and unit counts and tabulates their lowered counts and depth.  Four
@@ -46,9 +47,6 @@ SWEEP_FIELDS = (
 
 _HALF_PI = np.pi / 2.0
 
-# the basis: each kind's constructor, from qubits and then the angle if any
-_BASIS = {"rz": sv.RZ, "sx": sv.SX, "x": sv.X, "cx": sv.CX}
-
 
 # ---------------------------------------------------------------------------
 # the rewrite rule
@@ -66,12 +64,13 @@ def _euler(q: int, first: float, angle: float, last: float) -> list:
 
 
 def _rewrite(gate, n_qubits: int) -> list:
-    """The basis gates ``gate`` becomes, as (kind, qubits, angle) in order.
+    """The basis gates ``gate`` becomes, as (kind, qubits, angle) triples in
+    order: kind "rz" with its angle, or "sx" or "cx" with angle None.
 
-    Every gate kind ``statevec.apply`` runs has a rewrite.  Any other
-    object, or a gate ``apply`` would reject on an ``n_qubits`` register,
-    is a StructureError here too, except that a ZPhase of mask 0, the
-    identity up to global phase, becomes nothing.
+    Exactly the gate kinds ``statevec.apply`` runs (H, RX, RY, CZ, ZPhase)
+    have a rewrite.  Any other object, or a gate ``apply`` would reject on
+    an ``n_qubits`` register, is a StructureError here too, except that a
+    ZPhase of mask 0, the identity up to global phase, becomes nothing.
     """
     if isinstance(gate, sv.ZPhase):
         mask = int(gate.mask)  # masks may arrive as numpy integers
@@ -81,12 +80,11 @@ def _rewrite(gate, n_qubits: int) -> list:
         support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
         up = [("cx", pair, None) for pair in zip(support[1:], support)]
         return up[::-1] + [("rz", (support[0],), 2.0 * gate.angle)] + up
-    if isinstance(gate, (sv.CX, sv.CZ)):
+    if isinstance(gate, sv.CZ):
         c, t = gate.control, gate.target
         sv.check_qubits(n_qubits, c, t)
-        cx = [("cx", (c, t), None)]
-        return cx if isinstance(gate, sv.CX) else _h(t) + cx + _h(t)
-    if not isinstance(gate, (sv.RZ, sv.SX, sv.X, sv.H, sv.RX, sv.RY)):
+        return _h(t) + [("cx", (c, t), None)] + _h(t)
+    if not isinstance(gate, (sv.H, sv.RX, sv.RY)):
         raise StructureError(f"unknown gate {gate!r}")
     q = gate.qubit
     sv.check_qubits(n_qubits, q)
@@ -94,21 +92,16 @@ def _rewrite(gate, n_qubits: int) -> list:
         return _h(q)
     if isinstance(gate, sv.RX):
         return _euler(q, _HALF_PI, gate.angle, _HALF_PI)
-    if isinstance(gate, sv.RY):
-        return _euler(q, 0.0, gate.angle, np.pi)
-    if isinstance(gate, sv.RZ):
-        return [("rz", (q,), gate.angle)]
-    return [("sx" if isinstance(gate, sv.SX) else "x", (q,), None)]
+    return _euler(q, 0.0, gate.angle, np.pi)
 
 
 def lower_to_basis(circuit: sv.Circuit) -> sv.Circuit:
-    """Rewrite every gate into {RZ, SX, X, CX}; no cancellation afterwards."""
-    gates = [
-        _BASIS[kind](*qubits) if angle is None else _BASIS[kind](*qubits, angle)
-        for gate in circuit.gates
-        for kind, qubits, angle in _rewrite(gate, circuit.n_qubits)
-    ]
-    return sv.Circuit(circuit.n_qubits, gates)
+    """The circuit whose gates are ``_rewrite``'s triples for every gate, in
+    order; no cancellation afterwards."""
+    return sv.Circuit(circuit.n_qubits, [
+        triple for gate in circuit.gates
+        for triple in _rewrite(gate, circuit.n_qubits)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +128,15 @@ class ResourceReport:
 
 
 def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
-    """Basis-gate tallies and layered depth (greedy per-qubit frontier) of
-    ``lower_to_basis(circuit)``, without building the lowered gates."""
-    counts = dict.fromkeys(_BASIS, 0)
+    """Per-kind tallies and layered depth (greedy per-qubit frontier) of the
+    triples ``lower_to_basis(circuit)`` returns."""
+    counts = dict.fromkeys(("rz", "sx", "x", "cx"), 0)
     frontier = [0] * circuit.n_qubits
-    for gate in circuit.gates:
-        for kind, qubits, _ in _rewrite(gate, circuit.n_qubits):
-            counts[kind] += 1
-            level = 1 + max(frontier[q] for q in qubits)
-            for q in qubits:
-                frontier[q] = level
+    for kind, qubits, _ in lower_to_basis(circuit).gates:
+        counts[kind] += 1
+        level = 1 + max(frontier[q] for q in qubits)
+        for q in qubits:
+            frontier[q] = level
     return ResourceReport(**counts, total=sum(counts.values()),
                           depth=max(frontier, default=0))
 

@@ -1,4 +1,5 @@
-"""Dense statevector simulation for the gate set this workflow needs.
+"""Dense statevector simulation of the five gate kinds the package builds:
+H, RX, RY, CZ and ZPhase.
 
 Conventions:
   * little-endian indexing — qubit ``q`` contributes the bit of weight
@@ -6,13 +7,13 @@ Conventions:
   * global phase is never tracked or compared;
   * a state is its complex128 amplitude array, of shape ``(2**n,)`` or
     ``(rows, 2**n)``: a batch of states that run the same gates, with
-    RX / RY / RZ angles scalar or one per row; ``n`` is read from the last
+    RX / RY angles scalar or one per row; ``n`` is read from the last
     axis.  Gates act in place on that array (no gate matrix is ever
     materialized over the full register).
 
 ``ZPhase`` applies ``exp(-i*t*Z_string)`` for the Z-string on a support
 mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
-These gate kinds are exactly the ones ``resources`` lowers to hardware.
+``resources`` lowers exactly these kinds to its hardware basis.
 
 ``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
 vector, of a simulated state or of one computed without a state, and
@@ -48,30 +49,8 @@ class RY:
 
 
 @dataclass(frozen=True)
-class RZ:
-    qubit: int
-    angle: float
-
-
-@dataclass(frozen=True)
 class H:
     qubit: int
-
-
-@dataclass(frozen=True)
-class X:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class SX:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class CX:
-    control: int
-    target: int
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,7 @@ class ZPhase:
     angle: float
 
 
-Gate = Union[RX, RY, RZ, H, X, SX, CX, CZ, ZPhase]
+Gate = Union[RX, RY, H, CZ, ZPhase]
 
 
 @dataclass
@@ -150,40 +129,21 @@ def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
     if isinstance(gate, RY):
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         _apply_single(amps, n, gate.qubit, c, -s, s, c)
-    elif isinstance(gate, RZ):
-        ph = np.exp(-0.5j * gate.angle)
-        _apply_single(amps, n, gate.qubit, ph, 0.0, 0.0, np.conj(ph))
     elif isinstance(gate, RX):
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         _apply_single(amps, n, gate.qubit, c, -1j * s, -1j * s, c)
     elif isinstance(gate, H):
         r = _INV_SQRT2
         _apply_single(amps, n, gate.qubit, r, r, r, -r)
-    elif isinstance(gate, X):
-        _apply_single(amps, n, gate.qubit, 0.0, 1.0, 1.0, 0.0)
-    elif isinstance(gate, SX):
-        a, b = 0.5 + 0.5j, 0.5 - 0.5j
-        _apply_single(amps, n, gate.qubit, a, b, b, a)
-    elif isinstance(gate, (CX, CZ)):
+    elif isinstance(gate, CZ):
         c, t = gate.control, gate.target
         check_qubits(n, c, t)
-        # axis n-q of the (rows,) + (2,)*n view is qubit q; length-1 slices
-        # keep every part a writable view
-        view = amps.reshape((-1,) + (2,) * n)
+        # axis n-q of the (rows,) + (2,)*n view is qubit q; the amplitudes
+        # with both bits set are one writable view, negated in place
         sel = [slice(None)] * (n + 1)
-        sel[n - c] = slice(1, 2)
-        sel[n - t] = slice(1, 2)
-        one = view[tuple(sel)]
-        if isinstance(gate, CZ):
-            one *= -1.0
-        else:
-            sel[n - t] = slice(0, 1)
-            zero = view[tuple(sel)]
-            tmp = zero.copy()
-            # a ufunc resolves the interleaved slices' overlap exactly, where
-            # plain assignment would stage ``one`` in a second temporary
-            np.positive(one, out=zero)
-            one[...] = tmp
+        sel[n - c] = sel[n - t] = 1
+        both = amps.reshape((-1,) + (2,) * n)[tuple(sel)]
+        both *= -1.0
     elif isinstance(gate, ZPhase):
         check_mask(n, gate.mask)
         par = parity(n, gate.mask)

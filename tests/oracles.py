@@ -5,9 +5,11 @@ claims as checks on the gate-level circuit (`verify_prop1`,
 `verify_nonanticipativity`), the unit-commitment cost one basis state at a
 time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
 (`decode_basis`, `encode_basis`), the exact diagonal phase a synthesized
-Z-string block must equal (`diagonal_phase`), the dense Walsh transform and
-pointwise evaluation of Z-polynomials (`fwht_expand`, `eval_at`), and the
-discriminator's loss and output (`bce_loss`, `forward`).
+Z-string block must equal (`diagonal_phase`), a lowered circuit's
+basis-gate triples run by dense matrices (`run_lowered`), the dense Walsh
+transform and pointwise evaluation of Z-polynomials (`fwht_expand`,
+`eval_at`), and the discriminator's loss and output (`bce_loss`,
+`forward`).
 
 Test modules import them as ``from oracles import ...``: ``tests/`` has no
 ``__init__.py``, so pytest puts the directory itself on ``sys.path``.
@@ -78,6 +80,35 @@ def surrogate_diagonal(
         s, x, b = decode_basis(index, layout)
         out[index] = classical_surrogate(x, b, grid[s], params)
     return out
+
+
+# ---------------------------------------------------------------------------
+# lowered circuits
+# ---------------------------------------------------------------------------
+
+_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# CX on (control, target), indexed [control out, target out, control in,
+# target in]: the basis states 10 and 11 swap
+_CX = np.eye(4)[[0, 1, 3, 2]].reshape(2, 2, 2, 2)
+
+
+def run_lowered(lowered: sv.Circuit, amps: np.ndarray) -> np.ndarray:
+    """The state a lowered circuit's (kind, qubits, angle) triples make of
+    ``amps``: each triple's 2x2 (rz, sx, x) or 4x4 (cx) matrix contracted
+    into the little-endian amplitudes by ``np.tensordot``."""
+    n = lowered.n_qubits
+    psi = np.asarray(amps, dtype=complex).reshape((2,) * n)  # axis n-1-q: qubit q
+    for kind, qubits, angle in lowered.gates:
+        if kind == "rz":
+            u = np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+        else:
+            u = {"sx": _SX, "x": _X, "cx": _CX}[kind]
+        k = len(qubits)
+        axes = [n - 1 - q for q in qubits]
+        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, list(range(k)), axes)
+    return psi.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

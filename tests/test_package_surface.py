@@ -18,9 +18,6 @@ ALLOWED = {
     "qaoa.final_state": "perfbench traces it; calls = 0 shows the pipeline "
                         "never simulates the full register",
     "statevec.expectation_diagonal": "perfbench traces it by name",
-    "resources.lower_to_basis": "perfbench traces it by name, and the tests "
-                                "check lowered circuits for unitary "
-                                "equivalence against it",
 }
 
 

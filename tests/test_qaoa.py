@@ -517,7 +517,8 @@ def test_nonanticipativity_holds_and_control_breaks():
 
     # negative control: couple a scenario qubit into the first stage
     circ = assemble(gen, ham, vp)
-    circ.gates.append(sv.CX(0, layout.first_stage_qubits[0]))
+    q = layout.first_stage_qubits[0]
+    circ.gates += [sv.H(q), sv.CZ(0, q), sv.H(q)]  # CX(0, q)
     broken = sv.run_circuit(circ)
     assert verify_nonanticipativity(broken, layout) > 1e-2
 

@@ -22,41 +22,29 @@ def _single_qubit_matrix(gate):
     if isinstance(gate, sv.RY):
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if isinstance(gate, sv.RZ):
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
     if isinstance(gate, sv.RX):
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         return np.array([[c, -1j * s], [-1j * s, c]])
     if isinstance(gate, sv.H):
         return np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    if isinstance(gate, sv.X):
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if isinstance(gate, sv.SX):
-        return 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     raise AssertionError(gate)
 
 
 def _dense_unitary(gate, n):
     """Full 2^n x 2^n matrix with little-endian qubit ordering."""
     dim = 2**n
-    if isinstance(gate, (sv.RY, sv.RZ, sv.RX, sv.H, sv.X, sv.SX)):
+    if isinstance(gate, (sv.RY, sv.RX, sv.H)):
         u = _single_qubit_matrix(gate)
         full = np.eye(1, dtype=complex)
         # kron composes most-significant qubit first
         for q in reversed(range(n)):
             full = np.kron(full, u if q == gate.qubit else np.eye(2))
         return full
-    if isinstance(gate, (sv.CX, sv.CZ)):
+    if isinstance(gate, sv.CZ):
         full = np.eye(dim, dtype=complex)
         for i in range(dim):
-            if (i >> gate.control) & 1:
-                if isinstance(gate, sv.CZ):
-                    if (i >> gate.target) & 1:
-                        full[i, i] = -1.0
-                else:
-                    j = i ^ (1 << gate.target)
-                    full[i, i] = 0.0
-                    full[i, j] = 1.0
+            if (i >> gate.control) & 1 and (i >> gate.target) & 1:
+                full[i, i] = -1.0
         return full
     if isinstance(gate, sv.ZPhase):
         diag = np.array(
@@ -76,10 +64,8 @@ def test_every_gate_matches_dense_matrix_oracle():
     rng = np.random.default_rng(11)
     n = 3
     gates = [
-        sv.RY(0, 0.7), sv.RY(2, -1.3),
-        sv.RZ(1, 2.1), sv.RX(2, 0.4),
-        sv.H(0), sv.H(1), sv.X(2), sv.SX(1),
-        sv.CX(0, 2), sv.CX(2, 0), sv.CZ(1, 2),
+        sv.RY(0, 0.7), sv.RY(2, -1.3), sv.RX(2, 0.4),
+        sv.H(0), sv.H(1), sv.CZ(1, 2),
         sv.ZPhase(0b101, 0.9), sv.ZPhase(0b111, -0.3),
     ]
     for gate in gates:
@@ -96,13 +82,12 @@ def test_random_circuit_matches_matrix_product_oracle():
         state = _random_state(n, rng)
         ref = state.copy()
         for _ in range(12):
-            kind = rng.integers(6)
+            kind = rng.integers(4)
             q = int(rng.integers(n))
             q2 = int((q + 1 + rng.integers(n - 1)) % n)
             angle = float(rng.uniform(-np.pi, np.pi))
             gate = [
-                sv.RY(q, angle), sv.RX(q, angle), sv.RZ(q, angle),
-                sv.CX(q, q2), sv.CZ(q, q2),
+                sv.RY(q, angle), sv.RX(q, angle), sv.CZ(q, q2),
                 sv.ZPhase(int(rng.integers(1, 2**n)), angle),
             ][kind]
             ref = _dense_unitary(gate, n) @ ref
@@ -122,10 +107,9 @@ def test_batch_axis_matches_row_by_row():
 
     gates = [
         sv.H(0), sv.RY(0, per_row()), sv.RX(3, per_row()),
-        sv.RZ(2, per_row()), sv.RY(1, 0.7), sv.X(2), sv.SX(1),
-        sv.CX(0, 3), sv.CX(3, 1), sv.CZ(2, 0), sv.CZ(1, 3),
+        sv.RY(1, 0.7), sv.CZ(2, 0), sv.CZ(1, 3),
         sv.ZPhase(0b1011, 0.9),
-        sv.RY(3, per_row()), sv.RX(0, 1.1), sv.RZ(1, -2.3),
+        sv.RY(3, per_row()), sv.RX(0, 1.1),
     ]
     start = np.stack([_random_state(n, rng) for _ in range(rows)])
     batch = sv.run_circuit(sv.Circuit(n, gates), start.copy())
@@ -187,9 +171,9 @@ def test_ry_pi_flips_qubit():
 
 
 def test_little_endian_bit_convention():
-    state = sv.apply(sv.new_zero_state(2), sv.X(0))
+    state = sv.apply(sv.new_zero_state(2), sv.RY(0, np.pi))
     assert np.argmax(sv.probabilities(state)) == 1
-    state = sv.apply(sv.new_zero_state(2), sv.X(1))
+    state = sv.apply(sv.new_zero_state(2), sv.RY(1, np.pi))
     assert np.argmax(sv.probabilities(state)) == 2
 
 
@@ -247,7 +231,7 @@ def test_expectation_examples():
     plus = sv.apply(sv.new_zero_state(1), sv.H(0))
     assert abs(sv.expectation_diagonal(plus, np.array([1.0, -1.0]))) < 1e-14
 
-    one = sv.apply(sv.new_zero_state(1), sv.X(0))
+    one = sv.apply(sv.new_zero_state(1), sv.RY(0, np.pi))
     assert sv.expectation_diagonal(one, np.array([1.0, -1.0])) == pytest.approx(-1.0)
 
     uniform = sv.new_zero_state(2)
@@ -296,13 +280,14 @@ def test_structural_errors():
     with pytest.raises(StructureError):
         sv.apply(state, sv.ZPhase(4, 0.1))
     with pytest.raises(StructureError):
-        sv.apply(state, sv.CX(1, 1))
+        sv.apply(state, sv.CZ(1, 1))
     with pytest.raises(StructureError):
         sv.run_circuit(sv.Circuit(3, []), state)
 
 
 def test_run_circuit_from_zero():
-    circ = sv.Circuit(2, [sv.H(0), sv.CX(0, 1)])
+    # H, then CX(0, 1) as H CZ H on its target
+    circ = sv.Circuit(2, [sv.H(0), sv.H(1), sv.CZ(0, 1), sv.H(1)])
     state = sv.run_circuit(circ)
     assert np.allclose(sv.probabilities(state), [0.5, 0, 0, 0.5])
 
@@ -313,7 +298,7 @@ def test_two_qubit_gates_hold_no_memory():
     state = sv.new_zero_state(n)
     tracemalloc.start()
     try:
-        for gate in (sv.CX(3, 17), sv.CZ(17, 3), sv.CX(19, 0), sv.CZ(0, 19)):
+        for gate in (sv.CZ(3, 17), sv.CZ(17, 3), sv.CZ(19, 0), sv.CZ(0, 19)):
             sv.apply(state, gate)
         held, peak = tracemalloc.get_traced_memory()
     finally:
