@@ -154,23 +154,23 @@ def final_state(
 # ---------------------------------------------------------------------------
 
 def _stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
-    """Row-wise |amplitude|^2 of one stage's layers on an m-qubit register.
+    """Column-wise |amplitude|^2 of one stage's layers on an m-qubit register.
 
-    Row r of the (rows, 2^m) ``table`` is the cost diagonal its own copy of
-    the register sees.  Each copy starts in |+>^m; per (gamma, beta) it takes
-    exp(-i gamma table[r]) and then RX(-2 beta) on every qubit: `stage_layers`
-    on that register, H column included.  A phase constant along a row is a
-    global phase of that row and drops out of |amplitude|^2.
+    Column c of the (2^m, cols) ``table`` is the cost diagonal its own copy
+    of the register sees.  Each copy starts in |+>^m; per (gamma, beta) it
+    takes exp(-i gamma table[:, c]) and then RX(-2 beta) on every qubit:
+    `stage_layers` on that register, H column included.  A constant down a
+    column is a global phase there and drops out of |amplitude|^2.
     """
-    rows, size = table.shape
+    size, cols = table.shape
     amps = np.full(table.shape, size ** -0.5, dtype=np.complex128)
     for gamma, beta in zip(gammas, betas):
         amps = amps * np.exp(table * (-1j * gamma))
         c, s = np.cos(beta), 1j * np.sin(beta)  # RX(-2 beta) = c I + s X
         for q in range(size.bit_length() - 1):
-            # X on qubit q swaps the two halves of axis 2
-            view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
-            amps = (c * view + s * view[:, :, ::-1]).reshape(rows, size)
+            # X on qubit q swaps the two halves of axis 1
+            view = amps.reshape(size >> (q + 1), 2, (1 << q) * cols)
+            amps = (c * view + s * view[:, ::-1]).reshape(size, cols)
     return amps.real * amps.real + amps.imag * amps.imag
 
 
@@ -181,8 +181,8 @@ class FactorizedEvaluator:
     scenario register, so the joint distribution factors exactly as
     P(s) * P1(x) * |phi_{x,s}(b)|^2: P(s) is the generator's, P1 the
     first-stage register's under h1 alone, and phi_{x,s} the dispatch
-    register's under the cost row of commitment x in scenario s.  The tables
-    are read once, from ``ham.diagonal`` and the generator, at construction.
+    register's under the cost column of commitment x in scenario s.  The
+    costs are a view of ``ham.diagonal``; P(s) and h1 are read once.
     """
 
     def __init__(self, spec: GeneratorSpec, ham: ProblemHamiltonian):
@@ -194,17 +194,15 @@ class FactorizedEvaluator:
             )
         m, n_xi = layout.n_units, layout.n_xi
         self.layout = layout
-        self.diagonal = ham.diagonal
+        # column x * 2^n_xi + s holds that pair's cost over b, h1(x) included:
+        # a C-order view of the diagonal, so table.ravel() is the diagonal
+        self.table = layout.split(ham.diagonal).reshape(2**m, -1)
         self.scenario_probs = generator_probs(spec)
         h1 = {mask >> n_xi: c for mask, c in ham.h1.terms.items()}
         self.h1 = reconstruct(ZPolynomial(m, h1))
-        # row x * 2^n_xi + s holds that pair's cost over b.  The rows carry
-        # h1(x) too, a constant per row.
-        self.rows = (layout.split(self.diagonal)
-                     .transpose(1, 2, 0).reshape(-1, 2**m))
         # per-stage angle scales: the largest |Z coefficient| of h1 and the
         # largest dispatch spread over (x, s); 1 for a constant stage
-        spread = float(np.max(np.ptp(self.rows, axis=1)))
+        spread = float(np.max(np.ptp(self.table, axis=0)))
         self.scales = (
             max((abs(c) for mask, c in h1.items() if mask), default=1.0),
             spread if spread > 0 else 1.0,
@@ -212,13 +210,13 @@ class FactorizedEvaluator:
 
     def first_stage(self, vp: VariationalParams) -> np.ndarray:
         """P1: the 2^M commitment marginal."""
-        return _stage_probs(self.h1[None, :], vp.gamma1, vp.beta1)[0]
+        return _stage_probs(self.h1[:, None], vp.gamma1, vp.beta1)[:, 0]
 
     def joint(self, vp: VariationalParams) -> np.ndarray:
         """P(s) * P1(x) * |phi_{x,s}(b)|^2 in the register's basis order."""
         weights = np.outer(self.first_stage(vp), self.scenario_probs)
-        dispatch = _stage_probs(self.rows, vp.gamma2, vp.beta2)
-        return (weights.reshape(-1, 1) * dispatch).T.ravel()
+        dispatch = _stage_probs(self.table, vp.gamma2, vp.beta2)
+        return (dispatch * weights.reshape(1, -1)).ravel()
 
     def __call__(
         self,
@@ -227,7 +225,7 @@ class FactorizedEvaluator:
         rng: np.random.Generator | None = None,
     ) -> float:
         """The cost's expectation, exact or as the mean of ``shots`` draws."""
-        return _estimate(self.joint(vp), self.diagonal, shots, rng)
+        return _estimate(self.joint(vp), self.table.ravel(), shots, rng)
 
     def surrogate_optimum(self) -> float:
         """min_x [h1(x) + sum_s P(s) min_b E2(x, b, s)].
@@ -235,7 +233,7 @@ class FactorizedEvaluator:
         The cost of a perfectly scenario-adapted recourse under the
         generator's distribution; no angles reach below it.
         """
-        best = self.rows.min(axis=1).reshape(len(self.h1), -1)  # (x, s)
+        best = self.table.min(axis=0).reshape(len(self.h1), -1)  # (x, s)
         return float(np.min(best @ self.scenario_probs))
 
 
@@ -251,7 +249,7 @@ def _estimate(
     nz = np.nonzero(counts)[0]
     # a left-to-right sum over observed outcomes; ``counts @ diag`` rounds
     # differently and would change the sampled objective values
-    total = sum(counts[nz] * diag[nz])
+    total = np.cumsum(counts[nz] * diag[nz])[-1]
     return float(total / shots)
 
 

@@ -8,7 +8,9 @@ time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
 Z-string block must equal (`diagonal_phase`), a lowered circuit's
 basis-gate triples run by dense matrices (`run_lowered`), the dense Walsh
 transform and pointwise evaluation of Z-polynomials (`fwht_expand`,
-`eval_at`), and the discriminator's loss and output (`bce_loss`,
+`eval_at`), the evaluator's joint distribution built over a transposed
+(commitment, scenario, level bits) table of the diagonal
+(`row_major_joint`), and the discriminator's loss and output (`bce_loss`,
 `forward`).
 
 Test modules import them as ``from oracles import ...``: ``tests/`` has no
@@ -25,7 +27,7 @@ from qtwostage.errors import StructureError
 from qtwostage.qaoa import VariationalParams, final_state, stage_layers
 from qtwostage.qgan import Discriminator, GeneratorSpec, _sigmoid, generator_probs
 from qtwostage.ucp import RegisterLayout, build_hamiltonian
-from qtwostage.walsh import ZPolynomial, _pruned
+from qtwostage.walsh import ZPolynomial, _pruned, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,45 @@ def bce_loss(output: float, target: float) -> float:
     eps = 1e-12
     return -(target * np.log(output + eps)
              + (1.0 - target) * np.log(1.0 - output + eps))
+
+
+# ---------------------------------------------------------------------------
+# the factorized objective, row by row
+# ---------------------------------------------------------------------------
+
+def _row_stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
+    """|amplitude|^2 of one QAOA stage run on each row of ``table``."""
+    rows, size = table.shape
+    amps = np.full(table.shape, size ** -0.5, dtype=np.complex128)
+    for gamma, beta in zip(gammas, betas):
+        amps = amps * np.exp(table * (-1j * gamma))
+        c, s = np.cos(beta), 1j * np.sin(beta)
+        for q in range(size.bit_length() - 1):
+            view = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+            amps = (c * view + s * view[:, :, ::-1]).reshape(rows, size)
+    return amps.real * amps.real + amps.imag * amps.imag
+
+
+def row_major_joint(
+    spec: GeneratorSpec, ham, vp: VariationalParams
+) -> np.ndarray:
+    """P(s) * P1(x) * |phi_{x,s}(b)|^2 over a transposed table of the cost.
+
+    Row x * 2^n_xi + s of the (strided) table holds that pair's cost over b; each row
+    runs the dispatch stage on its own, and ``.T.ravel()`` returns the
+    weighted rows to the register's basis order.  The same arithmetic as
+    `FactorizedEvaluator.joint` on the same operands, so equal bit for bit.
+    """
+    layout = ham.layout
+    m, n_xi = layout.n_units, layout.n_xi
+    h1 = reconstruct(ZPolynomial(
+        m, {mask >> n_xi: c for mask, c in ham.h1.terms.items()}))
+    rows = (layout.split(ham.diagonal)
+            .transpose(1, 2, 0).reshape(-1, 2**m))
+    first = _row_stage_probs(h1[None, :], vp.gamma1, vp.beta1)[0]
+    weights = np.outer(first, generator_probs(spec))
+    dispatch = _row_stage_probs(rows, vp.gamma2, vp.beta2)
+    return (weights.reshape(-1, 1) * dispatch).T.ravel()
 
 
 # ---------------------------------------------------------------------------

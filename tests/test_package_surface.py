@@ -7,6 +7,7 @@ its own definition.  A name only the tests call belongs in
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -58,11 +59,27 @@ def test_every_public_name_has_a_caller_in_the_package():
         f"without a caller in the package: {', '.join(unreferenced)}"
 
 
-def test_every_allowed_name_is_traced():
-    """Each allowance rests on perfbench's tracer naming the function."""
+def _traced() -> set:
+    """The ``module.func`` names perfbench's tracer wraps."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     lists = {node.targets[0].id: ast.literal_eval(node.value)
              for node in tree.body if isinstance(node, ast.Assign)
              and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")}
-    traced = set(lists["SPANNED"] + lists["COUNTED"])
+    return set(lists["SPANNED"] + lists["COUNTED"])
+
+
+def test_every_allowed_name_is_traced():
+    """Each allowance rests on perfbench's tracer naming the function."""
+    traced = _traced()
     assert set(ALLOWED) <= traced, sorted(set(ALLOWED) - traced)
+
+
+def test_every_traced_name_resolves():
+    """Renaming or inlining a traced function breaks the traced benchmark
+    run; it must break a test first."""
+    missing = []
+    for target in sorted(_traced() | {"qaoa.minimize"}):
+        module, func = target.split(".")
+        if not hasattr(importlib.import_module(f"qtwostage.{module}"), func):
+            missing.append(target)
+    assert not missing, f"traced but not defined: {', '.join(missing)}"

@@ -24,6 +24,7 @@ from qtwostage.walsh import reconstruct
 from oracles import (
     classical_surrogate,
     diagonal_phase,
+    row_major_joint,
     surrogate_diagonal,
     verify_nonanticipativity,
     verify_prop1,
@@ -242,6 +243,43 @@ def test_evaluator_matches_gate_level_circuit():
                 want = sv.expectation_diagonal(final_state(gen, ham, vp),
                                                ham.diagonal)
                 assert evaluator(vp) == pytest.approx(want, rel=1e-12)
+
+
+def test_evaluator_matches_row_major_oracle_bitwise():
+    rng = np.random.default_rng(101)
+    for n_units in (1, 2, 3):
+        for n_xi in (1, 2, 3):
+            ham = build_hamiltonian(fleet(n_units), n_xi, 0.0, 2500.0)
+            gen = make_generator(n_xi, rng.uniform(-1, 1, n_xi * (n_xi + 1)))
+            evaluator = FactorizedEvaluator(gen, ham)
+            for p in (1, 2, 3, 4):
+                raw = random_params(p, p, rng)
+                for vp in (raw, unit_phase(raw, evaluator)):
+                    want = row_major_joint(gen, ham, vp)
+                    assert evaluator.joint(vp).tobytes() == want.tobytes()
+                    assert evaluator(vp) == float(want @ ham.diagonal)
+
+    # one shots draw: the same multinomial, summed left to right
+    shots = 5000
+    rng, twin = np.random.default_rng(103), np.random.default_rng(103)
+    got = evaluator(vp, shots, rng)
+    counts = sv.sample(want, shots, twin)
+    nz = np.nonzero(counts)[0]
+    assert got == float(sum(counts[nz] * ham.diagonal[nz]) / shots)
+
+
+def test_evaluator_reads_the_diagonal_in_place():
+    # every full-register array is the diagonal's memory in basis order, so
+    # its ravel is the diagonal itself: no copy and no strided table
+    _, ham = case_study(90.0)
+    evaluator = FactorizedEvaluator(make_generator(2), ham)
+    full = [value for value in vars(evaluator).values()
+            if isinstance(value, np.ndarray)
+            and value.size == ham.diagonal.size]
+    assert full
+    for value in full:
+        assert np.shares_memory(value, ham.diagonal)
+        assert value.flags.c_contiguous
 
 
 def test_shots_objective_draws_one_multinomial():
