@@ -176,7 +176,8 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         evaluator = FactorizedEvaluator(
             spec, build_hamiltonian(params, n_xi, 0.0, cfg.xi_max))
         # no angles reach below this, so best_objective / optimum >= 1 says
-        # how far a restart stopped from a perfectly adapted recourse
+        # how far a restart stopped from a perfectly adapted recourse; shot
+        # noise in a sampled best_objective can put the ratio below 1
         optimum = evaluator.surrogate_optimum()
         for s in range(cfg.n_seeds):
             rng = np.random.default_rng(
@@ -207,7 +208,8 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                      if optimum > 0 else "")
             print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
                   f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
-                  f"wall={wall:.2f}s evals={len(result.trace)} "
+                  f"wall={wall:.2f}s runs={result.runs} "
+                  f"evals={len(result.trace)} "
                   f"stop: {result.message}{ratio}")
     path = out / "records.jsonl"
     with open(path, "w") as fh:

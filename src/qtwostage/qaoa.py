@@ -17,7 +17,8 @@ evaluator, which a caller builds once per problem for every restart.
 Optimization is derivative-free, by the package's numpy port of Powell's
 COBYLA (`cobyla.minimize`), from random angles in per-stage scaled
 coordinates, tracking the best objective seen across all evaluations rather
-than trusting the optimizer's final iterate.
+than trusting the optimizer's final iterate, and rerun from that best point
+until the evaluation budget is spent.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class RunResult:
     first_stage_marginal: np.ndarray
     map_solution: tuple
     trace: np.ndarray
-    message: str  # the optimizer's stop reason
+    runs: int  # COBYLA runs the restart took to spend its budget
+    message: str  # the last run's stop reason
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,11 @@ def _estimate(
 ) -> float:
     if shots is None:
         return float(probs @ diag)
-    counts = sv.sample(probs, shots, rng)
+    return _sample_mean(sv.sample(probs, shots, rng), diag, shots)
+
+
+def _sample_mean(counts: np.ndarray, diag: np.ndarray, shots: int) -> float:
+    """The mean cost of ``shots`` measurements with these outcome counts."""
     nz = np.nonzero(counts)[0]
     # a left-to-right sum over observed outcomes; ``counts @ diag`` rounds
     # differently and would change the sampled objective values
@@ -274,12 +280,20 @@ def optimize(
     reaches ~1e9 rad and the landscape in gamma2 has a period of ~1e-8, so
     COBYLA's trust region collapses long before its budget.  Everything
     this returns is in physical angles.
+
+    A run that stops before the budget (in shots mode, noise shrinks the
+    trust region to ``rhoend`` within a few hundred evaluations) is followed
+    by another from the best point so far, with what is left of the budget,
+    until ``cfg.maxiter`` evaluations are spent.  In shots mode the best
+    objective is the minimum of noisy estimates, biased low, so the returned
+    one comes from a fresh draw at the chosen angles, the same draw that
+    gives the first-stage marginal.
     """
     sigma1, sigma2 = evaluator.scales
     divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
                               np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
     trace: list = []
-    best = {"value": np.inf, "vp": None}
+    best = {"value": np.inf, "x": None}
 
     def fun(x: np.ndarray) -> float:
         vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
@@ -287,32 +301,39 @@ def optimize(
         trace.append(value)
         if value < best["value"]:
             best["value"] = value
-            best["vp"] = vp
+            best["x"] = x.copy()
         return value
 
-    x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
-    # looked up as ``qaoa.minimize`` at call time, so a wrapper installed
-    # there sees every objective evaluation
-    message = minimize(fun, x0, rhobeg=COBYLA_RHOBEG, rhoend=COBYLA_TOL,
-                       maxfun=cfg.maxiter)
-    vp_best = best["vp"]
-    if vp_best is None:
-        raise StructureError(
-            f"none of {len(trace)} objective evaluations was finite "
-            f"({message})"
-        )
+    x, runs = random_params(cfg.p1, cfg.p2, rng).to_vector(), 0
+    # each run evaluates its start before it checks any stop condition, so
+    # the loop ends; ``minimize`` is looked up as ``qaoa.minimize`` at call
+    # time, so a wrapper installed there sees every objective evaluation
+    while len(trace) < cfg.maxiter:
+        message = minimize(fun, x, rhobeg=COBYLA_RHOBEG, rhoend=COBYLA_TOL,
+                           maxfun=cfg.maxiter - len(trace))
+        runs += 1
+        if best["x"] is None:
+            raise StructureError(
+                f"none of {len(trace)} objective evaluations was finite "
+                f"({message})"
+            )
+        x = best["x"]
+    vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
 
     if cfg.shots is None:
         marginal = evaluator.first_stage(vp_best)
+        objective = best["value"]
     else:
         counts = sv.sample(evaluator.joint(vp_best), cfg.shots, rng)
         marginal = evaluator.layout.split(counts).sum(axis=(0, 2)) / cfg.shots
+        objective = _sample_mean(counts, evaluator.table.ravel(), cfg.shots)
     return RunResult(
         best_params=vp_best,
-        best_objective=best["value"],
+        best_objective=objective,
         first_stage_marginal=marginal,
         map_solution=map_solution(marginal),
         trace=np.asarray(trace),
+        runs=runs,
         message=message,
     )
 

@@ -256,6 +256,28 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_shots_run_spends_its_budget_and_reruns_byte_identical(tmp_path,
+                                                               capsys):
+    maxiter = 60
+    cfg_path = tiny_config(tmp_path, eval_mode="shots", maxiter=maxiter,
+                           n_seeds=2, lambdas="30, 150")
+    out = tmp_path / "results"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train-qgan", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    outputs, runs = [], []
+    for _ in range(2):
+        assert main(["run", "--config", cfg_path]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == 4  # two lambdas, two seeds
+        for line in lines:
+            assert f" evals={maxiter} stop: " in line
+            runs.append(int(line.split(" runs=", 1)[1].split(" ", 1)[0]))
+        outputs.append((out / "records.jsonl").read_bytes())
+    assert min(runs) >= 1 and max(runs) > 1  # some restart reran COBYLA
+    assert outputs[0] == outputs[1]
+
+
 def test_gen_data_master_seed_changes_output(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["gen-data", "--config", cfg_path]) == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qtwostage import qaoa
+from qtwostage import cobyla, qaoa
 from qtwostage import statevec as sv
 from qtwostage.config import QaoaConfig, UcpParams, default_params
 from qtwostage.errors import CapacityError, StructureError
@@ -436,7 +436,7 @@ def test_optimize_spends_its_budget_on_case_study():
     result = optimize(FactorizedEvaluator(gen, ham),
                       QaoaConfig(p1=2, p2=2, maxiter=100),
                       np.random.default_rng(67))
-    assert len(result.trace) >= 90
+    assert len(result.trace) == 100
 
 
 def test_optimize_budget_is_hard_inside_the_initial_simplex():
@@ -451,6 +451,153 @@ def test_optimize_budget_is_hard_inside_the_initial_simplex():
     assert len(result.trace) == 5
     assert result.best_objective == min(result.trace)
     assert "MAXFUN" in result.message
+
+
+def one_cobyla_run(evaluator, cfg, seed):
+    """A single direct COBYLA run from ``optimize``'s start: (values, stop)."""
+    rng = np.random.default_rng(seed)
+    sigma1, sigma2 = evaluator.scales
+    divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
+                              np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
+    values: list = []
+
+    def fun(x):
+        vp = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
+        values.append(evaluator(vp, cfg.shots, rng))
+        return values[-1]
+    x0 = random_params(cfg.p1, cfg.p2, rng).to_vector()
+    message = cobyla.minimize(fun, x0, rhobeg=qaoa.COBYLA_RHOBEG,
+                              rhoend=qaoa.COBYLA_TOL, maxfun=cfg.maxiter)
+    return values, message
+
+
+def shots_case(p: int = 1):
+    _, ham = case_study(90.0)
+    gen = make_generator(2, np.random.default_rng(61).uniform(-1, 1, 6))
+    return (FactorizedEvaluator(gen, ham),
+            QaoaConfig(p1=p, p2=p, shots=1000, maxiter=100))
+
+
+def test_shots_restart_spends_the_budget_after_a_trust_region_stop():
+    evaluator, cfg = shots_case()
+    values, message = one_cobyla_run(evaluator, cfg, 1)
+    # shot noise shrinks one run's trust region to rhoend early
+    assert cobyla.SMALL_TR_RADIUS in message
+    assert len(values) < cfg.maxiter
+
+    result = optimize(evaluator, cfg, np.random.default_rng(1))
+    assert len(result.trace) == cfg.maxiter
+    assert "MAXFUN" in result.message
+    assert result.runs > 1
+    # the first run is the direct one
+    assert result.trace[:len(values)].tobytes() == \
+        np.asarray(values).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
+    # at depth 2 some reruns start where x / scale * scale != x, so a start
+    # rebuilt from the physical angles would differ in its last bits
+    runs = []  # per run: its start, its budget and its evaluations
+    seen = []  # every evaluated (scaled point, value), in order
+    package_minimize = qaoa.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        run = {"x0": np.array(x0), "maxfun": kwargs["maxfun"], "evals": 0}
+        runs.append(run)
+
+        def recorded(x):
+            value = fun(x)
+            run["evals"] += 1
+            seen.append((x.copy(), value))
+            return value
+        return package_minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(qaoa, "minimize", recording_minimize)
+    evaluator, cfg = shots_case(p=2)
+    result = optimize(evaluator, cfg, np.random.default_rng(seed))
+
+    assert len(runs) == result.runs > 1
+    assert sum(run["evals"] for run in runs) == len(result.trace) \
+        == cfg.maxiter
+    spent = 0
+    for run in runs:
+        assert run["maxfun"] == cfg.maxiter - spent
+        if spent:
+            # the first of the lowest values so far, its point bit for bit
+            earlier = [value for _, value in seen[:spent]]
+            x_best = seen[int(np.argmin(earlier))][0]
+            assert run["x0"].tobytes() == x_best.tobytes()
+        spent += run["evals"]
+
+
+def test_rerun_loop_ends_when_each_run_evaluates_once(monkeypatch):
+    calls = []
+
+    def evaluate_start_only(fun, x0, **kwargs):
+        calls.append(kwargs["maxfun"])
+        fun(np.array(x0))
+        return "stub stop"
+
+    monkeypatch.setattr(qaoa, "minimize", evaluate_start_only)
+    cfg = QaoaConfig(p1=1, p2=1, maxiter=7)
+    result = optimize(FactorizedEvaluator(make_generator(1), toy_problem()),
+                      cfg, np.random.default_rng(4))
+    assert calls == list(range(7, 0, -1))
+    assert result.runs == len(result.trace) == 7
+    assert result.message == "stub stop"
+
+
+def test_exact_first_run_at_maxfun_is_one_cobyla_run():
+    # the desk and paper-grid regime: the first run spends the budget, so
+    # the rerun loop never runs and results stay bit for bit
+    _, ham = case_study(90.0)
+    gen = make_generator(2, np.random.default_rng(61).uniform(-1, 1, 6))
+    evaluator = FactorizedEvaluator(gen, ham)
+    cfg = QaoaConfig(p1=2, p2=2, maxiter=100)
+    values, message = one_cobyla_run(evaluator, cfg, 67)
+    assert "MAXFUN" in message
+
+    result = optimize(evaluator, cfg, np.random.default_rng(67))
+    assert result.runs == 1
+    assert result.message == message
+    assert result.trace.tobytes() == np.asarray(values).tobytes()
+    assert result.best_objective == min(values)
+
+
+def test_shots_best_objective_comes_from_the_final_draw(monkeypatch):
+    draws = []  # (normalized distribution, counts) of every multinomial
+    package_sample = sv.sample
+
+    def recording_sample(probs, shots, rng):
+        counts = package_sample(probs, shots, rng)
+        draws.append((probs / probs.sum(), counts))
+        return counts
+
+    monkeypatch.setattr(sv, "sample", recording_sample)
+    evaluator, cfg = shots_case()
+    rng = np.random.default_rng(1)
+    result = optimize(evaluator, cfg, rng)
+
+    # one draw per evaluation, then exactly one more at the chosen angles
+    assert len(draws) == len(result.trace) + 1
+    final, counts = draws[-1]
+    joint = evaluator.joint(result.best_params)
+    assert final.tobytes() == (joint / joint.sum()).tobytes()
+    nz = np.nonzero(counts)[0]
+    diag = evaluator.table.ravel()
+    assert result.best_objective == \
+        float(sum(counts[nz] * diag[nz]) / cfg.shots)
+    np.testing.assert_array_equal(
+        result.first_stage_marginal,
+        evaluator.layout.split(counts).sum(axis=(0, 2)) / cfg.shots)
+
+    twin = np.random.default_rng(1)
+    random_params(cfg.p1, cfg.p2, twin)
+    for probs, drawn in draws:
+        np.testing.assert_array_equal(twin.multinomial(cfg.shots, probs),
+                                      drawn)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_optimize_toy_against_grid_oracle():
