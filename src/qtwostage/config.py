@@ -178,10 +178,6 @@ class ExperimentConfig:
 # the INI grammar and the flags
 # ---------------------------------------------------------------------------
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-
-
 def _number_list(text: str, cast) -> tuple:
     items = text.replace(",", " ").split()
     if not items:
@@ -199,11 +195,9 @@ def _ints(text: str) -> tuple:
 
 def _as_bool(text: str) -> bool:
     word = text.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise StructureError(f"not a boolean: {text!r}")
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise StructureError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def _eval_mode(text: str) -> str:

@@ -173,7 +173,7 @@ def _stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
             # X on qubit q swaps the two halves of axis 1
             view = amps.reshape(size >> (q + 1), 2, (1 << q) * cols)
             amps = (c * view + s * view[:, ::-1]).reshape(size, cols)
-    return amps.real * amps.real + amps.imag * amps.imag
+    return sv.probabilities(amps)
 
 
 class FactorizedEvaluator:
@@ -284,14 +284,15 @@ def optimize(
     A run that stops before the budget (in shots mode, noise shrinks the
     trust region to ``rhoend`` within a few hundred evaluations) is followed
     by another from the best point so far, with what is left of the budget,
-    until ``cfg.maxiter`` evaluations are spent.  In shots mode the best
-    objective is the minimum of noisy estimates, biased low, so the returned
-    one comes from a fresh draw at the chosen angles, the same draw that
-    gives the first-stage marginal.
+    until ``cfg.maxiter`` evaluations are spent; an exact rerun is given its
+    start's value.  In shots mode a rerun draws afresh at its start, and as
+    the least of noisy estimates is biased low, the returned objective comes
+    from a fresh draw at the chosen angles, which gives the marginal too.
     """
     sigma1, sigma2 = evaluator.scales
-    divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
-                              np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
+    divisor = VariationalParams(
+        np.full(cfg.p1, sigma1), np.ones(cfg.p1),
+        np.full(cfg.p2, sigma2), np.ones(cfg.p2)).to_vector()
     trace: list = []
     best = {"value": np.inf, "x": None}
 
@@ -304,20 +305,20 @@ def optimize(
             best["x"] = x.copy()
         return value
 
-    x, runs = random_params(cfg.p1, cfg.p2, rng).to_vector(), 0
-    # each run evaluates its start before it checks any stop condition, so
-    # the loop ends; ``minimize`` is looked up as ``qaoa.minimize`` at call
-    # time, so a wrapper installed there sees every objective evaluation
+    x, f0, runs = random_params(cfg.p1, cfg.p2, rng).to_vector(), None, 0
+    # a run with maxfun >= 1 calls ``fun`` at least once, so the loop ends;
+    # ``minimize`` is looked up as ``qaoa.minimize`` at call time, so a
+    # wrapper installed there sees every objective evaluation
     while len(trace) < cfg.maxiter:
         message = minimize(fun, x, rhobeg=COBYLA_RHOBEG, rhoend=COBYLA_TOL,
-                           maxfun=cfg.maxiter - len(trace))
+                           maxfun=cfg.maxiter - len(trace), f0=f0)
         runs += 1
         if best["x"] is None:
             raise StructureError(
                 f"none of {len(trace)} objective evaluations was finite "
                 f"({message})"
             )
-        x = best["x"]
+        x, f0 = best["x"], (best["value"] if cfg.shots is None else None)
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
 
     if cfg.shots is None:

@@ -6,13 +6,13 @@ increments stay exactly additive.  Z-string phase blocks synthesize as a CX
 parity ladder onto the lowest support qubit, a single RZ, and the mirrored
 ladder.  A basis gate exists only as the rule's ``(kind, qubits, angle)``
 triple: ``lower_to_basis`` returns a circuit of those triples, and
-``count_and_depth`` tallies them.  No gate the simulator runs lowers to X,
-so the ``x`` count is kept as schema and reads 0.
+``count_and_depth`` tallies them into a row's count columns.  No gate the
+simulator runs lowers to X, so the ``x`` count is kept as schema and reads 0.
 
 ``sweep_scaling`` builds circuits at zero angles over grids of scenario
-counts and unit counts and tabulates their lowered counts and depth.  Four
-row families share one schema and are distinguished by their configuration
-columns:
+counts and unit counts, each row its configuration columns and then
+``count_and_depth`` of its circuit.  Four row families share one schema and
+are distinguished by their configuration columns:
 
   * generator block alone            -> M = 0,  p1 = 0, p2 = 0, include_qgan
   * first-stage layers alone         -> p2 = 0, include_qgan = 0
@@ -29,7 +29,7 @@ structural identities pinned in the tests are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,10 +40,9 @@ from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import build_hamiltonian
 
-SWEEP_FIELDS = (
-    "N", "M", "p1", "p2", "include_qgan",
-    "rz", "sx", "x", "cx", "total", "depth",
-)
+_BASIS_KINDS = ("rz", "sx", "x", "cx")
+SWEEP_FIELDS = ("N", "M", "p1", "p2", "include_qgan",
+                *_BASIS_KINDS, "total", "depth")
 
 _HALF_PI = np.pi / 2.0
 
@@ -108,37 +107,18 @@ def lower_to_basis(circuit: sv.Circuit) -> sv.Circuit:
 # counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResourceReport:
-    rz: int
-    sx: int
-    x: int
-    cx: int
-    total: int
-    depth: int
-
-    def __post_init__(self):
-        kinds = (self.rz, self.sx, self.x, self.cx)
-        if any(k < 0 for k in kinds) or self.depth < 0:
-            raise StructureError("gate counts must be non-negative")
-        if self.total != sum(kinds):
-            raise StructureError("total must equal the sum of per-kind counts")
-        if self.depth > self.total:
-            raise StructureError("depth cannot exceed the gate total")
-
-
-def count_and_depth(circuit: sv.Circuit) -> ResourceReport:
-    """Per-kind tallies and layered depth (greedy per-qubit frontier) of the
-    triples ``lower_to_basis(circuit)`` returns."""
-    counts = dict.fromkeys(("rz", "sx", "x", "cx"), 0)
+def count_and_depth(circuit: sv.Circuit) -> dict:
+    """Per-kind tallies, their total and the layered depth (greedy per-qubit
+    frontier) of ``lower_to_basis(circuit)``, keyed as in SWEEP_FIELDS."""
+    counts = dict.fromkeys(_BASIS_KINDS, 0)
     frontier = [0] * circuit.n_qubits
     for kind, qubits, _ in lower_to_basis(circuit).gates:
         counts[kind] += 1
         level = 1 + max(frontier[q] for q in qubits)
         for q in qubits:
             frontier[q] = level
-    return ResourceReport(**counts, total=sum(counts.values()),
-                          depth=max(frontier, default=0))
+    return {**counts, "total": sum(counts.values()),
+            "depth": max(frontier, default=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +166,10 @@ def _sweep_circuit(n_xi: int, n_units: int, p1: int, p2: int) -> sv.Circuit:
 
 
 def _row(n_scen: int, n_units: int, p1: int, p2: int) -> dict:
-    report = count_and_depth(_sweep_circuit(int(np.log2(n_scen)), n_units, p1, p2))
-    return {
-        "N": n_scen,
-        "M": n_units,
-        "p1": p1,
-        "p2": p2,
-        "include_qgan": int(n_units == 0 or (p1 > 0 and p2 > 0)),
-        **asdict(report),  # rz, sx, x, cx, total, depth
-    }
+    circuit = _sweep_circuit(n_scen.bit_length() - 1, n_units, p1, p2)
+    include_qgan = int(n_units == 0 or (p1 > 0 and p2 > 0))
+    config = zip(SWEEP_FIELDS, (n_scen, n_units, p1, p2, include_qgan))
+    return {**dict(config), **count_and_depth(circuit)}
 
 
 def sweep_scaling(N_list, M_list, p1: int, p2: int) -> list:

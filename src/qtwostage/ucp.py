@@ -90,11 +90,8 @@ class ProblemHamiltonian:
     h2_indep: ZPolynomial
     h2_dep: ZPolynomial
 
-    def second_stage(self) -> ZPolynomial:
-        return zpoly_add(self.h2_indep, self.h2_dep)
-
     def total(self) -> ZPolynomial:
-        return zpoly_add(self.h1, self.second_stage())
+        return zpoly_add(self.h1, zpoly_add(self.h2_indep, self.h2_dep))
 
     @cached_property
     def diagonal(self) -> np.ndarray:

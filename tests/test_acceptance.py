@@ -291,7 +291,7 @@ def test_criterion_8_resource_scaling_trends():
             sv.ZPhase(int(m), 0.0) for m in sorted(ham.h2_dep.terms) if m != 0
         ]
         counts.append(
-            count_and_depth(sv.Circuit(ham.layout.n_total, block)).total
+            count_and_depth(sv.Circuit(ham.layout.n_total, block))["total"]
         )
     xs = np.arange(2, 9, dtype=float)
     ys = np.asarray(counts, dtype=float)

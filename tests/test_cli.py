@@ -239,6 +239,20 @@ def test_gen_data_writes_expected_files(tmp_path):
     assert len(scenario_rows) == 1 + 5
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False),
+])
+def test_ini_boolean_words(tmp_path, word, value):
+    cfg = load_config(tiny_config(tmp_path, use_shots=word))
+    assert cfg.qgan.use_shots is value
+
+
+def test_ini_boolean_rejects_other_words(tmp_path):
+    with pytest.raises(StructureError, match="not a boolean: 'maybe'"):
+        load_config(tiny_config(tmp_path, use_shots="maybe"))
+
+
 def test_pipeline_rerun_byte_identical(tmp_path):
     # the sampled paths too: shots in QGAN training and in the QAOA objective
     cfg_path = tiny_config(tmp_path, use_shots="true", eval_mode="shots")

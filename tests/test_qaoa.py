@@ -19,7 +19,7 @@ from qtwostage.qaoa import (
 )
 from qtwostage.qgan import GeneratorSpec, generator_probs
 from qtwostage.ucp import RegisterLayout, build_hamiltonian
-from qtwostage.walsh import reconstruct
+from qtwostage.walsh import reconstruct, zpoly_add
 
 from oracles import (
     classical_surrogate,
@@ -374,6 +374,9 @@ def test_optimize_is_deterministic():
     a = optimize(evaluator, cfg, np.random.default_rng(21))
     b = optimize(evaluator, cfg, np.random.default_rng(21))
     np.testing.assert_array_equal(a.trace, b.trace)
+    # the rerun is given its start's value: no evaluation is spent twice
+    assert a.runs > 1
+    assert len(set(a.trace.tolist())) == len(a.trace) == cfg.maxiter
     np.testing.assert_array_equal(a.best_params.to_vector(),
                                   b.best_params.to_vector())
     assert a.best_objective == min(a.trace)
@@ -457,8 +460,9 @@ def one_cobyla_run(evaluator, cfg, seed):
     """A single direct COBYLA run from ``optimize``'s start: (values, stop)."""
     rng = np.random.default_rng(seed)
     sigma1, sigma2 = evaluator.scales
-    divisor = np.concatenate([np.full(cfg.p1, sigma1), np.ones(cfg.p1),
-                              np.full(cfg.p2, sigma2), np.ones(cfg.p2)])
+    divisor = VariationalParams(
+        np.full(cfg.p1, sigma1), np.ones(cfg.p1),
+        np.full(cfg.p2, sigma2), np.ones(cfg.p2)).to_vector()
     values: list = []
 
     def fun(x):
@@ -498,12 +502,13 @@ def test_shots_restart_spends_the_budget_after_a_trust_region_stop():
 def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
     # at depth 2 some reruns start where x / scale * scale != x, so a start
     # rebuilt from the physical angles would differ in its last bits
-    runs = []  # per run: its start, its budget and its evaluations
+    runs = []  # per run: its start, budget, given f0 and evaluations
     seen = []  # every evaluated (scaled point, value), in order
     package_minimize = qaoa.minimize
 
     def recording_minimize(fun, x0, **kwargs):
-        run = {"x0": np.array(x0), "maxfun": kwargs["maxfun"], "evals": 0}
+        run = {"x0": np.array(x0), "maxfun": kwargs["maxfun"], "evals": 0,
+               "f0": kwargs.get("f0")}
         runs.append(run)
 
         def recorded(x):
@@ -523,6 +528,9 @@ def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
     spent = 0
     for run in runs:
         assert run["maxfun"] == cfg.maxiter - spent
+        # a shots run, rerun or not, draws afresh at its start
+        assert run["f0"] is None
+        assert seen[spent][0].tobytes() == run["x0"].tobytes()
         if spent:
             # the first of the lowest values so far, its point bit for bit
             earlier = [value for _, value in seen[:spent]]
@@ -627,7 +635,7 @@ def test_optimize_toy_against_grid_oracle():
     start = np.kron(np.kron(had, had), had)[:, 0]
     states = start * np.exp(-1j * g1[:, None] * reconstruct(ham.h1))
     states = mixer(states, b1, x_commit)
-    h2 = reconstruct(ham.second_stage())
+    h2 = reconstruct(zpoly_add(ham.h2_indep, ham.h2_dep))
     states = states * np.exp(-1j * g2[:, None] * h2)
     states = mixer(states, b2, x_level)
     grid_best = float(np.min((np.abs(states) ** 2) @ diag))

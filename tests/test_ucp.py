@@ -168,7 +168,7 @@ def test_lambda_zero_decouples_scenarios():
 def test_split_reassembles_unsplit_h2():
     params = config.default_params(lam=30.0)
     ham = ucp.build_hamiltonian(params, 3, 0.0, 2500.0)
-    rebuilt = walsh.reconstruct(ham.second_stage())
+    rebuilt = walsh.reconstruct(walsh.zpoly_add(ham.h2_indep, ham.h2_dep))
     # the start-up cost alone: no generation cost, no imbalance penalty
     startup = replace(params, unit_cost=(0.0, 0.0, 0.0), lam=0.0)
     direct = (surrogate_diagonal(params, 3, 0.0, 2500.0)
