@@ -35,7 +35,7 @@ class EvaluationReport:
             raise StructureError("rp_value cannot exceed eev_value")
 
 
-def second_stage_best(x, xi, params: UcpParams):
+def second_stage_best(x, xi, params: UcpParams, lam: float):
     """Cheapest dispatch for a fixed commitment in each scenario of xi.
 
     Scores every level combination of the committed units against every
@@ -56,42 +56,42 @@ def second_stage_best(x, xi, params: UcpParams):
         supply = supply + levels[:, i]
         generation = generation + params.unit_cost[i] * levels[:, i]
     gap = (params.demand - np.asarray(xi, dtype=float))[:, None] - supply
-    cost = generation + params.lam * np.abs(gap)
+    cost = generation + lam * np.abs(gap)
     best = np.argmin(cost, axis=1)
     return levels[best], cost[np.arange(len(cost)), best]
 
 
-def expected_cost(x, xi: np.ndarray, params: UcpParams) -> float:
+def expected_cost(x, xi: np.ndarray, params: UcpParams, lam: float) -> float:
     """Start-up cost plus the mean best second-stage cost over the equally
     weighted scenarios ``xi``."""
     startup = sum(
         params.startup_cost[i] * x[i] for i in range(params.n_units)
     )
-    _, cost = second_stage_best(x, xi, params)
+    _, cost = second_stage_best(x, xi, params, lam)
     # cumsum adds left to right; `@` and np.sum round pairwise.  Weighting
     # by 1/n rounds differently from dividing by n, so keep the product.
     return float(startup + np.cumsum((1.0 / len(xi)) * cost)[-1])
 
 
-def _costs_per_commitment(xi: np.ndarray, params: UcpParams) -> dict:
+def _costs_per_commitment(xi: np.ndarray, params: UcpParams, lam: float) -> dict:
     return {
-        x: expected_cost(x, xi, params)
+        x: expected_cost(x, xi, params, lam)
         for x in itertools.product((0, 1), repeat=params.n_units)
     }
 
 
-def solve_ev(xi_mean: float, params: UcpParams):
+def solve_ev(xi_mean: float, params: UcpParams, lam: float):
     """Best commitment when the uncertainty collapses to its mean."""
-    costs = _costs_per_commitment(np.array([xi_mean]), params)
+    costs = _costs_per_commitment(np.array([xi_mean]), params, lam)
     best_x = min(costs, key=costs.get)  # the first of tied minima
     return best_x, costs[best_x]
 
 
-def evaluate(xi: np.ndarray, params: UcpParams) -> EvaluationReport:
-    """All baselines for one lambda over the equally weighted scenarios xi."""
-    per_x = _costs_per_commitment(xi, params)
+def evaluate(xi: np.ndarray, params: UcpParams, lam: float) -> EvaluationReport:
+    """All baselines at penalty weight lam over the equally weighted xi."""
+    per_x = _costs_per_commitment(xi, params, lam)
     rp_solution = min(per_x, key=per_x.get)  # the first of tied minima
-    ev_solution, _ = solve_ev(float(np.mean(xi)), params)
+    ev_solution, _ = solve_ev(float(np.mean(xi)), params, lam)
     return EvaluationReport(
         rp_value=per_x[rp_solution],
         rp_solution=rp_solution,

@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_flags, load_config, read_text
@@ -171,10 +170,9 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
     test = _load_test_set(cfg)
     records = []
     for lam in cfg.lambdas:
-        params = replace(cfg.problem, lam=float(lam))
-        report = evaluate(test, params)
+        report = evaluate(test, cfg.problem, lam)
         evaluator = FactorizedEvaluator(
-            spec, build_hamiltonian(params, n_xi, 0.0, cfg.xi_max))
+            spec, build_hamiltonian(cfg.problem, lam, n_xi, 0.0, cfg.xi_max))
         # no angles reach below this, so best_objective / optimum >= 1 says
         # how far a restart stopped from a perfectly adapted recourse; shot
         # noise in a sampled best_objective can put the ratio below 1
@@ -230,7 +228,7 @@ def cmd_baselines(cfg: ExperimentConfig, args) -> int:
     ]
     rows = []
     for lam in cfg.lambdas:
-        report = evaluate(test, replace(cfg.problem, lam=float(lam)))
+        report = evaluate(test, cfg.problem, lam)
         rows.append(
             [_fmt(lam), _fmt(report.rp_value), _fmt(report.eev_value),
              bits_to_string(report.rp_solution),

@@ -50,37 +50,35 @@ class UcpParams:
     p_max: tuple
     startup_cost: tuple
     unit_cost: tuple
-    lam: float
 
     def __post_init__(self):
         m = self.n_units
         if not (len(self.p_min) == len(self.p_max) == len(self.startup_cost)
                 == len(self.unit_cost) == m):
             raise StructureError("parameter arrays must all have length n_units")
-        if not all(map(math.isfinite, (self.demand, self.lam, *self.p_min,
-                                       *self.p_max, *self.startup_cost,
-                                       *self.unit_cost))):
+        if not all(map(math.isfinite, (self.demand, *self.p_min, *self.p_max,
+                                       *self.startup_cost, *self.unit_cost))):
             raise StructureError("problem data must be finite")
         for i in range(m):
             if not self.p_min[i] < self.p_max[i]:
                 raise StructureError(f"unit {i}: p_min must be < p_max")
             if self.startup_cost[i] < 0 or self.unit_cost[i] < 0:
                 raise StructureError(f"unit {i}: costs must be >= 0")
-        # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
-        if self.lam < 0:
-            raise StructureError("lam must be >= 0")
 
 
-def default_params(lam: float) -> UcpParams:
-    """Bundled three-unit configuration used by the demo pipeline and tests."""
+def default_params(n_units: int = 3) -> UcpParams:
+    """The bundled three-unit fleet, its units cycled to ``n_units``."""
+
+    def pick(values):
+        return tuple(values[i % 3] for i in range(n_units))
+
     return UcpParams(
-        n_units=3,
+        n_units=n_units,
         demand=2500.0,
-        p_min=(300.0, 500.0, 100.0),
-        p_max=(750.0, 1000.0, 200.0),
-        startup_cost=(4000.0, 5000.0, 1000.0),
-        unit_cost=(15.0, 20.0, 10.0),
-        lam=lam,
+        p_min=pick((300.0, 500.0, 100.0)),
+        p_max=pick((750.0, 1000.0, 200.0)),
+        startup_cost=pick((4000.0, 5000.0, 1000.0)),
+        unit_cost=pick((15.0, 20.0, 10.0)),
     )
 
 
@@ -127,7 +125,7 @@ class QaoaConfig:
 class ExperimentConfig:
     """Every setting of an experiment; the defaults are the desk-scale run."""
 
-    problem: UcpParams = default_params(_LAMBDAS[0])
+    problem: UcpParams = default_params()
     alpha: float = 3.0
     beta: float = 7.0
     xi_max: float = 2500.0
@@ -160,8 +158,9 @@ class ExperimentConfig:
             raise StructureError("n_seeds must be >= 1")
         if not self.lambdas:
             raise StructureError("lambda sweep cannot be empty")
-        for lam in self.lambdas:
-            replace(self.problem, lam=lam)  # UcpParams checks every weight
+        # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
+        if not all(0 <= lam < math.inf for lam in self.lambdas):
+            raise StructureError("every lambda must be finite and >= 0")
         if min(self.m_values) < 1 or any(
                 n < 2 or n & (n - 1) for n in self.n_values):
             raise StructureError("n_values must be powers of two >= 2 "
@@ -247,9 +246,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     exact = qaoa.pop("eval_mode", "exact") == "exact"
     # built before exact mode drops the shots, so a bad value is still an error
     qaoa_cfg = QaoaConfig(**{"shots": PAPER_SHOTS, **qaoa})
-    lam = fields.get("lambdas", _LAMBDAS)[0]
     return ExperimentConfig(
-        problem=replace(default_params(lam), **given["problem"]),
+        problem=replace(default_params(), **given["problem"]),
         qgan=TrainConfig(**given["qgan"]),
         qaoa=replace(qaoa_cfg, shots=None) if exact else qaoa_cfg,
         **fields,
@@ -275,6 +273,4 @@ def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
         cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
     if getattr(args, "exact", False):
         cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=None))
-    if cfg.problem.lam != cfg.lambdas[0]:
-        cfg = replace(cfg, problem=replace(cfg.problem, lam=cfg.lambdas[0]))
     return cfg

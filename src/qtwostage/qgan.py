@@ -70,13 +70,18 @@ def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
     return sv.Circuit(spec.n_xi, gates)
 
 
+def _measure(probs: np.ndarray, shots: int | None, rng) -> np.ndarray:
+    """``probs`` itself, or its empirical frequencies at ``shots``."""
+    return probs if shots is None else sv.sample(probs, shots, rng) / shots
+
+
 def generator_probs(spec: GeneratorSpec, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Exact output distribution, or empirical frequencies at `shots`; a 2-D
     ``spec.theta`` gives one row per column, sampled in column order."""
     amps = np.tile(sv.new_zero_state(spec.n_xi), (*spec.theta.shape[1:], 1))
     probs = sv.probabilities(sv.run_circuit(generator_circuit(spec), amps))
-    return probs if shots is None else sv.sample(probs, shots, rng) / shots
+    return _measure(probs, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +269,8 @@ def train(
 
         spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
-        # measured as `generator_probs(spec, shots, rng)` would, from the
-        # distribution `evaluate` already simulated at theta
-        fake = (p_exact if shots is None
-                else sv.sample(p_exact, shots, rng) / shots)
+        # measured from the distribution `evaluate` already simulated at theta
+        fake = _measure(p_exact, shots, rng)
 
         grads_real, _ = disc.backward(np.asarray(target, dtype=float), 1.0)
         grads_fake, _ = disc.backward(fake, 0.0)

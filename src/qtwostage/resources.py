@@ -29,12 +29,10 @@ structural identities pinned in the tests are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import statevec as sv
-from .config import UcpParams, default_params
+from .config import default_params
 from .errors import StructureError
 from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
@@ -125,34 +123,14 @@ def count_and_depth(circuit: sv.Circuit) -> dict:
 # scaling sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_params(n_units: int) -> UcpParams:
-    """Fleet of ``n_units`` generators cycling the bundled three-unit data.
-
-    Only the support structure of the cost polynomials matters for counting,
-    but coefficients must stay non-zero so no term is pruned away.
-    """
-    base = default_params(30.0)
-
-    def pick(vals):
-        return tuple(vals[i % 3] for i in range(n_units))
-
-    return replace(
-        base,
-        n_units=n_units,
-        p_min=pick(base.p_min),
-        p_max=pick(base.p_max),
-        startup_cost=pick(base.startup_cost),
-        unit_cost=pick(base.unit_cost),
-    )
-
-
 def _sweep_circuit(n_xi: int, n_units: int, p1: int, p2: int) -> sv.Circuit:
     """The circuit of one sweep row, at zero angles; its family follows
     from (n_units, p1, p2) as in the module docstring."""
     spec = default_spec(n_xi)
     if n_units == 0:
         return generator_circuit(spec)
-    ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
+    # any lam > 0 keeps the gap^2 terms, whose support is all that counts
+    ham = build_hamiltonian(default_params(n_units), 30.0, n_xi, 0.0, 2500.0)
     zero1, zero2 = np.zeros(p1), np.zeros(p2)
     if p1 and p2:
         return assemble(spec, ham, VariationalParams(zero1, zero1, zero2, zero2))

@@ -116,10 +116,10 @@ def build_y_operator(i: int, params: UcpParams, layout: RegisterLayout) -> ZPoly
 
 
 def build_hamiltonian(
-    params: UcpParams, n_xi: int, xi_min: float, xi_max: float
+    params: UcpParams, lam: float, n_xi: int, xi_min: float, xi_max: float
 ) -> ProblemHamiltonian:
-    """Diagonal cost Hamiltonian on n_xi scenario qubits and the units'
-    decision qubits, split at the scenario register."""
+    """Diagonal cost Hamiltonian at penalty weight lam on n_xi scenario
+    qubits and the units' decision qubits, split at the scenario register."""
     layout = RegisterLayout(n_xi, params.n_units)
     n = layout.n_total
     # the scenario qubits are the register's low bits, so the grid
@@ -138,7 +138,7 @@ def build_hamiltonian(
         h2 = zpoly_add(h2, zpoly_scale(y_i, params.unit_cost[i]))
 
     gap = zpoly_sub(zpoly_sub(constant(n, params.demand), xi_hat), supply)
-    h2 = zpoly_add(h2, zpoly_scale(zpoly_mul(gap, gap), params.lam))
+    h2 = zpoly_add(h2, zpoly_scale(zpoly_mul(gap, gap), lam))
 
     smask = layout.scenario_mask
     dep = {m: c for m, c in h2.terms.items() if m & smask}

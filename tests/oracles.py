@@ -34,7 +34,8 @@ from qtwostage.walsh import ZPolynomial, _pruned, reconstruct
 # the classical model, one basis state at a time
 # ---------------------------------------------------------------------------
 
-def classical_surrogate(x, b, xi: float, params: UcpParams) -> float:
+def classical_surrogate(x, b, xi: float, params: UcpParams,
+                        lam: float) -> float:
     """Start-up + generation + quadratic imbalance penalty for one scenario."""
     if len(x) != params.n_units or len(b) != params.n_units:
         raise StructureError("x and b must have one bit per unit")
@@ -46,7 +47,7 @@ def classical_surrogate(x, b, xi: float, params: UcpParams) -> float:
     return (
         sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
         + sum(params.unit_cost[i] * y[i] for i in range(params.n_units))
-        + params.lam * gap * gap
+        + lam * gap * gap
     )
 
 
@@ -71,7 +72,7 @@ def encode_basis(s: int, x, b, layout: RegisterLayout) -> int:
 
 
 def surrogate_diagonal(
-    params: UcpParams, n_xi: int, xi_min: float, xi_max: float
+    params: UcpParams, lam: float, n_xi: int, xi_min: float, xi_max: float
 ) -> np.ndarray:
     """`classical_surrogate` at every basis state of the n_xi-scenario-qubit
     register, with scenario s at the grid point linspace(xi_min, xi_max)[s]."""
@@ -80,7 +81,7 @@ def surrogate_diagonal(
     out = np.empty(2**layout.n_total)
     for index in range(len(out)):
         s, x, b = decode_basis(index, layout)
-        out[index] = classical_surrogate(x, b, grid[s], params)
+        out[index] = classical_surrogate(x, b, grid[s], params, lam)
     return out
 
 
@@ -214,13 +215,15 @@ def row_major_joint(
 def verify_prop1(
     spec: GeneratorSpec,
     params: UcpParams,
+    lam: float,
     xi_min: float,
     xi_max: float,
     vp: VariationalParams,
 ) -> float:
     """|full-circuit expectation - factorized recomputation|.
 
-    Both sides read the problem from ``params`` and the generator alone.
+    Both sides read the problem from ``params``, ``lam`` and the generator
+    alone.
     The factorized side never builds the joint circuit: first-stage
     amplitudes come from a first-stage-only circuit, scenario weights from
     the generator alone, and each second-stage value from an independently
@@ -228,7 +231,7 @@ def verify_prop1(
     scenario value substituted as plain numbers.
     """
     n_xi, m = spec.n_xi, params.n_units
-    ham = build_hamiltonian(params, n_xi, xi_min, xi_max)
+    ham = build_hamiltonian(params, lam, n_xi, xi_min, xi_max)
     lhs = sv.expectation_diagonal(final_state(spec, ham, vp), ham.diagonal)
 
     # first-stage-only circuit on an M-qubit register
@@ -249,8 +252,8 @@ def verify_prop1(
         for s in range(2**n_xi):
             diag2 = np.array([
                 classical_surrogate(
-                    x, tuple((b >> i) & 1 for i in range(m)), grid[s], params
-                ) - h1_val
+                    x, tuple((b >> i) & 1 for i in range(m)), grid[s], params,
+                    lam) - h1_val
                 for b in range(2**m)
             ])
             poly2 = fwht_expand(diag2)

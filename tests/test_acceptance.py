@@ -107,11 +107,11 @@ def test_criterion_2_hamiltonian_matches_surrogate():
     layout = RegisterLayout(5, 3)
     worst = 0.0
     for lam in (30.0, 200.0):
-        params = default_params(lam)
+        params = default_params()
         diag = reconstruct(
-            build_hamiltonian(params, layout.n_xi, 0.0, XI_MAX).total()
+            build_hamiltonian(params, lam, layout.n_xi, 0.0, XI_MAX).total()
         )
-        want = surrogate_diagonal(params, layout.n_xi, 0.0, XI_MAX)
+        want = surrogate_diagonal(params, lam, layout.n_xi, 0.0, XI_MAX)
         scale = float(np.max(np.abs(want)))
         rel = np.abs(diag - want) / np.maximum(1.0 + np.abs(want), scale)
         worst = max(worst, float(np.max(rel)))
@@ -135,23 +135,22 @@ def test_criterion_3_factorized_objective_identity():
         p_max=(750.0 * scale, 1000.0 * scale, 200.0 * scale),
         startup_cost=(4000.0 * scale, 5000.0 * scale, 1000.0 * scale),
         unit_cost=(15.0 * scale, 20.0 * scale, 10.0 * scale),
-        lam=30.0 * scale,
     )
     worst_abs = 0.0
     for _ in range(20):
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
         worst_abs = max(worst_abs, verify_prop1(
-            gen, params_s, 0.0, XI_MAX * scale, vp))
+            gen, params_s, 30.0 * scale, 0.0, XI_MAX * scale, vp))
 
     # full-scale companion: residual relative to the objective magnitude
-    params_f = default_params(30.0)
-    ham_f = build_hamiltonian(params_f, 2, 0.0, XI_MAX)
+    params_f = default_params()
+    ham_f = build_hamiltonian(params_f, 30.0, 2, 0.0, XI_MAX)
     worst_rel = 0.0
     for _ in range(3):
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params_f, 0.0, XI_MAX, vp)
+        residual = verify_prop1(gen, params_f, 30.0, 0.0, XI_MAX, vp)
         lhs = FactorizedEvaluator(gen, ham_f)(vp)
         worst_rel = max(worst_rel, residual / max(1.0, abs(lhs)))
 
@@ -164,7 +163,7 @@ def test_criterion_3_factorized_objective_identity():
 
 def test_criterion_4_scenario_decision_independence():
     t0 = time.perf_counter()
-    ham = build_hamiltonian(default_params(30.0), 2, 0.0, XI_MAX)
+    ham = build_hamiltonian(default_params(), 30.0, 2, 0.0, XI_MAX)
     layout = ham.layout
 
     worst = 0.0
@@ -213,13 +212,13 @@ def test_criterion_5_generator_distribution_agreement():
 
 def test_criterion_6_baseline_values():
     t0 = time.perf_counter()
-    x_ev, value_ev = solve_ev(750.0, default_params(30.0))
+    x_ev, value_ev = solve_ev(750.0, default_params(), 30.0)
     ev_ok = x_ev == (1, 1, 0) and abs(value_ev - 40250.0) < 1e-9
 
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     order_ok = True
     for lam in PAPER_LAMBDAS:
-        report = evaluate(test, default_params(float(lam)))
+        report = evaluate(test, default_params(), lam)
         tol = 1e-9 * max(1.0, abs(report.eev_value))
         order_ok &= report.rp_value <= report.eev_value + tol
         order_ok &= all(
@@ -238,9 +237,9 @@ def test_criterion_7_end_to_end_solution_quality():
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     cfg = QaoaConfig(p1=4, p2=4, maxiter=400)
 
-    params30 = default_params(30.0)
+    params = default_params()
     evaluator30 = FactorizedEvaluator(
-        gen, build_hamiltonian(params30, 2, 0.0, XI_MAX))
+        gen, build_hamiltonian(params, 30.0, 2, 0.0, XI_MAX))
     maps = [
         bits_to_string(
             optimize(evaluator30, cfg, np.random.default_rng(s)).map_solution
@@ -249,14 +248,13 @@ def test_criterion_7_end_to_end_solution_quality():
     ]
     hits = sum(m in {"110", "111"} for m in maps)
 
-    params200 = default_params(200.0)
     evaluator200 = FactorizedEvaluator(
-        gen, build_hamiltonian(params200, 2, 0.0, XI_MAX))
-    report = evaluate(test, params200)
+        gen, build_hamiltonian(params, 200.0, 2, 0.0, XI_MAX))
+    report = evaluate(test, params, 200.0)
     c_best = min(
         expected_cost(
             optimize(evaluator200, cfg, np.random.default_rng(s)).map_solution,
-            test, params200,
+            test, params, 200.0,
         )
         for s in range(5)
     )
@@ -283,10 +281,10 @@ def test_criterion_8_resource_scaling_trends():
     }
     first_stage_ok = len(increments) == 1
 
-    params = default_params(30.0)
+    params = default_params()
     counts = []
     for n_xi in range(2, 9):
-        ham = build_hamiltonian(params, n_xi, 0.0, XI_MAX)
+        ham = build_hamiltonian(params, 30.0, n_xi, 0.0, XI_MAX)
         block = [
             sv.ZPhase(int(m), 0.0) for m in sorted(ham.h2_dep.terms) if m != 0
         ]
@@ -337,7 +335,7 @@ def test_criterion_8_resource_scaling_trends():
 
 def test_criterion_9_estimator_statistics():
     t0 = time.perf_counter()
-    ham = build_hamiltonian(default_params(30.0), 2, 0.0, XI_MAX)
+    ham = build_hamiltonian(default_params(), 30.0, 2, 0.0, XI_MAX)
     gen = random_generator(2, np.random.default_rng(41))
     vp = random_params(2, 2, np.random.default_rng(42))
 

@@ -14,24 +14,24 @@ def single_scenario(xi: float) -> np.ndarray:
 
 
 def test_second_stage_best_hand_enumeration():
-    params = default_params(30.0)
-    y, cost = bl.second_stage_best((1, 1, 0), [750.0], params)
+    params = default_params()
+    y, cost = bl.second_stage_best((1, 1, 0), [750.0], params, 30.0)
     assert y.shape == (1, 3) and cost.shape == (1,)
     assert tuple(y[0]) == (750.0, 1000.0, 0.0)
     assert cost[0] == pytest.approx(31250.0)
 
 
 def test_second_stage_best_empty_commitment():
-    params = default_params(30.0)
+    params = default_params()
     for xi in (0.0, 750.0, 2500.0):
-        y, cost = bl.second_stage_best((0, 0, 0), [xi], params)
+        y, cost = bl.second_stage_best((0, 0, 0), [xi], params, 30.0)
         assert tuple(y[0]) == (0.0, 0.0, 0.0)
         assert cost[0] == pytest.approx(30.0 * abs(2500.0 - xi))
 
 
 def test_second_stage_best_zero_lambda_picks_minimum_generation():
-    params = default_params(0.0)
-    y, cost = bl.second_stage_best((1, 1, 1), [100.0], params)
+    params = default_params()
+    y, cost = bl.second_stage_best((1, 1, 1), [100.0], params, 0.0)
     assert tuple(y[0]) == (300.0, 500.0, 100.0)
     assert cost[0] == pytest.approx(15 * 300 + 20 * 500 + 10 * 100)
 
@@ -39,37 +39,37 @@ def test_second_stage_best_zero_lambda_picks_minimum_generation():
 def test_second_stage_best_tie_is_lexicographically_smallest():
     params = UcpParams(
         n_units=2, demand=3.0, p_min=(1.0, 1.0), p_max=(2.0, 2.0),
-        startup_cost=(0.0, 0.0), unit_cost=(0.0, 0.0), lam=1.0,
+        startup_cost=(0.0, 0.0), unit_cost=(0.0, 0.0),
     )
     # sums 2,3,3,4 -> gaps 1,0,0,1: combos (1,2) and (2,1) tie at cost 0
-    y, cost = bl.second_stage_best((1, 1), [0.0], params)
+    y, cost = bl.second_stage_best((1, 1), [0.0], params, 1.0)
     assert cost[0] == pytest.approx(0.0)
     assert tuple(y[0]) == (1.0, 2.0)
 
     with pytest.raises(StructureError):
-        bl.second_stage_best((1, 1, 0), [0.0], params)
+        bl.second_stage_best((1, 1, 0), [0.0], params, 1.0)
 
 
 def test_second_stage_cost_is_continuous_in_xi():
-    params = default_params(90.0)
+    params, lam = default_params(), 90.0
     xs = np.linspace(-100.0, 2700.0, 1401)
     step = xs[1] - xs[0]
     for x in ((1, 1, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0)):
-        _, costs = bl.second_stage_best(x, xs, params)
+        _, costs = bl.second_stage_best(x, xs, params, lam)
         jumps = np.abs(np.diff(costs))
-        assert np.max(jumps) <= params.lam * step + 1e-9
+        assert np.max(jumps) <= lam * step + 1e-9
 
 
 def test_expected_cost_single_scenario():
-    params = default_params(30.0)
-    got = bl.expected_cost((1, 1, 0), single_scenario(750.0), params)
+    params = default_params()
+    got = bl.expected_cost((1, 1, 0), single_scenario(750.0), params, 30.0)
     assert got == pytest.approx(4000 + 5000 + 31250.0)
 
 
 def test_expected_cost_empty_commitment_formula():
-    params = default_params(30.0)
+    params = default_params()
     xi = np.array([100.0, 900.0, 1600.0])
-    got = bl.expected_cost((0, 0, 0), xi, params)
+    got = bl.expected_cost((0, 0, 0), xi, params, 30.0)
     want = 30.0 * np.mean(np.abs(2500.0 - xi))
     assert got == pytest.approx(want)
 
@@ -78,19 +78,19 @@ def test_expected_cost_monotone_in_lambda():
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, 2500.0, seed=3), 50)
     for x in ((1, 1, 0), (0, 1, 1), (1, 1, 1)):
         values = [
-            bl.expected_cost(x, test, default_params(lam))
+            bl.expected_cost(x, test, default_params(), lam)
             for lam in PAPER_LAMBDAS
         ]
         assert np.all(np.diff(values) >= -1e-9)
 
 
 def test_solve_rp_is_exhaustive_minimum():
-    params = default_params(60.0)
+    params = default_params()
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, 2500.0, seed=7), 100)
-    report = bl.evaluate(test, params)
+    report = bl.evaluate(test, params, 60.0)
     x_rp, rp = report.rp_solution, report.rp_value
     costs = {
-        x: bl.expected_cost(x, test, params)
+        x: bl.expected_cost(x, test, params, 60.0)
         for x in [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     }
     assert rp == pytest.approx(min(costs.values()))
@@ -99,33 +99,30 @@ def test_solve_rp_is_exhaustive_minimum():
 
 
 def test_solve_rp_zero_lambda_commits_nothing():
-    params = default_params(0.0)
-    report = bl.evaluate(single_scenario(750.0), params)
+    report = bl.evaluate(single_scenario(750.0), default_params(), 0.0)
     x_rp, rp = report.rp_solution, report.rp_value
     assert x_rp == (0, 0, 0)
     assert rp == pytest.approx(0.0)
 
 
 def test_solve_ev_table_values():
-    x_ev, value = bl.solve_ev(750.0, default_params(30.0))
+    x_ev, value = bl.solve_ev(750.0, default_params(), 30.0)
     assert x_ev == (1, 1, 0)
     assert value == pytest.approx(40250.0)
 
 
 def test_solve_ev_edges():
-    params = default_params(30.0)
-    x_ev, value = bl.solve_ev(2500.0, params)
+    params = default_params()
+    x_ev, value = bl.solve_ev(2500.0, params, 30.0)
     assert x_ev == (0, 0, 0)
     assert value == pytest.approx(0.0)
 
-    huge = default_params(1e6)
-    x_ev, _ = bl.solve_ev(0.0, huge)
+    x_ev, _ = bl.solve_ev(0.0, params, 1e6)
     assert x_ev == (1, 1, 1)  # maximize supply toward demand
 
 
 def test_eev_degenerate_test_set_equals_ev():
-    params = default_params(30.0)
-    report = bl.evaluate(single_scenario(750.0), params)
+    report = bl.evaluate(single_scenario(750.0), default_params(), 30.0)
     assert report.eev_value == pytest.approx(40250.0)
 
 
@@ -133,7 +130,7 @@ def test_report_invariants_across_lambda_grid():
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, 2500.0, seed=11), 200)
     gaps = []
     for lam in PAPER_LAMBDAS:
-        report = bl.evaluate(test, default_params(lam))
+        report = bl.evaluate(test, default_params(), lam)
         assert report.rp_value <= report.eev_value + 1e-9
         assert report.rp_value == pytest.approx(min(report.per_x_costs.values()))
         gaps.append(report.eev_value - report.rp_value)
@@ -169,7 +166,7 @@ def test_lambda_grid():
 # bitwise oracle: the scalar scan over one scenario at a time
 # ---------------------------------------------------------------------------
 
-def scalar_second_stage_best(x, xi, params):
+def scalar_second_stage_best(x, xi, params, lam):
     """Per-scenario itertools scan; ties keep the first combination."""
     committed = [i for i in range(params.n_units) if x[i]]
     best_y, best_cost = None, np.inf
@@ -180,21 +177,21 @@ def scalar_second_stage_best(x, xi, params):
             y[i] = level
         gap = params.demand - xi - sum(y)
         cost = (sum(params.unit_cost[i] * y[i] for i in committed)
-                + params.lam * abs(gap))
+                + lam * abs(gap))
         if cost < best_cost:
             best_y, best_cost = tuple(y), float(cost)
     return best_y, best_cost
 
 
-def scalar_expected_cost(x, xi, params):
+def scalar_expected_cost(x, xi, params, lam):
     startup = sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
     p = 1.0 / len(xi)
-    recourse = sum(p * scalar_second_stage_best(x, xi_s, params)[1]
+    recourse = sum(p * scalar_second_stage_best(x, xi_s, params, lam)[1]
                    for xi_s in xi)
     return float(startup + recourse)
 
 
-def random_fleet(rng, n_units: int, lam: float) -> UcpParams:
+def random_fleet(rng, n_units: int) -> UcpParams:
     """Levels on a 50 kWh lattice, so equal-supply combinations tie."""
     p_min = rng.integers(0, 5, n_units) * 50.0
     return UcpParams(
@@ -204,7 +201,6 @@ def random_fleet(rng, n_units: int, lam: float) -> UcpParams:
         p_max=tuple(p_min + rng.integers(1, 4, n_units) * 50.0),
         startup_cost=tuple(rng.integers(0, 3, n_units) * 1000.0),
         unit_cost=tuple(rng.integers(0, 3, n_units) * 5.0),
-        lam=lam,
     )
 
 
@@ -212,16 +208,18 @@ def random_fleet(rng, n_units: int, lam: float) -> UcpParams:
 def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
     rng = np.random.default_rng(100 + n_units)
     for trial in range(20):
-        params = random_fleet(rng, n_units, (0.0, 1.0, 30.0, 77.7)[trial % 4])
+        params = random_fleet(rng, n_units)
+        lam = (0.0, 1.0, 30.0, 77.7)[trial % 4]
         xi = rng.uniform(-100.0, params.demand + 200.0,
                          size=int(rng.integers(1, 40)))
         xi[0] = params.demand - sum(params.p_min)  # an exact balance
         for x in itertools.product((0, 1), repeat=n_units):
-            y, cost = bl.second_stage_best(x, xi, params)
+            y, cost = bl.second_stage_best(x, xi, params, lam)
             for s, xi_s in enumerate(xi):
-                want_y, want_cost = scalar_second_stage_best(x, xi_s, params)
+                want_y, want_cost = scalar_second_stage_best(x, xi_s, params,
+                                                             lam)
                 assert tuple(y[s]) == want_y
                 assert cost[s] == want_cost
-            assert bl.expected_cost(x, xi, params) == \
-                scalar_expected_cost(x, xi, params)
+            assert bl.expected_cost(x, xi, params, lam) == \
+                scalar_expected_cost(x, xi, params, lam)
 

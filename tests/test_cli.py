@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -75,7 +77,6 @@ def test_load_config_defaults():
     assert cfg.lambdas == (30.0, 90.0, 150.0, 200.0)
     assert cfg.qaoa.shots is None
     assert cfg.problem.n_units == 3
-    assert cfg.problem.lam == 30.0
     assert cfg.qgan.epochs == 400
     assert cfg.n_seeds == 5
     assert cfg.master_seed == 7
@@ -96,7 +97,12 @@ lambdas = 30, 200
     assert cfg.n_grid == 16
     assert cfg.qaoa.shots == 2000
     assert cfg.lambdas == (30.0, 200.0)
-    assert cfg.problem.lam == 30.0
+
+
+def test_load_config_accepts_zero_lambda(tmp_path):
+    # the documented diagnostic: lambda = 0 drops the imbalance penalty
+    cfg = load_config(write_config(tmp_path, "[sweep]\nlambdas = 0\n"))
+    assert cfg.lambdas == (0.0,)
 
 
 def test_defaults_are_written_once(tmp_path):
@@ -177,6 +183,8 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("train-qgan", "[qgan]\ninit_scale = -1\n", []),
     ("baselines", "[sweep]\nlambdas = 30, -5\n", []),
     ("run", "", ["--lambdas", "30,inf"]),
+    ("baselines", "[sweep]\nlambdas = nan\n", []),
+    ("run", "", ["--lambdas", "30,-0.5"]),
     ("resources", "[sweep]\nn_values = 4, 3\n", []),
     ("resources", "[sweep]\nm_values = 0\n", []),
     ("resources", "[sweep]\nm_values = 31\n", []),
@@ -201,6 +209,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
+        "lambda-nan", "lambda-flag-negative",
         "n_values", "m_values", "m_values-above-z-limit",
         "n_values-above-z-limit", "above-max-qubits", "unparsed-shots",
         "exact-negative-shots", "exact-zero-shots", "alpha-inf", "beta-inf",
@@ -478,6 +487,23 @@ def test_baselines_csv(tmp_path):
         cells = line.split(",")
         assert float(cells[1]) <= float(cells[2]) + 1e-9  # RP <= EEV
         assert set(cells[3]) <= {"0", "1"}
+
+
+def test_run_records_agree_with_baselines_csv_bitwise(tmp_path):
+    cfg_path = tiny_config(tmp_path, lambdas="30, 150", n_seeds=2)
+    out = tmp_path / "results"
+    for stage in ("gen-data", "train-qgan", "run", "baselines"):
+        assert main([stage, "--config", cfg_path]) == 0, stage
+    records = [json.loads(line)
+               for line in (out / "records.jsonl").read_text().splitlines()]
+    rows = {row["lam"]: row for row in csv.DictReader(
+        io.StringIO((out / "baselines.csv").read_text()))}
+    assert sorted(rows) == ["150.0", "30.0"] and len(records) == 4
+    for record in records:
+        row = rows[repr(record["lam"])]
+        assert repr(record["rp"]) == row["rp"]
+        assert repr(record["eev"]) == row["eev"]
+        assert repr(record["cost_map"]) == row[f"cost_{record['map']}"]
 
 
 def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,18 +37,9 @@ def make_generator(n_xi: int, theta=None) -> GeneratorSpec:
 
 
 def case_study(lam: float, n_xi: int = 2):
-    params = default_params(lam)
-    ham = build_hamiltonian(params, n_xi, 0.0, 2500.0)
+    params = default_params()
+    ham = build_hamiltonian(params, lam, n_xi, 0.0, 2500.0)
     return params, ham
-
-
-def fleet(n_units: int, lam: float = 90.0) -> UcpParams:
-    """The first ``n_units`` units of the case-study fleet."""
-    full = default_params(lam)
-    return replace(full, n_units=n_units, p_min=full.p_min[:n_units],
-                   p_max=full.p_max[:n_units],
-                   startup_cost=full.startup_cost[:n_units],
-                   unit_cost=full.unit_cost[:n_units])
 
 
 def unit_phase(vp: VariationalParams, evaluator) -> VariationalParams:
@@ -62,9 +52,9 @@ def unit_phase(vp: VariationalParams, evaluator) -> VariationalParams:
 def toy_problem():
     params = UcpParams(
         n_units=1, demand=2.0, p_min=(1.0,), p_max=(2.0,),
-        startup_cost=(1.0,), unit_cost=(1.0,), lam=1.0,
+        startup_cost=(1.0,), unit_cost=(1.0,),
     )
-    return build_hamiltonian(params, 1, 0.0, 1.0)
+    return build_hamiltonian(params, 1.0, 1, 0.0, 1.0)
 
 
 def test_variational_params_validation():
@@ -178,7 +168,7 @@ def test_objective_matches_product_oracle():
     # scenario s is the low two bits of a basis index; the 64 decision
     # states are uniform at zero angles
     weights = np.tile(generator_probs(gen), 64) / 64.0
-    want = float(weights @ surrogate_diagonal(params, 2, 0.0, 2500.0))
+    want = float(weights @ surrogate_diagonal(params, 30.0, 2, 0.0, 2500.0))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -233,7 +223,8 @@ def test_evaluator_matches_gate_level_circuit():
     rng = np.random.default_rng(43)
     for n_units in (1, 2, 3):
         for n_xi in (1, 2, 3):
-            ham = build_hamiltonian(fleet(n_units), n_xi, 0.0, 2500.0)
+            ham = build_hamiltonian(default_params(n_units), 90.0, n_xi,
+                                    0.0, 2500.0)
             gen = make_generator(n_xi, rng.uniform(-1, 1, n_xi * (n_xi + 1)))
             evaluator = FactorizedEvaluator(gen, ham)
             for p in (1, 2, 3, 4):
@@ -249,7 +240,8 @@ def test_evaluator_matches_row_major_oracle_bitwise():
     rng = np.random.default_rng(101)
     for n_units in (1, 2, 3):
         for n_xi in (1, 2, 3):
-            ham = build_hamiltonian(fleet(n_units), n_xi, 0.0, 2500.0)
+            ham = build_hamiltonian(default_params(n_units), 90.0, n_xi,
+                                    0.0, 2500.0)
             gen = make_generator(n_xi, rng.uniform(-1, 1, n_xi * (n_xi + 1)))
             evaluator = FactorizedEvaluator(gen, ham)
             for p in (1, 2, 3, 4):
@@ -309,8 +301,8 @@ def test_surrogate_optimum_and_scales_match_enumeration():
     grid = np.linspace(0.0, 2500.0, 4)
     bits = [tuple((k >> i) & 1 for i in range(3)) for k in range(8)]
     # cost[x][s][b]: start-up, generation and imbalance penalty
-    cost = np.array([[[classical_surrogate(x, b, xi, params) for b in bits]
-                      for xi in grid] for x in bits])
+    cost = np.array([[[classical_surrogate(x, b, xi, params, 30.0)
+                       for b in bits] for xi in grid] for x in bits])
     want = min(sum(p_s[s] * cost[x, s].min() for s in range(4))
                for x in range(8))
     assert evaluator.surrogate_optimum() == pytest.approx(want, rel=1e-12)
@@ -327,7 +319,7 @@ def test_surrogate_optimum_and_scales_match_enumeration():
 
 def test_evaluator_over_the_qubit_cap_is_capacity_error():
     # 23 scenario qubits + 2 * 3 decision qubits: one over the cap
-    ham = build_hamiltonian(default_params(30.0), 23, 0.0, 2500.0)
+    ham = build_hamiltonian(default_params(), 30.0, 23, 0.0, 2500.0)
     with pytest.raises(CapacityError):
         FactorizedEvaluator(make_generator(23), ham)
     assert "diagonal" not in vars(ham)  # refused before allocating
@@ -421,9 +413,9 @@ def test_optimize_without_finite_evaluation_is_structure_error(monkeypatch):
 def test_optimize_constant_objective():
     params = UcpParams(
         n_units=1, demand=0.0, p_min=(-1.0,), p_max=(1.0,),
-        startup_cost=(0.0,), unit_cost=(0.0,), lam=0.0,
+        startup_cost=(0.0,), unit_cost=(0.0,),
     )
-    ham = build_hamiltonian(params, 1, 0.0, 1.0)
+    ham = build_hamiltonian(params, 0.0, 1, 0.0, 1.0)
     cfg = QaoaConfig(p1=1, p2=1, maxiter=25)
     got = optimize(FactorizedEvaluator(make_generator(1), ham), cfg,
                    np.random.default_rng(2))
@@ -658,7 +650,6 @@ def scaled_case_study(scale: float = 1e-3) -> UcpParams:
         p_max=(750.0 * scale, 1000.0 * scale, 200.0 * scale),
         startup_cost=(4000.0 * scale, 5000.0 * scale, 1000.0 * scale),
         unit_cost=(15.0 * scale, 20.0 * scale, 10.0 * scale),
-        lam=30.0 * scale,
     )
     return params
 
@@ -670,7 +661,8 @@ def test_prop1_residual_small():
     rng = np.random.default_rng(23)
     for _ in range(5):
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params, 0.0, 2500.0 * 1e-3, vp)
+        residual = verify_prop1(gen, params, 30.0 * 1e-3, 0.0, 2500.0 * 1e-3,
+                                vp)
         assert residual < 1e-9
 
 
@@ -684,18 +676,18 @@ def test_prop1_case_study_scale_relative():
     rng = np.random.default_rng(23)
     for _ in range(3):
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params, 0.0, 2500.0, vp)
+        residual = verify_prop1(gen, params, 30.0, 0.0, 2500.0, vp)
         assert residual < 1e-8 * abs(evaluator(vp))
 
 
 def test_prop1_zero_angles_and_empty_second_stage():
-    params = default_params(30.0)
+    params = default_params()
     gen = make_generator(2)
     zero = VariationalParams([0.0], [0.0], [0.0], [0.0])
-    assert verify_prop1(gen, params, 0.0, 2500.0, zero) < 1e-6
+    assert verify_prop1(gen, params, 30.0, 0.0, 2500.0, zero) < 1e-6
 
     no_second = VariationalParams([0.4], [0.2], [], [])
-    assert verify_prop1(gen, params, 0.0, 2500.0, no_second) < 1e-6
+    assert verify_prop1(gen, params, 30.0, 0.0, 2500.0, no_second) < 1e-6
 
 
 def test_nonanticipativity_holds_and_control_breaks():

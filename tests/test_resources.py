@@ -13,7 +13,6 @@ from qtwostage.resources import (
     _sweep_circuit,
     count_and_depth,
     lower_to_basis,
-    sweep_params,
     sweep_scaling,
 )
 from qtwostage.ucp import build_hamiltonian
@@ -165,7 +164,7 @@ def test_lowering_preserves_action_wide_register():
 def test_lowering_preserves_action_full_assembly():
     # the production circuit: generator + both stage blocks, random angles
     rng = np.random.default_rng(7)
-    ham = build_hamiltonian(default_params(30.0), 2, 0.0, 2500.0)
+    ham = build_hamiltonian(default_params(), 30.0, 2, 0.0, 2500.0)
     spec = GeneratorSpec(2, rng.uniform(-1.0, 1.0, size=6))
     circuit = assemble(spec, ham, random_params(2, 2, rng))
     assert_unitary_equivalent(circuit, rng)
@@ -266,9 +265,9 @@ def lowered_totals(n_xi, n_units, p1, p2):
     return {(r["M"], r["p1"], r["p2"]): r["total"] for r in rows}
 
 
-def test_sweep_params_cycles_units():
-    params = sweep_params(5)
-    base = default_params(30.0)
+def test_default_params_cycles_units():
+    params = default_params(5)
+    base = default_params()
     assert params.n_units == 5
     assert params.p_min == base.p_min + base.p_min[:2]
     assert all(c > 0 for c in params.unit_cost)
@@ -352,7 +351,7 @@ def test_sweep_rejects_bad_scenario_counts():
 @pytest.mark.parametrize("n_xi,n_units,p1,p2", [(2, 3, 1, 1), (3, 4, 2, 3)])
 def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
     """The sweep's full-assembly row counts the circuit ``run`` simulates."""
-    ham = build_hamiltonian(sweep_params(n_units), n_xi, 0.0, 2500.0)
+    ham = build_hamiltonian(default_params(n_units), 30.0, n_xi, 0.0, 2500.0)
     zero = VariationalParams(np.zeros(p1), np.zeros(p1), np.zeros(p2),
                              np.zeros(p2))
     report = count_and_depth(assemble(default_spec(n_xi), ham, zero))

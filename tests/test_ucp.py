@@ -29,19 +29,17 @@ def test_layout_offsets():
 
 def test_params_validation():
     with pytest.raises(StructureError):
-        config.UcpParams(1, 10.0, (5.0,), (5.0,), (0.0,), (1.0,), 1.0)
+        config.UcpParams(1, 10.0, (5.0,), (5.0,), (0.0,), (1.0,))
     with pytest.raises(StructureError):
-        config.UcpParams(1, 10.0, (1.0,), (5.0,), (-1.0,), (1.0,), 1.0)
+        config.UcpParams(1, 10.0, (1.0,), (5.0,), (-1.0,), (1.0,))
     with pytest.raises(StructureError):
-        config.UcpParams(2, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
+        config.UcpParams(2, 10.0, (1.0,), (5.0,), (0.0,), (1.0,))
     with pytest.raises(StructureError):
-        config.UcpParams(1, float("nan"), (1.0,), (5.0,), (0.0,), (1.0,), 1.0)
-    with pytest.raises(StructureError):
-        config.UcpParams(1, 10.0, (1.0,), (5.0,), (0.0,), (1.0,), float("inf"))
+        config.UcpParams(1, float("nan"), (1.0,), (5.0,), (0.0,), (1.0,))
 
 
 def test_y_operator_levels():
-    params = config.default_params(lam=30.0)
+    params = config.default_params()
     y3 = ucp.build_y_operator(2, params, LAYOUT)
     assert max(m.bit_count() for m in y3.terms) <= 2
     # unit 3 off -> 0 regardless of its level bit
@@ -63,7 +61,7 @@ def test_y_operator_levels():
 
 
 def test_capacity_window_by_construction():
-    params = config.default_params(lam=30.0)
+    params = config.default_params()
     for i in range(3):
         y = ucp.build_y_operator(i, params, LAYOUT)
         diag = walsh.reconstruct(y)
@@ -74,16 +72,15 @@ def test_capacity_window_by_construction():
 
 
 def test_surrogate_cost_examples():
-    params = config.default_params(lam=30.0)
-    assert classical_surrogate((1, 1, 0), (1, 1, 0), 750.0, params) == \
+    params = config.default_params()
+    assert classical_surrogate((1, 1, 0), (1, 1, 0), 750.0, params, 30.0) == \
         pytest.approx(40250.0)
-    assert classical_surrogate((1, 1, 0), (1, 1, 1), 750.0, params) == \
+    assert classical_surrogate((1, 1, 0), (1, 1, 1), 750.0, params, 30.0) == \
         pytest.approx(40250.0)  # off unit's level bit is ignored
 
-    params0 = config.default_params(lam=7.0)
-    assert classical_surrogate((0, 0, 0), (0, 0, 0), 0.0, params0) == \
+    assert classical_surrogate((0, 0, 0), (0, 0, 0), 0.0, params, 7.0) == \
         pytest.approx(7.0 * 6.25e6)
-    assert classical_surrogate((0, 0, 1), (0, 0, 1), 2500.0, params0) == \
+    assert classical_surrogate((0, 0, 1), (0, 0, 1), 2500.0, params, 7.0) == \
         pytest.approx(1000.0 + 2000.0 + 7.0 * 4e4)
 
 
@@ -122,18 +119,18 @@ def test_hamiltonian_matches_classical_surrogate_everywhere():
     """
     for n_xi in (2, 3, 5):
         for lam in (30.0, 200.0):
-            params = config.default_params(lam=lam)
-            ham = ucp.build_hamiltonian(params, n_xi, 0.0, 2500.0)
+            params = config.default_params()
+            ham = ucp.build_hamiltonian(params, lam, n_xi, 0.0, 2500.0)
             diag = walsh.reconstruct(ham.total())
-            want = surrogate_diagonal(params, n_xi, 0.0, 2500.0)
+            want = surrogate_diagonal(params, lam, n_xi, 0.0, 2500.0)
             scale = np.max(np.abs(want))
             tol = 1e-9 * np.maximum(1 + np.abs(want), scale)
             assert np.all(np.abs(diag - want) <= tol)
 
 
 def test_hamiltonian_structure():
-    params = config.default_params(lam=30.0)
-    ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
+    params = config.default_params()
+    ham = ucp.build_hamiltonian(params, 30.0, LAYOUT.n_xi, 0.0, 2500.0)
     smask = LAYOUT.scenario_mask
     assert all(m & smask for m in ham.h2_dep.terms)
     assert all(not m & smask for m in ham.h2_indep.terms)
@@ -153,8 +150,8 @@ def test_hamiltonian_structure():
 
 
 def test_lambda_zero_decouples_scenarios():
-    params = config.default_params(lam=0.0)
-    ham = ucp.build_hamiltonian(params, LAYOUT.n_xi, 0.0, 2500.0)
+    params = config.default_params()
+    ham = ucp.build_hamiltonian(params, 0.0, LAYOUT.n_xi, 0.0, 2500.0)
     assert ham.h2_dep.terms == {}
     want = walsh.ZPolynomial(LAYOUT.n_total, {})
     for i in range(3):
@@ -166,12 +163,12 @@ def test_lambda_zero_decouples_scenarios():
 
 
 def test_split_reassembles_unsplit_h2():
-    params = config.default_params(lam=30.0)
-    ham = ucp.build_hamiltonian(params, 3, 0.0, 2500.0)
+    params = config.default_params()
+    ham = ucp.build_hamiltonian(params, 30.0, 3, 0.0, 2500.0)
     rebuilt = walsh.reconstruct(walsh.zpoly_add(ham.h2_indep, ham.h2_dep))
     # the start-up cost alone: no generation cost, no imbalance penalty
-    startup = replace(params, unit_cost=(0.0, 0.0, 0.0), lam=0.0)
-    direct = (surrogate_diagonal(params, 3, 0.0, 2500.0)
-              - surrogate_diagonal(startup, 3, 0.0, 2500.0))
+    startup = replace(params, unit_cost=(0.0, 0.0, 0.0))
+    direct = (surrogate_diagonal(params, 30.0, 3, 0.0, 2500.0)
+              - surrogate_diagonal(startup, 0.0, 3, 0.0, 2500.0))
     scale = np.max(np.abs(direct))
     assert np.all(np.abs(rebuilt - direct) <= 1e-9 * np.maximum(1 + np.abs(direct), scale))
