@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import UcpParams
-from .errors import StructureError
 
 
 @dataclass(frozen=True)
@@ -26,13 +25,6 @@ class EvaluationReport:
     ev_solution: tuple
     eev_value: float
     per_x_costs: dict
-
-    def __post_init__(self):
-        want = min(self.per_x_costs.values())
-        if abs(self.rp_value - want) > 1e-9 * max(1.0, abs(want)):
-            raise StructureError("rp_value must be the minimum per-x cost")
-        if self.rp_value > self.eev_value + 1e-9 * max(1.0, abs(self.eev_value)):
-            raise StructureError("rp_value cannot exceed eev_value")
 
 
 def second_stage_best(x, xi, params: UcpParams, lam: float):
@@ -44,8 +36,6 @@ def second_stage_best(x, xi, params: UcpParams, lam: float):
     combinations run in itertools.product order and argmin keeps the
     first minimum, so ties go to the lexicographically smallest y.
     """
-    if len(x) != params.n_units:
-        raise StructureError("x must have one bit per unit")
     committed = [i for i in range(params.n_units) if x[i]]
     levels = np.zeros((2 ** len(committed), params.n_units))
     levels[:, committed] = list(itertools.product(

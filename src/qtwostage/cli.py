@@ -184,12 +184,6 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
             result = optimize(evaluator, cfg.qaoa, rng)
             wall = time.perf_counter() - start  # printed, never recorded
             cost_map = report.per_x_costs[result.map_solution]
-            tol = 1e-9 * max(1.0, abs(report.rp_value))
-            if cost_map < report.rp_value - tol:
-                raise StructureError(
-                    f"map-solution cost {cost_map} undercuts RP "
-                    f"{report.rp_value} at lam={lam}"
-                )
             records.append({
                 "lam": float(lam),
                 "seed": s,

@@ -256,21 +256,21 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """Flag precedence: config file < --paper < explicit flags."""
-    if getattr(args, "paper", False):
+    if args.paper:
         cfg = replace(
             cfg,
             lambdas=PAPER_LAMBDAS,
             n_seeds=40,
             qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS),
         )
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "lambdas", None) is not None:
+    if args.lambdas is not None:
         cfg = replace(cfg, lambdas=_floats(args.lambdas))
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         cfg = replace(cfg, n_seeds=args.seeds)
-    if getattr(args, "shots", None) is not None:
+    if args.shots is not None:
         cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
-    if getattr(args, "exact", False):
+    if args.exact:
         cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=None))
     return cfg

@@ -32,7 +32,7 @@ from .cobyla import minimize
 from .config import MAX_QUBITS, QaoaConfig
 from .errors import CapacityError, StructureError
 from .qgan import GeneratorSpec, generator_circuit, generator_probs
-from .ucp import ProblemHamiltonian, RegisterLayout
+from .ucp import ProblemHamiltonian
 from .walsh import ZPolynomial, reconstruct
 
 
@@ -47,20 +47,6 @@ class VariationalParams:
     gamma2: np.ndarray
     beta2: np.ndarray
 
-    def __post_init__(self):
-        g1, b1 = np.atleast_1d(self.gamma1), np.atleast_1d(self.beta1)
-        g2, b2 = np.atleast_1d(self.gamma2), np.atleast_1d(self.beta2)
-        object.__setattr__(self, "gamma1", np.asarray(g1, dtype=float))
-        object.__setattr__(self, "beta1", np.asarray(b1, dtype=float))
-        object.__setattr__(self, "gamma2", np.asarray(g2, dtype=float))
-        object.__setattr__(self, "beta2", np.asarray(b2, dtype=float))
-        if len(self.gamma1) != len(self.beta1) or \
-                len(self.gamma2) != len(self.beta2):
-            raise StructureError("cost and mixer angle counts must match")
-        for arr in (self.gamma1, self.beta1, self.gamma2, self.beta2):
-            if not np.all(np.isfinite(arr)):
-                raise StructureError("angles must be finite")
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate(
             [self.gamma1, self.beta1, self.gamma2, self.beta2]
@@ -68,11 +54,6 @@ class VariationalParams:
 
     @staticmethod
     def from_vector(p1: int, p2: int, vec: np.ndarray) -> "VariationalParams":
-        vec = np.asarray(vec, dtype=float)
-        if len(vec) != 2 * (p1 + p2):
-            raise StructureError(
-                f"expected {2 * (p1 + p2)} angles, got {len(vec)}"
-            )
         return VariationalParams(
             vec[:p1], vec[p1:2 * p1],
             vec[2 * p1:2 * p1 + p2], vec[2 * p1 + p2:],
@@ -123,20 +104,11 @@ def stage_layers(polys, gammas, betas, qubits) -> list:
     return gates
 
 
-def _check_register(spec: GeneratorSpec, layout: RegisterLayout) -> None:
-    if spec.n_xi != layout.n_xi:
-        raise StructureError(
-            f"generator register ({spec.n_xi}) does not match the "
-            f"hamiltonian's scenario register ({layout.n_xi})"
-        )
-
-
 def assemble(
     spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.Circuit:
     """Generator block, then the first stage, then the second stage."""
     layout = ham.layout
-    _check_register(spec, layout)
     gates = list(generator_circuit(spec).gates)
     gates += stage_layers([ham.h1], vp.gamma1, vp.beta1,
                           layout.first_stage_qubits)
@@ -189,7 +161,6 @@ class FactorizedEvaluator:
 
     def __init__(self, spec: GeneratorSpec, ham: ProblemHamiltonian):
         layout = ham.layout
-        _check_register(spec, layout)
         if layout.n_total > MAX_QUBITS:
             raise CapacityError(
                 f"{layout.n_total} qubits exceed the {MAX_QUBITS}-qubit cap"
@@ -346,9 +317,5 @@ def optimize(
 def map_solution(marginal: np.ndarray) -> tuple:
     """Most probable commitment of a 2^units marginal; ties go to the first."""
     size = len(marginal)
-    if size < 2 or size & (size - 1):
-        raise StructureError(
-            f"marginal length {size} is not a power of two >= 2"
-        )
     k = int(np.argmax(marginal))  # argmax returns the first (smallest) tie
     return tuple((k >> j) & 1 for j in range(size.bit_length() - 1))

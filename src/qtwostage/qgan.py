@@ -235,13 +235,7 @@ def train(
     rng: np.random.Generator,
 ) -> TrainedGenerator:
     """Adversarial training; returns the epoch with the best test agreement."""
-    if not target_train or not target_test:
-        raise StructureError("need at least one train and one test target")
     size = len(target_train[0])
-    if size < 2 or size & (size - 1):
-        raise StructureError("target length must be a power of two")
-    check_targets(target_train, size)
-    check_targets(target_test, size)
     n_xi = size.bit_length() - 1
 
     theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_xi * (n_xi + 1))

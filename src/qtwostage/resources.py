@@ -157,30 +157,17 @@ def sweep_scaling(N_list, M_list, p1: int, p2: int) -> list:
     unit-count family runs the full assembly, generator included, over
     ``M_list`` x ``N_list`` at the given depths.
     """
-    n_list = [int(n) for n in N_list]
-    m_list = [int(m) for m in M_list]
-    if not n_list or not m_list:
-        raise StructureError("N_list and M_list must be non-empty")
-    for n in n_list:
-        if n < 2 or n & (n - 1):
-            raise StructureError(f"scenario count {n} is not a power of two >= 2")
-    for m in m_list:
-        if m < 1:
-            raise StructureError(f"unit count {m} must be positive")
-    if p1 < 1 or p2 < 1:
-        raise StructureError("sweep depths must be >= 1")
-
-    m0 = m_list[0]
+    m0 = M_list[0]
     rows = []
-    for n in n_list:  # generator block alone
+    for n in N_list:  # generator block alone
         rows.append(_row(n, 0, 0, 0))
-    for n in n_list:  # first-stage layers alone
+    for n in N_list:  # first-stage layers alone
         for depth in range(1, p1 + 1):
             rows.append(_row(n, m0, depth, 0))
-    for n in n_list:  # second-stage layers alone
+    for n in N_list:  # second-stage layers alone
         for depth in range(1, p2 + 1):
             rows.append(_row(n, m0, 0, depth))
-    for m in m_list:  # full assembly across unit counts
-        for n in n_list:
+    for m in M_list:  # full assembly across unit counts
+        for n in N_list:
             rows.append(_row(n, m, p1, p2))
     return rows

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructureError
-
 
 def sample_pv(
     n: int, alpha: float, beta: float, xi_max: float, seed: int
@@ -23,10 +21,6 @@ def sample_pv(
 
     The Beta variate is formed from two Gamma draws, g1/(g1+g2).
     """
-    if alpha <= 0 or beta <= 0:
-        raise StructureError("Beta shape parameters must be positive")
-    if n < 1:
-        raise StructureError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(seed))  # counter-based
     g1 = rng.gamma(alpha, 1.0, size=n)
     g2 = rng.gamma(beta, 1.0, size=n)
@@ -35,11 +29,7 @@ def sample_pv(
 
 
 def uniform_grid(xi_min: float, xi_max: float, n: int) -> np.ndarray:
-    """N equally spaced points, endpoints inclusive; N must be a power of two."""
-    if n < 2 or n & (n - 1):
-        raise StructureError(f"grid size must be a power of two >= 2, got {n}")
-    if not xi_max > xi_min:
-        raise StructureError(f"degenerate interval [{xi_min}, {xi_max}]")
+    """N equally spaced points, endpoints inclusive."""
     return np.linspace(xi_min, xi_max, n)
 
 
@@ -49,8 +39,6 @@ def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     Bin edges sit at midpoints between neighboring grid points; the outer
     bins absorb everything beyond the end points.
     """
-    if len(values) == 0:
-        raise StructureError("empty sample set")
     edges = (grid[:-1] + grid[1:]) / 2.0
     counts = np.bincount(
         np.searchsorted(edges, values, side="right"), minlength=len(grid)
@@ -65,23 +53,13 @@ def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def quantile_test_set(values: np.ndarray, n_test: int) -> np.ndarray:
     """Equal-weight scenarios at the (s + 0.5)/n_test empirical quantiles."""
-    if not 1 <= n_test <= len(values):
-        raise StructureError(f"n_test must be in [1, {len(values)}], "
-                             f"got {n_test}")
     levels = (np.arange(n_test) + 0.5) / n_test
     return np.quantile(values, levels)
 
 
 def js_agreement(p: np.ndarray, q: np.ndarray) -> float:
     """1 - JS(p, q) with base-2 logs; 1 means identical, 0 disjoint."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise StructureError(f"length mismatch: {p.shape} vs {q.shape}")
-    for dist in (p, q):
-        if np.any(dist < -1e-12) or abs(dist.sum() - 1.0) > 1e-9:
-            raise StructureError("inputs must be probability distributions")
-    # entries within the negative tolerance are rounding artifacts
+    # slightly negative entries are rounding artifacts
     p = np.clip(p, 0.0, None)
     q = np.clip(q, 0.0, None)
     m = (p + q) / 2.0

@@ -187,10 +187,6 @@ def expectation_diagonal(amps: np.ndarray, diag: np.ndarray) -> float:
 
 
 def sample(probs: np.ndarray, shots: int,
-           rng: np.random.Generator | None) -> np.ndarray:
+           rng: np.random.Generator) -> np.ndarray:
     """Counts of ``shots`` measurements of each basis-ordered distribution."""
-    if shots < 1:
-        raise StructureError(f"shots must be >= 1, got {shots}")
-    if rng is None:
-        raise StructureError("sampled mode needs an rng")
     return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True))

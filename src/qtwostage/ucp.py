@@ -34,7 +34,6 @@ from functools import cached_property
 import numpy as np
 
 from .config import UcpParams
-from .errors import StructureError
 from .walsh import (
     ZPolynomial,
     arithmetic_expansion,
@@ -53,10 +52,6 @@ class RegisterLayout:
 
     n_xi: int
     n_units: int
-
-    def __post_init__(self):
-        if self.n_xi < 1 or self.n_units < 1:
-            raise StructureError("register sizes must be positive")
 
     @property
     def n_total(self) -> int:
@@ -106,8 +101,6 @@ def _occupancy(qubit: int, n_total: int) -> ZPolynomial:
 
 def build_y_operator(i: int, params: UcpParams, layout: RegisterLayout) -> ZPolynomial:
     """Output operator y_i on the full register (degree <= 2)."""
-    if not 0 <= i < params.n_units:
-        raise StructureError(f"unit index {i} out of range")
     n = layout.n_total
     bit = _occupancy(layout.second_stage_qubits[i], n)
     level = zpoly_add(constant(n, params.p_min[i]),

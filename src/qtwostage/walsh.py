@@ -58,10 +58,6 @@ def arithmetic_expansion(xi_min: float, xi_max: float, n_xi: int) -> ZPolynomial
     Exactly n_xi + 1 terms: the identity carries the grid midpoint and each
     single-qubit Z_i carries -dxi * 2**(i-1).
     """
-    if n_xi < 1:
-        raise StructureError(f"n_xi must be >= 1, got {n_xi}")
-    if not xi_max > xi_min:
-        raise StructureError(f"degenerate interval [{xi_min}, {xi_max}]")
     dxi = (xi_max - xi_min) / (2**n_xi - 1)
     terms = {0: xi_min + dxi * (2**n_xi - 1) / 2.0}
     for i in range(n_xi):

@@ -206,6 +206,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("run", "[qaoa]\neval_mode = shots\nshots = 100000000000000000000\n",
      []),
     ("run", "", ["--shots", "9223372036854775808"]),
+    ("gen-data", "[uncertainty]\nn_grid = 6\n", []),
+    ("run", "[problem]\nn_units = 0\n", []),
+    ("baselines", "[problem]\np_min = 300, 500\n", []),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -215,7 +218,8 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "exact-negative-shots", "exact-zero-shots", "alpha-inf", "beta-inf",
         "xi_max-inf", "lr_g-inf", "lr_d-inf", "init_scale-inf",
         "init_scale-overflow", "qgan-shots-above-c-long",
-        "eval-shots-above-c-long", "shots-flag-above-c-long"])
+        "eval-shots-above-c-long", "shots-flag-above-c-long",
+        "n_grid-not-power-of-two", "n_units-zero", "p_min-length-mismatch"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2

@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial.distance import jensenshannon
 
 from qtwostage import scenarios as sc
-from qtwostage.errors import StructureError
 
 
 def test_sample_mean_matches_beta_mean():
@@ -43,9 +42,6 @@ def test_sampling_deterministic_per_seed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-    with pytest.raises(StructureError):
-        sc.sample_pv(10, 0.0, 7.0, 2500.0, seed=1)
-
 
 def test_uniform_grid():
     grid = sc.uniform_grid(0.0, 2500.0, 32)
@@ -54,10 +50,6 @@ def test_uniform_grid():
     assert np.allclose(np.diff(grid), 2500.0 / 31)
 
     assert np.array_equal(sc.uniform_grid(0.0, 3.0, 4), [0.0, 1.0, 2.0, 3.0])
-
-    for bad in (3, 1, 0, 12):
-        with pytest.raises(StructureError):
-            sc.uniform_grid(0.0, 1.0, bad)
 
 
 def test_binning():
@@ -112,9 +104,6 @@ def test_quantile_test_set():
     qs = sc.quantile_test_set(samples, 200)
     assert abs(qs.mean() - samples.mean()) < 0.02 * samples.mean()
 
-    with pytest.raises(StructureError):
-        sc.quantile_test_set(ladder, 201)
-
 
 def test_js_agreement_examples():
     p = np.array([0.2, 0.5, 0.3])
@@ -125,11 +114,6 @@ def test_js_agreement_examples():
 
     assert sc.js_agreement(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == \
         pytest.approx(0.6887, abs=5e-5)
-
-    with pytest.raises(StructureError):
-        sc.js_agreement(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(StructureError):
-        sc.js_agreement(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
 
 
 def test_js_agreement_tolerates_rounding_negatives():

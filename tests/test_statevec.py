@@ -256,11 +256,6 @@ def test_sample_point_mass_and_determinism():
     # 5 sigma of a fair Bernoulli at 1e4 shots
     assert abs(c1[0] - 5000) < 5 * 50
 
-    with pytest.raises(StructureError):
-        sv.sample(plus, 0, np.random.default_rng(0))
-    with pytest.raises(StructureError, match="rng"):
-        sv.sample(plus, 10, None)
-
 
 def test_sampling_frequencies_track_probabilities():
     rng = np.random.default_rng(13)

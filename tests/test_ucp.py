@@ -56,9 +56,6 @@ def test_y_operator_levels():
     idx = encode_basis(0, (1, 0, 0), (1, 0, 0), LAYOUT)
     assert eval_at(y1, idx) == pytest.approx(750.0)
 
-    with pytest.raises(StructureError):
-        ucp.build_y_operator(3, params, LAYOUT)
-
 
 def test_capacity_window_by_construction():
     params = config.default_params()

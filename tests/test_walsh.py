@@ -61,11 +61,6 @@ def test_arithmetic_expansion_examples():
     assert poly.terms.get(1, 0.0) == pytest.approx(-(2500.0 / 31) / 2)
     assert len(poly.terms) == 6
 
-    with pytest.raises(StructureError):
-        walsh.arithmetic_expansion(1.0, 1.0, 3)
-    with pytest.raises(StructureError):
-        walsh.arithmetic_expansion(0.0, 1.0, 0)
-
 
 def test_arithmetic_expansion_sparsity_and_closed_form():
     """Uniform grids expand to exactly n+1 terms with the predicted weights."""
