@@ -28,13 +28,11 @@ class EvaluationReport:
 
 
 def second_stage_best(x, xi, params: UcpParams, lam: float):
-    """Cheapest dispatch for a fixed commitment in each scenario of xi.
+    """Cheapest second-stage cost of commitment x in each scenario of xi.
 
     Scores every level combination of the committed units against every
-    scenario in one (scenario, combination) array.  Returns (y, cost) of
-    shapes (S, M) and (S,) with cost = generation + lam * |imbalance|;
-    combinations run in itertools.product order and argmin keeps the
-    first minimum, so ties go to the lexicographically smallest y.
+    scenario in one (scenario, combination) array and returns the (S,)
+    row minima of generation + lam * |imbalance|.
     """
     committed = [i for i in range(params.n_units) if x[i]]
     levels = np.zeros((2 ** len(committed), params.n_units))
@@ -46,9 +44,7 @@ def second_stage_best(x, xi, params: UcpParams, lam: float):
         supply = supply + levels[:, i]
         generation = generation + params.unit_cost[i] * levels[:, i]
     gap = (params.demand - np.asarray(xi, dtype=float))[:, None] - supply
-    cost = generation + lam * np.abs(gap)
-    best = np.argmin(cost, axis=1)
-    return levels[best], cost[np.arange(len(cost)), best]
+    return (generation + lam * np.abs(gap)).min(axis=1)
 
 
 def expected_cost(x, xi: np.ndarray, params: UcpParams, lam: float) -> float:
@@ -57,7 +53,7 @@ def expected_cost(x, xi: np.ndarray, params: UcpParams, lam: float) -> float:
     startup = sum(
         params.startup_cost[i] * x[i] for i in range(params.n_units)
     )
-    _, cost = second_stage_best(x, xi, params, lam)
+    cost = second_stage_best(x, xi, params, lam)
     # cumsum adds left to right; `@` and np.sum round pairwise.  Weighting
     # by 1/n rounds differently from dividing by n, so keep the product.
     return float(startup + np.cumsum((1.0 / len(xi)) * cost)[-1])

@@ -219,15 +219,6 @@ class TrainedGenerator:
     test_score: float
 
 
-def check_targets(targets, size: int) -> None:
-    """Each target must be a length-``size`` probability vector."""
-    for t in targets:
-        if len(t) != size:
-            raise StructureError("all targets must have length 2^n_xi")
-        if abs(float(np.sum(t)) - 1.0) > 1e-9 or np.any(np.asarray(t) < -1e-12):
-            raise StructureError("targets must be normalized distributions")
-
-
 def train(
     target_train: list,
     target_test: list,

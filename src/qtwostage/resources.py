@@ -66,13 +66,11 @@ def _rewrite(gate, n_qubits: int) -> list:
 
     Exactly the gate kinds ``statevec.apply`` runs (H, RX, RY, CZ, ZPhase)
     have a rewrite.  Any other object, or a gate ``apply`` would reject on
-    an ``n_qubits`` register, is a StructureError here too, except that a
-    ZPhase of mask 0, the identity up to global phase, becomes nothing.
+    an ``n_qubits`` register (a ZPhase of mask 0 included), is a
+    StructureError here too.
     """
     if isinstance(gate, sv.ZPhase):
-        mask = int(gate.mask)  # masks may arrive as numpy integers
-        if mask == 0:
-            return []
+        mask = gate.mask
         sv.check_mask(n_qubits, mask)
         support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
         up = [("cx", pair, None) for pair in zip(support[1:], support)]

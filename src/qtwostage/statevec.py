@@ -177,12 +177,7 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
 
 
 def expectation_diagonal(amps: np.ndarray, diag: np.ndarray) -> float:
-    """<state| diag(diag) |state> for a real diagonal operator."""
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape != amps.shape:
-        raise StructureError(
-            f"diagonal length {diag.shape} does not match state {amps.shape}"
-        )
+    """<state| diag(diag) |state> for a real diagonal of the state's shape."""
     return float(probabilities(amps) @ diag)
 
 

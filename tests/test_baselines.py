@@ -14,36 +14,24 @@ def single_scenario(xi: float) -> np.ndarray:
 
 def test_second_stage_best_hand_enumeration():
     params = default_params()
-    y, cost = bl.second_stage_best((1, 1, 0), [750.0], params, 30.0)
-    assert y.shape == (1, 3) and cost.shape == (1,)
-    assert tuple(y[0]) == (750.0, 1000.0, 0.0)
+    cost = bl.second_stage_best((1, 1, 0), [750.0], params, 30.0)
+    # y = (750, 1000, 0): generation 15*750 + 20*1000, imbalance 0
+    assert cost.shape == (1,)
     assert cost[0] == pytest.approx(31250.0)
 
 
 def test_second_stage_best_empty_commitment():
     params = default_params()
     for xi in (0.0, 750.0, 2500.0):
-        y, cost = bl.second_stage_best((0, 0, 0), [xi], params, 30.0)
-        assert tuple(y[0]) == (0.0, 0.0, 0.0)
+        cost = bl.second_stage_best((0, 0, 0), [xi], params, 30.0)
         assert cost[0] == pytest.approx(30.0 * abs(2500.0 - xi))
 
 
 def test_second_stage_best_zero_lambda_picks_minimum_generation():
     params = default_params()
-    y, cost = bl.second_stage_best((1, 1, 1), [100.0], params, 0.0)
-    assert tuple(y[0]) == (300.0, 500.0, 100.0)
+    cost = bl.second_stage_best((1, 1, 1), [100.0], params, 0.0)
+    # every unit at p_min: (300, 500, 100)
     assert cost[0] == pytest.approx(15 * 300 + 20 * 500 + 10 * 100)
-
-
-def test_second_stage_best_tie_is_lexicographically_smallest():
-    params = UcpParams(
-        n_units=2, demand=3.0, p_min=(1.0, 1.0), p_max=(2.0, 2.0),
-        startup_cost=(0.0, 0.0), unit_cost=(0.0, 0.0),
-    )
-    # sums 2,3,3,4 -> gaps 1,0,0,1: combos (1,2) and (2,1) tie at cost 0
-    y, cost = bl.second_stage_best((1, 1), [0.0], params, 1.0)
-    assert cost[0] == pytest.approx(0.0)
-    assert tuple(y[0]) == (1.0, 2.0)
 
 
 def test_second_stage_cost_is_continuous_in_xi():
@@ -51,7 +39,7 @@ def test_second_stage_cost_is_continuous_in_xi():
     xs = np.linspace(-100.0, 2700.0, 1401)
     step = xs[1] - xs[0]
     for x in ((1, 1, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0)):
-        _, costs = bl.second_stage_best(x, xs, params, lam)
+        costs = bl.second_stage_best(x, xs, params, lam)
         jumps = np.abs(np.diff(costs))
         assert np.max(jumps) <= lam * step + 1e-9
 
@@ -148,9 +136,9 @@ def test_lambda_grid():
 # ---------------------------------------------------------------------------
 
 def scalar_second_stage_best(x, xi, params, lam):
-    """Per-scenario itertools scan; ties keep the first combination."""
+    """Per-scenario itertools scan: the least cost over every combination."""
     committed = [i for i in range(params.n_units) if x[i]]
-    best_y, best_cost = None, np.inf
+    best_cost = np.inf
     for levels in itertools.product(
             *[(params.p_min[i], params.p_max[i]) for i in committed]):
         y = [0.0] * params.n_units
@@ -159,15 +147,14 @@ def scalar_second_stage_best(x, xi, params, lam):
         gap = params.demand - xi - sum(y)
         cost = (sum(params.unit_cost[i] * y[i] for i in committed)
                 + lam * abs(gap))
-        if cost < best_cost:
-            best_y, best_cost = tuple(y), float(cost)
-    return best_y, best_cost
+        best_cost = min(best_cost, float(cost))
+    return best_cost
 
 
 def scalar_expected_cost(x, xi, params, lam):
     startup = sum(params.startup_cost[i] * x[i] for i in range(params.n_units))
     p = 1.0 / len(xi)
-    recourse = sum(p * scalar_second_stage_best(x, xi_s, params, lam)[1]
+    recourse = sum(p * scalar_second_stage_best(x, xi_s, params, lam)
                    for xi_s in xi)
     return float(startup + recourse)
 
@@ -195,12 +182,10 @@ def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
                          size=int(rng.integers(1, 40)))
         xi[0] = params.demand - sum(params.p_min)  # an exact balance
         for x in itertools.product((0, 1), repeat=n_units):
-            y, cost = bl.second_stage_best(x, xi, params, lam)
+            cost = bl.second_stage_best(x, xi, params, lam)
             for s, xi_s in enumerate(xi):
-                want_y, want_cost = scalar_second_stage_best(x, xi_s, params,
-                                                             lam)
-                assert tuple(y[s]) == want_y
-                assert cost[s] == want_cost
+                assert cost[s] == scalar_second_stage_best(x, xi_s, params,
+                                                           lam)
             assert bl.expected_cost(x, xi, params, lam) == \
                 scalar_expected_cost(x, xi, params, lam)
 

@@ -341,10 +341,16 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
     assert "dist_00.csv has 8 rows" in capsys.readouterr().err
     cfg_path = tiny_config(tmp_path, n_grid=8)
     header, first, *rest = dist.read_text().splitlines()
-    x0 = first.split(",")[0]
+    x0, p0 = first.split(",")
+    x1, p1 = rest[0].split(",")
+    # one entry at -1e-11 with the sum kept: only the sign check can fire
+    negative = [header, f"{x0},-1e-11",
+                f"{x1},{float(p0) + float(p1) + 1e-11!r}", *rest[1:]]
+    assert abs(sum(float(r.split(",")[1]) for r in negative[1:]) - 1) < 1e-9
     for lines in ([header, first, *rest[:3]],
                   [header, f"{x0},0.9", *rest],
-                  [header, f"{x0},-0.5", *rest]):
+                  [header, f"{x0},-0.5", *rest],
+                  negative):
         dist.write_text("\n".join(lines) + "\n")
         assert main(["train-qgan", "--config", cfg_path]) == 2
         err = capsys.readouterr().err

@@ -127,18 +127,13 @@ def test_zphase_gate_budget(weight):
     assert kinds.count("rz") == 1
 
 
-def test_zphase_mask_zero_dropped():
-    lowered = lower_to_basis(sv.Circuit(2, [sv.ZPhase(0, 1.0), sv.H(0)]))
-    assert lowered.gates == h_triples(0)
-
-
 @pytest.mark.parametrize("gate", [
     sv.RY(-1, 0.0), sv.CZ(0, -1), sv.H(2), sv.RX(2, 0.3), sv.CZ(0, 0),
-    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3), object(),
+    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3), object(), sv.ZPhase(0, 0.3),
 ])
 def test_rewrite_rejects_what_the_simulator_rejects(gate):
     # a qubit outside [0, n), a control equal to its target, a mask
-    # outside [0, 2^n), or an object that is no gate; at n = 2
+    # outside [1, 2^n), or an object that is no gate; at n = 2
     circuit = sv.Circuit(2, [gate])
     for consumer in (lower_to_basis, count_and_depth, sv.run_circuit):
         with pytest.raises(StructureError):

@@ -239,9 +239,6 @@ def test_expectation_examples():
     sv.apply(uniform, sv.H(1))
     assert sv.expectation_diagonal(uniform, np.arange(4.0)) == pytest.approx(1.5)
 
-    with pytest.raises(StructureError):
-        sv.expectation_diagonal(plus, np.zeros(4))
-
 
 def test_sample_point_mass_and_determinism():
     state = sv.new_zero_state(3)
