@@ -175,7 +175,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         # how far a restart stopped from a perfectly adapted recourse; shot
         # noise in a sampled best_objective can put the ratio below 1
         optimum = evaluator.surrogate_optimum()
-        for s in range(cfg.n_seeds):
+        for s in range(cfg.qaoa.n_seeds):
             rng = np.random.default_rng(
                 derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
             start = time.perf_counter()

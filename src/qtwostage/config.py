@@ -19,7 +19,9 @@ from .errors import StructureError
 MAX_QUBITS = 28  # the statevector simulator's register cap
 MAX_Z_QUBITS = 63  # a Z-polynomial's support mask is a signed 64-bit integer
 
-# Default evaluation shots, for `[qaoa] eval_mode = shots` and for --paper.
+# Default shots of a section set to `eval_mode = shots`: QGAN training's,
+# and the QAOA objective's, which --paper also sets.
+QGAN_SHOTS = 10_000
 PAPER_SHOTS = 50_000
 # The paper's 18 penalty weights, 30, 40, ..., 200.
 PAPER_LAMBDAS = tuple(30.0 + 10.0 * k for k in range(18))
@@ -82,20 +84,24 @@ def default_params(n_units: int = 3) -> UcpParams:
     )
 
 
+def _check_shots(shots: int | None) -> None:
+    if shots is not None and not 1 <= shots < 2**63:
+        # a multinomial draw takes its count as a C long
+        raise StructureError("shots must be in [1, 2**63) when given")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 400
     lr_g: float = 0.002
     lr_d: float = 0.002
-    shots: int = 10_000
-    use_shots: bool = False
+    shots: int | None = None  # None = exact generator distribution
     init_scale: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 0:
             raise StructureError("epochs must be >= 0")
-        if not 1 <= self.shots < 2**63:  # a multinomial draw's C long
-            raise StructureError("shots must be in [1, 2**63)")
+        _check_shots(self.shots)
         if not (0 < self.lr_g < math.inf and 0 < self.lr_d < math.inf):
             raise StructureError("learning rates must be finite and > 0")
         # the initial angles are uniform on a range of width 2 * init_scale
@@ -110,15 +116,16 @@ class QaoaConfig:
     p2: int = 4
     shots: int | None = None  # None = exact statevector evaluation
     maxiter: int = 400  # objective-evaluation budget
+    n_seeds: int = 5  # optimizer restarts per lambda
 
     def __post_init__(self):
         if self.p1 < 1 or self.p2 < 1:
             raise StructureError("layer depths must be >= 1")
-        if self.shots is not None and not 1 <= self.shots < 2**63:
-            # a multinomial draw takes its count as a C long
-            raise StructureError("shots must be in [1, 2**63) when given")
+        _check_shots(self.shots)
         if self.maxiter < 1:
             raise StructureError("maxiter must be >= 1")
+        if self.n_seeds < 1:
+            raise StructureError("n_seeds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,6 @@ class ExperimentConfig:
     n_test: int = 200
     qgan: TrainConfig = TrainConfig()
     qaoa: QaoaConfig = QaoaConfig()
-    n_seeds: int = 5
     lambdas: tuple = _LAMBDAS
     n_values: tuple = (4, 8, 16, 32, 64)
     m_values: tuple = (3, 4, 5, 6)
@@ -154,8 +160,6 @@ class ExperimentConfig:
         if not all(0 < v < math.inf
                    for v in (self.alpha, self.beta, self.xi_max)):
             raise StructureError("alpha, beta and xi_max must be finite and > 0")
-        if self.n_seeds < 1:
-            raise StructureError("n_seeds must be >= 1")
         if not self.lambdas:
             raise StructureError("lambda sweep cannot be empty")
         # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
@@ -192,13 +196,6 @@ def _ints(text: str) -> tuple:
     return _number_list(text, int)
 
 
-def _as_bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise StructureError(f"not a boolean: {text!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[word]
-
-
 def _eval_mode(text: str) -> str:
     if text not in ("exact", "shots"):
         raise StructureError(f"eval_mode must be 'exact' or 'shots', got {text!r}")
@@ -206,21 +203,30 @@ def _eval_mode(text: str) -> str:
 
 
 # section -> key -> parser of its text.  A key sets the field of its name on
-# UcpParams, TrainConfig, QaoaConfig or ExperimentConfig, except [output] dir
-# (out_dir) and [qaoa] eval_mode, which says whether [qaoa] shots is used.
+# its section's object: UcpParams for [problem], TrainConfig for [qgan],
+# QaoaConfig for [qaoa] and ExperimentConfig for the rest; except [output]
+# dir (out_dir) and eval_mode, which says whether its section's shots is used.
 _KEYS = {
     "problem": {"n_units": int, "demand": float, "p_min": _floats,
                 "p_max": _floats, "startup_cost": _floats, "unit_cost": _floats},
     "uncertainty": {"alpha": float, "beta": float, "xi_max": float,
                     "n_grid": int, "n_data": int, "n_test": int},
-    "qgan": {"epochs": int, "lr_g": float, "lr_d": float, "shots": int,
-             "use_shots": _as_bool, "init_scale": float},
+    "qgan": {"epochs": int, "lr_g": float, "lr_d": float,
+             "eval_mode": _eval_mode, "shots": int, "init_scale": float},
     "qaoa": {"p1": int, "p2": int, "eval_mode": _eval_mode, "shots": int,
              "maxiter": int, "n_seeds": int},
     "sweep": {"lambdas": _floats, "n_values": _ints, "m_values": _ints},
     "output": {"dir": Path},
     "experiment": {"master_seed": int},
 }
+
+
+def _sampled(kind, default_shots: int, keys: dict):
+    """A section with an eval_mode as its object: shots None when exact."""
+    exact = keys.pop("eval_mode", "exact") == "exact"
+    # built before exact mode drops the shots, so a bad value is still an error
+    cfg = kind(**{"shots": default_shots, **keys})
+    return replace(cfg, shots=None) if exact else cfg
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -237,19 +243,13 @@ def load_config(path: str | None) -> ExperimentConfig:
                 raise StructureError(f"unknown key {key!r} in [{section}]")
             given[section][key] = _KEYS[section][key](text)
 
-    qaoa = given["qaoa"]
     fields = {**given["uncertainty"], **given["sweep"], **given["experiment"]}
-    if "n_seeds" in qaoa:
-        fields["n_seeds"] = qaoa.pop("n_seeds")
     if "dir" in given["output"]:
         fields["out_dir"] = given["output"]["dir"]
-    exact = qaoa.pop("eval_mode", "exact") == "exact"
-    # built before exact mode drops the shots, so a bad value is still an error
-    qaoa_cfg = QaoaConfig(**{"shots": PAPER_SHOTS, **qaoa})
     return ExperimentConfig(
         problem=replace(default_params(), **given["problem"]),
-        qgan=TrainConfig(**given["qgan"]),
-        qaoa=replace(qaoa_cfg, shots=None) if exact else qaoa_cfg,
+        qgan=_sampled(TrainConfig, QGAN_SHOTS, given["qgan"]),
+        qaoa=_sampled(QaoaConfig, PAPER_SHOTS, given["qaoa"]),
         **fields,
     )
 
@@ -260,15 +260,14 @@ def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
         cfg = replace(
             cfg,
             lambdas=PAPER_LAMBDAS,
-            n_seeds=40,
-            qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS),
+            qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS, n_seeds=40),
         )
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.lambdas is not None:
         cfg = replace(cfg, lambdas=_floats(args.lambdas))
     if args.seeds is not None:
-        cfg = replace(cfg, n_seeds=args.seeds)
+        cfg = replace(cfg, qaoa=replace(cfg.qaoa, n_seeds=args.seeds))
     if args.shots is not None:
         cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
     if args.exact:

@@ -234,7 +234,6 @@ def train(
     opt_d = Adam(disc.parameters(), cfg.lr_d)
     opt_g = Adam([theta], cfg.lr_g)
 
-    shots = cfg.shots if cfg.use_shots else None
     best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
 
     def evaluate(epoch: int) -> np.ndarray:  # theta's exact distribution
@@ -255,14 +254,14 @@ def train(
         spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
         # measured from the distribution `evaluate` already simulated at theta
-        fake = _measure(p_exact, shots, rng)
+        fake = _measure(p_exact, cfg.shots, rng)
 
         grads_real, _ = disc.backward(np.asarray(target, dtype=float), 1.0)
         grads_fake, _ = disc.backward(fake, 0.0)
         opt_d.step(disc.parameters(),
                    [gr + gf for gr, gf in zip(grads_real, grads_fake)])
 
-        grad = generator_gradient(spec, disc, fake, shots, rng)
+        grad = generator_gradient(spec, disc, fake, cfg.shots, rng)
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)

@@ -31,7 +31,7 @@ n_test = {overrides.get("n_test", 5)}
 
 [qgan]
 epochs = {overrides.get("epochs", 3)}
-use_shots = {overrides.get("use_shots", "false")}
+eval_mode = {overrides.get("qgan_eval_mode", "exact")}
 
 [qaoa]
 p1 = 1
@@ -78,7 +78,7 @@ def test_load_config_defaults():
     assert cfg.qaoa.shots is None
     assert cfg.problem.n_units == 3
     assert cfg.qgan.epochs == 400
-    assert cfg.n_seeds == 5
+    assert cfg.qaoa.n_seeds == 5
     assert cfg.master_seed == 7
     assert cfg.n_values == (4, 8, 16, 32, 64)
 
@@ -97,6 +97,11 @@ lambdas = 30, 200
     assert cfg.n_grid == 16
     assert cfg.qaoa.shots == 2000
     assert cfg.lambdas == (30.0, 200.0)
+    # [qgan] takes eval_mode as [qaoa] does, with its own default shots
+    cfg = load_config(write_config(tmp_path, "[qgan]\neval_mode = shots\n"))
+    assert cfg.qgan.shots == 10000
+    cfg = load_config(write_config(tmp_path, "[qgan]\nshots = 500\n"))
+    assert cfg.qgan.shots is None
 
 
 def test_load_config_accepts_zero_lambda(tmp_path):
@@ -138,7 +143,7 @@ def test_paper_flag_scales_up():
     cfg = apply_flags(load_config(None), args)
     assert len(cfg.lambdas) == 18
     assert cfg.lambdas[0] == 30.0 and cfg.lambdas[-1] == 200.0
-    assert cfg.n_seeds == 40
+    assert cfg.qaoa.n_seeds == 40
     assert cfg.qaoa.shots == 50_000
 
 
@@ -149,7 +154,7 @@ def test_explicit_flags_beat_paper():
     cfg = apply_flags(load_config(None), args)
     assert cfg.qaoa.shots is None
     assert cfg.lambdas == (30.0, 90.0)
-    assert cfg.n_seeds == 2
+    assert cfg.qaoa.n_seeds == 2
     assert cfg.master_seed == 123
 
 
@@ -201,7 +206,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("train-qgan", "[qgan]\nlr_d = inf\n", []),
     ("train-qgan", "[qgan]\ninit_scale = inf\n", []),
     ("train-qgan", "[qgan]\ninit_scale = 1e308\n", []),
-    ("train-qgan", "[qgan]\nuse_shots = true\nshots = 9223372036854775808\n",
+    ("train-qgan", "[qgan]\neval_mode = shots\nshots = 9223372036854775808\n",
      []),
     ("run", "[qaoa]\neval_mode = shots\nshots = 100000000000000000000\n",
      []),
@@ -209,6 +214,10 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("gen-data", "[uncertainty]\nn_grid = 6\n", []),
     ("run", "[problem]\nn_units = 0\n", []),
     ("baselines", "[problem]\np_min = 300, 500\n", []),
+    ("train-qgan", "[qgan]\nuse_shots = true\n", []),
+    ("train-qgan", "[qgan]\neval_mode = sampled\n", []),
+    ("run", "[qaoa]\nn_seeds = 0\n", []),
+    ("run", "", ["--seeds", "0"]),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -219,7 +228,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "xi_max-inf", "lr_g-inf", "lr_d-inf", "init_scale-inf",
         "init_scale-overflow", "qgan-shots-above-c-long",
         "eval-shots-above-c-long", "shots-flag-above-c-long",
-        "n_grid-not-power-of-two", "n_units-zero", "p_min-length-mismatch"])
+        "n_grid-not-power-of-two", "n_units-zero", "p_min-length-mismatch",
+        "qgan-use-shots-gone", "qgan-eval-mode-word", "n_seeds-zero",
+        "seeds-flag-zero"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
@@ -252,25 +263,11 @@ def test_gen_data_writes_expected_files(tmp_path):
     assert len(scenario_rows) == 1 + 5
 
 
-@pytest.mark.parametrize("word, value", [
-    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
-    ("0", False), ("no", False), ("False", False), ("OFF", False),
-])
-def test_ini_boolean_words(tmp_path, word, value):
-    cfg = load_config(tiny_config(tmp_path, use_shots=word))
-    assert cfg.qgan.use_shots is value
-
-
-def test_ini_boolean_rejects_other_words(tmp_path):
-    with pytest.raises(StructureError, match="not a boolean: 'maybe'"):
-        load_config(tiny_config(tmp_path, use_shots="maybe"))
-
-
 def test_pipeline_rerun_byte_identical(tmp_path):
     # the sampled paths too: shots in QGAN training and in the QAOA objective
-    cfg_path = tiny_config(tmp_path, use_shots="true", eval_mode="shots")
+    cfg_path = tiny_config(tmp_path, qgan_eval_mode="shots", eval_mode="shots")
     cfg = load_config(cfg_path)
-    assert cfg.qgan.use_shots and cfg.qaoa.shots is not None
+    assert cfg.qgan.shots is not None and cfg.qaoa.shots is not None
     out = tmp_path / "results"
     outputs = []
     for _ in range(2):

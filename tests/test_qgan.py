@@ -234,16 +234,15 @@ def test_train_is_deterministic_per_seed():
 
 def test_train_with_shots_is_deterministic_per_seed():
     target = np.array([0.6, 0.2, 0.15, 0.05])
-    cfg = TrainConfig(epochs=10, lr_g=0.05, lr_d=0.05, shots=500,
-                      use_shots=True)
+    cfg = TrainConfig(epochs=10, lr_g=0.05, lr_d=0.05, shots=500)
     got_a = train([target], [target], cfg, np.random.default_rng(42))
     got_b = train([target], [target], cfg, np.random.default_rng(42))
     np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
     assert got_a.best_epoch > 0  # the sampled gradients moved theta
 
 
-@pytest.mark.parametrize("use_shots", [False, True])
-def test_train_simulates_the_generator_once_per_epoch(monkeypatch, use_shots):
+@pytest.mark.parametrize("sampled", [False, True])
+def test_train_simulates_the_generator_once_per_epoch(monkeypatch, sampled):
     # per epoch: the exact distribution at theta, which also gives the
     # discriminator's fake input, and one batched Jacobian; then a last score
     calls = []
@@ -255,7 +254,7 @@ def test_train_simulates_the_generator_once_per_epoch(monkeypatch, use_shots):
 
     monkeypatch.setattr(sv, "run_circuit", counted)
     target = np.array([0.6, 0.2, 0.15, 0.05])
-    cfg = TrainConfig(epochs=7, shots=500, use_shots=use_shots)
+    cfg = TrainConfig(epochs=7, shots=500 if sampled else None)
     train([target], [target], cfg, np.random.default_rng(42))
     assert len(calls) == 2 * cfg.epochs + 1
 
