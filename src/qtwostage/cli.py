@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ExperimentConfig, apply_flags, load_config, read_text
+from .config import ExperimentConfig, load_config, read_text
 from .errors import CapacityError, StructureError
 
 N_TRAIN_SETS = 10
@@ -292,20 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="INI configuration file")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="override the master seed")
+    common.add_argument("--seed", metavar="U64",
+                        help="sets [experiment] master_seed")
     common.add_argument("--lambdas", metavar="LIST",
-                        help="comma-separated penalty weights")
-    common.add_argument("--seeds", type=int, metavar="N",
-                        help="optimizer restarts per lambda")
+                        help="sets [sweep] lambdas, comma-separated")
+    common.add_argument("--seeds", metavar="N",
+                        help="sets [qaoa] n_seeds, the restarts per lambda")
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true",
-                      help="exact expectation evaluation")
-    mode.add_argument("--shots", type=int, metavar="N",
-                      help="sampled evaluation with N shots")
+                      help="sets [qaoa] eval_mode = exact")
+    mode.add_argument("--shots", metavar="N",
+                      help="sets [qaoa] eval_mode = shots and shots = N")
     common.add_argument("--paper", action="store_true",
-                        help="full-scale protocol: 18 lambdas, 40 seeds, "
-                             "50000-shot evaluation")
+                        help="sets the paper's [sweep] lambdas and [qaoa] "
+                             "n_seeds, eval_mode and shots; flags beat it")
 
     parser = argparse.ArgumentParser(
         prog="qtwostage",
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = apply_flags(load_config(args.config), args)
+        cfg = load_config(args.config, args)
     except (OSError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

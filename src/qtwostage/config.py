@@ -1,14 +1,13 @@
 """Every setting of an experiment, read and checked with the standard library.
 
 The problem data, QGAN training, QAOA and experiment settings, the INI
-grammar and flag overrides, the register caps, and `read_text`, the reader
-of every data file.  No numpy: loading settings, a config error and
-`report` start without it.
+grammar, which reads each command-line flag as the key it sets, the register
+caps, and `read_text`, the reader of every data file.  No numpy: loading
+settings, a config error and `report` start without it.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import math
 from dataclasses import dataclass, replace
@@ -178,7 +177,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# the INI grammar and the flags
+# the INI grammar, the flags read as its keys
 # ---------------------------------------------------------------------------
 
 def _number_list(text: str, cast) -> tuple:
@@ -229,11 +228,29 @@ def _sampled(kind, default_shots: int, keys: dict):
     return replace(cfg, shots=None) if exact else cfg
 
 
-def load_config(path: str | None) -> ExperimentConfig:
-    """Defaults overlaid with an optional INI file; unknown keys rejected."""
+# --paper, the paper's protocol, as the INI keys it sets
+_PAPER = {"sweep": {"lambdas": " ".join(map(repr, PAPER_LAMBDAS))},
+          "qaoa": {"eval_mode": "shots", "shots": PAPER_SHOTS, "n_seeds": 40}}
+
+
+def load_config(path: str | None, flags=None) -> ExperimentConfig:
+    """Defaults overlaid with an optional INI file, then with the keys the
+    parsed command-line ``flags`` set: file < --paper < explicit flags.
+    Unknown keys are rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         parser.read_string(read_text(path), source=path)
+    if flags is not None:
+        if flags.paper:
+            parser.read_dict(_PAPER)
+        # a flag not given is None; one given is parsed, even when empty
+        keys = {"experiment": {"master_seed": flags.seed},
+                "sweep": {"lambdas": flags.lambdas},
+                "qaoa": {"n_seeds": flags.seeds, "shots": flags.shots,
+                         "eval_mode": "exact" if flags.exact else (
+                             None if flags.shots is None else "shots")}}
+        parser.read_dict({section: {k: v for k, v in keys[section].items()
+                                    if v is not None} for section in keys})
     given = {section: {} for section in _KEYS}
     for section in parser.sections():
         if section not in _KEYS:
@@ -252,24 +269,3 @@ def load_config(path: str | None) -> ExperimentConfig:
         qaoa=_sampled(QaoaConfig, PAPER_SHOTS, given["qaoa"]),
         **fields,
     )
-
-
-def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Flag precedence: config file < --paper < explicit flags."""
-    if args.paper:
-        cfg = replace(
-            cfg,
-            lambdas=PAPER_LAMBDAS,
-            qaoa=replace(cfg.qaoa, shots=PAPER_SHOTS, n_seeds=40),
-        )
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.lambdas is not None:
-        cfg = replace(cfg, lambdas=_floats(args.lambdas))
-    if args.seeds is not None:
-        cfg = replace(cfg, qaoa=replace(cfg.qaoa, n_seeds=args.seeds))
-    if args.shots is not None:
-        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=args.shots))
-    if args.exact:
-        cfg = replace(cfg, qaoa=replace(cfg.qaoa, shots=None))
-    return cfg

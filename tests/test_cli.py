@@ -11,7 +11,7 @@ import pytest
 
 from qtwostage import qaoa
 from qtwostage.cli import build_parser, derive_seed, main
-from qtwostage.config import ExperimentConfig, apply_flags, load_config
+from qtwostage.config import PAPER_LAMBDAS, ExperimentConfig, load_config
 from qtwostage.errors import StructureError
 
 
@@ -19,6 +19,10 @@ def write_config(tmp_path, body: str) -> str:
     path = tmp_path / "config.ini"
     path.write_text(body)
     return str(path)
+
+
+def parse_args(*argv):
+    return build_parser().parse_args(argv)
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -102,6 +106,9 @@ lambdas = 30, 200
     assert cfg.qgan.shots == 10000
     cfg = load_config(write_config(tmp_path, "[qgan]\nshots = 500\n"))
     assert cfg.qgan.shots is None
+    # --shots sets [qaoa] keys only, on every subcommand
+    cfg = load_config(None, parse_args("train-qgan", "--shots", "500"))
+    assert cfg.qgan.shots is None and cfg.qaoa.shots == 500
 
 
 def test_load_config_accepts_zero_lambda(tmp_path):
@@ -139,23 +146,28 @@ def test_config_validates_seed_range():
 
 
 def test_paper_flag_scales_up():
-    args = build_parser().parse_args(["run", "--paper"])
-    cfg = apply_flags(load_config(None), args)
+    cfg = load_config(None, parse_args("run", "--paper"))
     assert len(cfg.lambdas) == 18
     assert cfg.lambdas[0] == 30.0 and cfg.lambdas[-1] == 200.0
     assert cfg.qaoa.n_seeds == 40
     assert cfg.qaoa.shots == 50_000
 
 
-def test_explicit_flags_beat_paper():
-    args = build_parser().parse_args(
-        ["run", "--paper", "--exact", "--lambdas", "30,90", "--seeds", "2",
-         "--seed", "123"])
-    cfg = apply_flags(load_config(None), args)
+def test_explicit_flags_beat_paper(tmp_path):
+    cfg = load_config(None, parse_args("run", "--paper", "--exact",
+                                       "--lambdas", "30,90", "--seeds", "2",
+                                       "--seed", "123"))
     assert cfg.qaoa.shots is None
     assert cfg.lambdas == (30.0, 90.0)
     assert cfg.qaoa.n_seeds == 2
     assert cfg.master_seed == 123
+    # file < --paper < explicit flags
+    path = write_config(tmp_path,
+                        "[qaoa]\nn_seeds = 3\n[sweep]\nlambdas = 50\n")
+    cfg = load_config(path, parse_args("run", "--paper"))
+    assert (cfg.qaoa.n_seeds, cfg.lambdas) == (40, PAPER_LAMBDAS)
+    cfg = load_config(path, parse_args("run", "--paper", "--seeds", "2"))
+    assert cfg.qaoa.n_seeds == 2
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
@@ -218,6 +230,10 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("train-qgan", "[qgan]\neval_mode = sampled\n", []),
     ("run", "[qaoa]\nn_seeds = 0\n", []),
     ("run", "", ["--seeds", "0"]),
+    ("run", "", ["--seed", "x"]),
+    ("run", "", ["--seeds", "x"]),
+    ("run", "", ["--shots", "x"]),
+    ("run", "", ["--lambdas", ""]),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -230,7 +246,8 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "eval-shots-above-c-long", "shots-flag-above-c-long",
         "n_grid-not-power-of-two", "n_units-zero", "p_min-length-mismatch",
         "qgan-use-shots-gone", "qgan-eval-mode-word", "n_seeds-zero",
-        "seeds-flag-zero"])
+        "seeds-flag-zero", "seed-flag-word", "seeds-flag-word",
+        "shots-flag-word", "lambdas-flag-empty"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
