@@ -258,7 +258,10 @@ def load_config(path: str | None, flags=None) -> ExperimentConfig:
         for key, text in parser[section].items():
             if key not in _KEYS[section]:
                 raise StructureError(f"unknown key {key!r} in [{section}]")
-            given[section][key] = _KEYS[section][key](text)
+            try:
+                given[section][key] = _KEYS[section][key](text)
+            except ValueError as exc:
+                raise StructureError(f"[{section}] {key}: {exc}") from exc
 
     fields = {**given["uncertainty"], **given["sweep"], **given["experiment"]}
     if "dir" in given["output"]:

@@ -15,6 +15,7 @@ Model selection keeps the epoch with the best mean test agreement
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +144,9 @@ class Discriminator:
 
 
 def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+    # math.exp: numpy's float64 exp differs between its AVX-512 and AVX2 loops
+    e = math.exp(-abs(z))
+    return 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

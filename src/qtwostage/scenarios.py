@@ -11,6 +11,8 @@ divergence, so the score lives in [0, 1].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -66,6 +68,8 @@ def js_agreement(p: np.ndarray, q: np.ndarray) -> float:
 
     def kl(a, b):
         mask = a > 0
-        return float(np.sum(a[mask] * np.log2(a[mask] / b[mask])))
+        # math.log2: numpy's float64 log2 differs between its AVX-512 and AVX2 loops
+        logs = np.array([math.log2(r) for r in a[mask] / b[mask]])
+        return float(np.sum(a[mask] * logs))
 
     return 1.0 - (kl(p, m) + kl(q, m)) / 2.0

@@ -11,8 +11,8 @@ Conventions:
     axis.  Gates act in place on that array (no gate matrix is ever
     materialized over the full register).
 
-``ZPhase`` applies ``exp(-i*t*Z_string)`` for the Z-string on a support
-mask: amplitude ``i`` picks up ``exp(-i*t*(-1)**popcount(mask & i))``.
+``ZPhase`` applies ``exp(-i*t*Z)`` for the Z-string Z on a support mask,
+whose +-1 diagonal is `walsh.reconstruct` of the one-term polynomial.
 ``resources`` lowers exactly these kinds to its hardware basis.
 
 ``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import MAX_QUBITS
 from .errors import CapacityError, StructureError
-from .walsh import parity
+from .walsh import ZPolynomial, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,9 @@ def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
         both *= -1.0
     elif isinstance(gate, ZPhase):
         check_mask(n, gate.mask)
-        par = parity(n, gate.mask)
+        odd = reconstruct(ZPolynomial(n, {gate.mask: 1.0})) < 0
         f_even = np.exp(-1j * gate.angle)
-        amps *= np.where(par, np.conj(f_even), f_even)
+        amps *= np.where(odd, np.conj(f_even), f_even)
     else:
         raise StructureError(f"unknown gate {gate!r}")
     return amps

@@ -7,11 +7,11 @@ mask 0 is the identity term.  Its value at basis index ``i`` is
     sum over masks m of  c_m * (-1)**popcount(m & i).
 
 Operators are built from sparse pieces and never expanded from a dense
-diagonal, whose expansion would be its Walsh-Hadamard transform.  A
-diagonal that forms an arithmetic progression has a closed form with n+1
-terms (`arithmetic_expansion`), which is what makes amplitude-encoded
-scenario registers cheap to couple into cost Hamiltonians; `reconstruct`
-evaluates a polynomial back into its dense diagonal.
+diagonal.  A diagonal that forms an arithmetic progression has a closed
+form with n+1 terms (`arithmetic_expansion`), which is what makes
+amplitude-encoded scenario registers cheap to couple into cost
+Hamiltonians.  `reconstruct`, the fast Walsh-Hadamard transform of the
+coefficients, evaluates a polynomial into its dense diagonal.
 """
 
 from __future__ import annotations
@@ -99,20 +99,12 @@ def zpoly_mul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
     return _pruned(a.n_qubits, out)
 
 
-def parity(n_qubits: int, mask: int) -> np.ndarray:
-    """popcount(mask & i) % 2 for every basis index i, as bools."""
-    v = np.arange(2**n_qubits, dtype=np.int64) & np.int64(mask)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return (v & 1).astype(bool)
-
-
 def reconstruct(poly: ZPolynomial) -> np.ndarray:
-    """Dense diagonal of the operator: its value at every basis index."""
-    out = np.zeros(2**poly.n_qubits, dtype=float)
-    for m, c in poly.terms.items():
-        if m == 0:
-            out += c
-            continue
-        out += np.where(parity(poly.n_qubits, m), -c, c)
+    """Dense diagonal: the fast Walsh-Hadamard transform of the coefficients
+    indexed by mask, one (a + b, a - b) butterfly per qubit, O(n * 2**n)."""
+    out = np.zeros(2**poly.n_qubits)
+    out[list(poly.terms)] = list(poly.terms.values())
+    for q in range(poly.n_qubits):
+        a, b = out.reshape(-1, 2, 2**q).swapaxes(0, 1)  # bit q clear, set
+        a[:], b[:] = a + b, a - b
     return out

@@ -7,8 +7,9 @@ time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
 (`decode_basis`, `encode_basis`), the exact diagonal phase a synthesized
 Z-string block must equal (`diagonal_phase`), a lowered circuit's
 basis-gate triples run by dense matrices (`run_lowered`), the dense Walsh
-transform and pointwise evaluation of Z-polynomials (`fwht_expand`,
-`eval_at`), the evaluator's joint distribution built over a transposed
+transform, the per-term dense diagonal and pointwise evaluation of
+Z-polynomials (`fwht_expand`, `reconstruct_per_term`, `eval_at`), the
+evaluator's joint distribution built over a transposed
 (commitment, scenario, level bits) table of the diagonal
 (`row_major_joint`), and the discriminator's loss and output (`bce_loss`,
 `forward`).
@@ -143,6 +144,19 @@ def fwht_expand(values: np.ndarray) -> ZPolynomial:
         h *= 2
     coeffs = a / size
     return _pruned(n, {int(m): float(c) for m, c in enumerate(coeffs)})
+
+
+def reconstruct_per_term(poly: ZPolynomial) -> np.ndarray:
+    """The dense diagonal one term at a time: each term adds +-c at every
+    index, by the parity of popcount(mask & i), in O(terms * 2^n)."""
+    index = np.arange(2**poly.n_qubits, dtype=np.int64)
+    out = np.zeros(len(index))
+    for m, c in poly.terms.items():
+        v = index & np.int64(m)
+        for shift in (32, 16, 8, 4, 2, 1):
+            v = v ^ (v >> shift)
+        out += np.where(v & 1, -c, c)
+    return out
 
 
 def eval_at(poly: ZPolynomial, basis_index: int) -> float:

@@ -183,57 +183,61 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert err.startswith("config error: ") and "config.ini" in err
 
 
-@pytest.mark.parametrize("command, body, flags", [
-    ("run", "[qaoa]\np1 = 0\n", []),
-    ("run", "[qaoa]\nmaxiter = 0\n", []),
-    ("run", "", ["--shots", "0"]),
-    ("run", "[qaoa]\neval_mode = shots\nshots = -3\n", []),
-    ("gen-data", "[uncertainty]\nn_test = 0\n", []),
-    ("gen-data", "[uncertainty]\nn_data = 10\nn_test = 11\n", []),
-    ("gen-data", "[uncertainty]\nalpha = 0\n", []),
-    ("gen-data", "[uncertainty]\nbeta = nan\n", []),
-    ("gen-data", "[uncertainty]\nxi_max = -2500\n", []),
-    ("train-qgan", "[qgan]\nepochs = -5\n", []),
-    ("train-qgan", "[qgan]\nshots = 0\n", []),
-    ("train-qgan", "[qgan]\nlr_g = 0\n", []),
-    ("train-qgan", "[qgan]\nlr_d = -0.1\n", []),
-    ("train-qgan", "[qgan]\ninit_scale = -1\n", []),
-    ("baselines", "[sweep]\nlambdas = 30, -5\n", []),
-    ("run", "", ["--lambdas", "30,inf"]),
-    ("baselines", "[sweep]\nlambdas = nan\n", []),
-    ("run", "", ["--lambdas", "30,-0.5"]),
-    ("resources", "[sweep]\nn_values = 4, 3\n", []),
-    ("resources", "[sweep]\nm_values = 0\n", []),
-    ("resources", "[sweep]\nm_values = 31\n", []),
+@pytest.mark.parametrize("command, body, flags, named", [
+    ("run", "[qaoa]\np1 = 0\n", [], ""),
+    ("run", "[qaoa]\nmaxiter = 0\n", [], ""),
+    ("run", "", ["--shots", "0"], ""),
+    ("run", "[qaoa]\neval_mode = shots\nshots = -3\n", [], ""),
+    ("gen-data", "[uncertainty]\nn_test = 0\n", [], ""),
+    ("gen-data", "[uncertainty]\nn_data = 10\nn_test = 11\n", [], ""),
+    ("gen-data", "[uncertainty]\nalpha = 0\n", [], ""),
+    ("gen-data", "[uncertainty]\nbeta = nan\n", [], ""),
+    ("gen-data", "[uncertainty]\nxi_max = -2500\n", [], ""),
+    ("train-qgan", "[qgan]\nepochs = -5\n", [], ""),
+    ("train-qgan", "[qgan]\nshots = 0\n", [], ""),
+    ("train-qgan", "[qgan]\nlr_g = 0\n", [], ""),
+    ("train-qgan", "[qgan]\nlr_d = -0.1\n", [], ""),
+    ("train-qgan", "[qgan]\ninit_scale = -1\n", [], ""),
+    ("baselines", "[sweep]\nlambdas = 30, -5\n", [], ""),
+    ("run", "", ["--lambdas", "30,inf"], ""),
+    ("baselines", "[sweep]\nlambdas = nan\n", [], ""),
+    ("run", "", ["--lambdas", "30,-0.5"], ""),
+    ("resources", "[sweep]\nn_values = 4, 3\n", [], ""),
+    ("resources", "[sweep]\nm_values = 0\n", [], ""),
+    ("resources", "[sweep]\nm_values = 31\n", [], ""),
     ("resources", "[sweep]\nn_values = 4611686018427387904\nm_values = 1\n",
-     []),
-    ("run", "[uncertainty]\nn_grid = 8388608\n", []),
-    ("run", "[qaoa]\nshots = many\n", []),
-    ("run", "[qaoa]\nshots = -3\n", []),
-    ("run", "[qaoa]\nshots = 0\n", []),
-    ("gen-data", "[uncertainty]\nalpha = inf\n", []),
-    ("gen-data", "[uncertainty]\nbeta = inf\n", []),
-    ("gen-data", "[uncertainty]\nxi_max = inf\n", []),
-    ("train-qgan", "[qgan]\nlr_g = inf\n", []),
-    ("train-qgan", "[qgan]\nlr_d = inf\n", []),
-    ("train-qgan", "[qgan]\ninit_scale = inf\n", []),
-    ("train-qgan", "[qgan]\ninit_scale = 1e308\n", []),
+     [], ""),
+    ("run", "[uncertainty]\nn_grid = 8388608\n", [], ""),
+    ("run", "[qaoa]\nshots = many\n", [], "[qaoa] shots"),
+    ("run", "[qaoa]\nshots = -3\n", [], ""),
+    ("run", "[qaoa]\nshots = 0\n", [], ""),
+    ("gen-data", "[uncertainty]\nalpha = inf\n", [], ""),
+    ("gen-data", "[uncertainty]\nbeta = inf\n", [], ""),
+    ("gen-data", "[uncertainty]\nxi_max = inf\n", [], ""),
+    ("train-qgan", "[qgan]\nlr_g = inf\n", [], ""),
+    ("train-qgan", "[qgan]\nlr_d = inf\n", [], ""),
+    ("train-qgan", "[qgan]\ninit_scale = inf\n", [], ""),
+    ("train-qgan", "[qgan]\ninit_scale = 1e308\n", [], ""),
     ("train-qgan", "[qgan]\neval_mode = shots\nshots = 9223372036854775808\n",
-     []),
+     [], ""),
     ("run", "[qaoa]\neval_mode = shots\nshots = 100000000000000000000\n",
-     []),
-    ("run", "", ["--shots", "9223372036854775808"]),
-    ("gen-data", "[uncertainty]\nn_grid = 6\n", []),
-    ("run", "[problem]\nn_units = 0\n", []),
-    ("baselines", "[problem]\np_min = 300, 500\n", []),
-    ("train-qgan", "[qgan]\nuse_shots = true\n", []),
-    ("train-qgan", "[qgan]\neval_mode = sampled\n", []),
-    ("run", "[qaoa]\nn_seeds = 0\n", []),
-    ("run", "", ["--seeds", "0"]),
-    ("run", "", ["--seed", "x"]),
-    ("run", "", ["--seeds", "x"]),
-    ("run", "", ["--shots", "x"]),
-    ("run", "", ["--lambdas", ""]),
+     [], ""),
+    ("run", "", ["--shots", "9223372036854775808"], ""),
+    ("gen-data", "[uncertainty]\nn_grid = 6\n", [], ""),
+    ("run", "[problem]\nn_units = 0\n", [], ""),
+    ("baselines", "[problem]\np_min = 300, 500\n", [], ""),
+    ("train-qgan", "[qgan]\nuse_shots = true\n", [], ""),
+    ("train-qgan", "[qgan]\neval_mode = sampled\n", [],
+     "[qgan] eval_mode"),
+    ("run", "[qaoa]\nn_seeds = 0\n", [], ""),
+    ("run", "", ["--seeds", "0"], ""),
+    ("run", "", ["--seed", "x"], "[experiment] master_seed"),
+    ("run", "", ["--seeds", "x"], "[qaoa] n_seeds"),
+    ("run", "", ["--shots", "x"], "[qaoa] shots"),
+    ("run", "", ["--lambdas", ""], "[sweep] lambdas"),
+    ("report", "[experiment]\nmaster_seed = x\n", [],
+     "[experiment] master_seed"),
+    ("baselines", "[sweep]\nlambdas =\n", [], "[sweep] lambdas"),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -247,11 +251,16 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "n_grid-not-power-of-two", "n_units-zero", "p_min-length-mismatch",
         "qgan-use-shots-gone", "qgan-eval-mode-word", "n_seeds-zero",
         "seeds-flag-zero", "seed-flag-word", "seeds-flag-word",
-        "shots-flag-word", "lambdas-flag-empty"])
-def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags):
+        "shots-flag-word", "lambdas-flag-empty", "seed-word",
+        "lambdas-empty"])
+def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags,
+                                     named):
+    """Exit 2 with a config error, which names the key whose text does not
+    parse (``named``, empty where the text parses and a check fails)."""
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from qtwostage import walsh
 from qtwostage.errors import StructureError
 
-from oracles import eval_at, fwht_expand
+from oracles import eval_at, fwht_expand, reconstruct_per_term
 
 
 def brute_force_expand(values):
@@ -50,6 +50,43 @@ def test_fwht_round_trip_random():
         values = rng.normal(size=n) * 100
         back = walsh.reconstruct(fwht_expand(values))
         assert np.max(np.abs(back - values)) < 1e-10
+
+
+def _random_polynomials(rng, n):
+    """Random polynomials on n qubits: with and without the identity term,
+    with the all-ones mask, and the empty polynomial."""
+    size = 2**n
+    masks = rng.choice(np.arange(1, size), size=min(size - 1, 64),
+                       replace=False)
+    coeffs = rng.normal(size=len(masks)) * 100
+    terms = {int(m): float(c) for m, c in zip(masks, coeffs)}
+    yield walsh.ZPolynomial(n, terms)
+    yield walsh.ZPolynomial(n, {**terms, 0: float(rng.normal() * 1000)})
+    yield walsh.ZPolynomial(n, {**terms, size - 1: float(rng.normal())})
+    yield walsh.ZPolynomial(n, {size - 1: -2.5, 0: 0.75})
+    yield walsh.ZPolynomial(n, {})
+
+
+def test_reconstruct_matches_per_term_oracle():
+    rng = np.random.default_rng(43)
+    for n in range(1, 17):
+        for poly in _random_polynomials(rng, n):
+            fast, slow = walsh.reconstruct(poly), reconstruct_per_term(poly)
+            scale = sum(abs(c) for c in poly.terms.values())
+            assert fast.shape == (2**n,)
+            assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
+
+
+def test_reconstruct_one_term_is_exact_parity():
+    """A one-term diagonal is c * (-1)**popcount(mask & i), bit for bit."""
+    for n, masks in [*((n, range(2**n)) for n in range(1, 7)),
+                     (12, (1, 2**11, 0b101010101010, 2**12 - 1))]:
+        for mask in masks:
+            signs = np.array([(-1.0) ** (mask & i).bit_count()
+                              for i in range(2**n)])
+            for c in (1.0, -0.3):
+                got = walsh.reconstruct(walsh.ZPolynomial(n, {mask: c}))
+                assert got.tobytes() == (c * signs).tobytes()
 
 
 def test_arithmetic_expansion_examples():
