@@ -53,18 +53,22 @@ class UcpParams:
     unit_cost: tuple
 
     def __post_init__(self):
-        m = self.n_units
-        if not (len(self.p_min) == len(self.p_max) == len(self.startup_cost)
-                == len(self.unit_cost) == m):
-            raise StructureError("parameter arrays must all have length n_units")
-        if not all(map(math.isfinite, (self.demand, *self.p_min, *self.p_max,
-                                       *self.startup_cost, *self.unit_cost))):
-            raise StructureError("problem data must be finite")
-        for i in range(m):
+        if self.n_units < 1:
+            raise StructureError("n_units must be >= 1")
+        if not math.isfinite(self.demand):
+            raise StructureError("demand must be finite")
+        for key in ("p_min", "p_max", "startup_cost", "unit_cost"):
+            values = getattr(self, key)
+            if len(values) != self.n_units:
+                raise StructureError(f"{key} needs n_units = {self.n_units} "
+                                     f"values, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                raise StructureError(f"{key} must be finite")
+            if key in ("startup_cost", "unit_cost") and min(values) < 0:
+                raise StructureError(f"{key} must be >= 0")
+        for i in range(self.n_units):
             if not self.p_min[i] < self.p_max[i]:
-                raise StructureError(f"unit {i}: p_min must be < p_max")
-            if self.startup_cost[i] < 0 or self.unit_cost[i] < 0:
-                raise StructureError(f"unit {i}: costs must be >= 0")
+                raise StructureError(f"p_min must be < p_max, unit {i}")
 
 
 def default_params(n_units: int = 3) -> UcpParams:
@@ -101,8 +105,9 @@ class TrainConfig:
         if self.epochs < 0:
             raise StructureError("epochs must be >= 0")
         _check_shots(self.shots)
-        if not (0 < self.lr_g < math.inf and 0 < self.lr_d < math.inf):
-            raise StructureError("learning rates must be finite and > 0")
+        for key in ("lr_g", "lr_d"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise StructureError(f"{key} must be finite and > 0")
         # the initial angles are uniform on a range of width 2 * init_scale
         if not 0 <= 2 * self.init_scale < math.inf:
             raise StructureError("init_scale must be >= 0, with "
@@ -118,13 +123,10 @@ class QaoaConfig:
     n_seeds: int = 5  # optimizer restarts per lambda
 
     def __post_init__(self):
-        if self.p1 < 1 or self.p2 < 1:
-            raise StructureError("layer depths must be >= 1")
         _check_shots(self.shots)
-        if self.maxiter < 1:
-            raise StructureError("maxiter must be >= 1")
-        if self.n_seeds < 1:
-            raise StructureError("n_seeds must be >= 1")
+        for key in ("p1", "p2", "maxiter", "n_seeds"):
+            if getattr(self, key) < 1:
+                raise StructureError(f"{key} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,33 +149,35 @@ class ExperimentConfig:
     master_seed: int = 7
 
     def __post_init__(self):
+        # each message names its keys as the INI file does
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
-            raise StructureError("n_grid must be a power of two >= 2")
+            raise StructureError("[uncertainty] n_grid must be a power of two >= 2")
         # the register: scenario qubits, then two qubits per unit
         n_qubits = self.n_grid.bit_length() - 1 + 2 * self.problem.n_units
         if n_qubits > MAX_QUBITS:
-            raise StructureError(f"n_grid and n_units need {n_qubits} qubits, "
-                                 f"above the {MAX_QUBITS}-qubit cap")
+            raise StructureError(f"[uncertainty] n_grid and [problem] n_units "
+                                 f"need {n_qubits} qubits, above the "
+                                 f"{MAX_QUBITS}-qubit cap")
         if not 1 <= self.n_test <= self.n_data:
-            raise StructureError("n_test must lie in [1, n_data]")
-        if not all(0 < v < math.inf
-                   for v in (self.alpha, self.beta, self.xi_max)):
-            raise StructureError("alpha, beta and xi_max must be finite and > 0")
+            raise StructureError("[uncertainty] n_test must lie in [1, n_data]")
+        for key in ("alpha", "beta", "xi_max"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise StructureError(f"[uncertainty] {key} must be finite and > 0")
         if not self.lambdas:
-            raise StructureError("lambda sweep cannot be empty")
+            raise StructureError("[sweep] lambdas cannot be empty")
         # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
         if not all(0 <= lam < math.inf for lam in self.lambdas):
-            raise StructureError("every lambda must be finite and >= 0")
-        if min(self.m_values) < 1 or any(
-                n < 2 or n & (n - 1) for n in self.n_values):
-            raise StructureError("n_values must be powers of two >= 2 "
-                                 "and m_values >= 1")
+            raise StructureError("[sweep] lambdas must each be finite and >= 0")
+        if any(n < 2 or n & (n - 1) for n in self.n_values):
+            raise StructureError("[sweep] n_values must be powers of two >= 2")
+        if min(self.m_values) < 1:
+            raise StructureError("[sweep] m_values must be >= 1")
         widest = max(self.n_values).bit_length() - 1 + 2 * max(self.m_values)
         if widest > MAX_Z_QUBITS:
-            raise StructureError(f"the resource sweep needs {widest} qubits; "
-                                 f"a Z-polynomial holds {MAX_Z_QUBITS}")
+            raise StructureError(f"[sweep] n_values and m_values need {widest} "
+                                 f"qubits; a Z-polynomial holds {MAX_Z_QUBITS}")
         if not 0 <= self.master_seed < 2**64:
-            raise StructureError("master_seed must fit in 64 bits")
+            raise StructureError("[experiment] master_seed must fit in 64 bits")
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +224,19 @@ _KEYS = {
 }
 
 
-def _sampled(kind, default_shots: int, keys: dict):
+def _built(section: str, kind, *args, **keys):
+    """``kind(*args, **keys)``, a failed check prefixed by its section."""
+    try:
+        return kind(*args, **keys)
+    except StructureError as exc:
+        raise StructureError(f"[{section}] {exc}") from exc
+
+
+def _sampled(section: str, kind, default_shots: int, keys: dict):
     """A section with an eval_mode as its object: shots None when exact."""
     exact = keys.pop("eval_mode", "exact") == "exact"
     # built before exact mode drops the shots, so a bad value is still an error
-    cfg = kind(**{"shots": default_shots, **keys})
+    cfg = _built(section, kind, **{"shots": default_shots, **keys})
     return replace(cfg, shots=None) if exact else cfg
 
 
@@ -267,8 +279,8 @@ def load_config(path: str | None, flags=None) -> ExperimentConfig:
     if "dir" in given["output"]:
         fields["out_dir"] = given["output"]["dir"]
     return ExperimentConfig(
-        problem=replace(default_params(), **given["problem"]),
-        qgan=_sampled(TrainConfig, QGAN_SHOTS, given["qgan"]),
-        qaoa=_sampled(QaoaConfig, PAPER_SHOTS, given["qaoa"]),
+        problem=_built("problem", replace, default_params(), **given["problem"]),
+        qgan=_sampled("qgan", TrainConfig, QGAN_SHOTS, given["qgan"]),
+        qaoa=_sampled("qaoa", QaoaConfig, PAPER_SHOTS, given["qaoa"]),
         **fields,
     )

@@ -85,10 +85,12 @@ class RunResult:
 # circuit assembly
 # ---------------------------------------------------------------------------
 
-def _cost_gates(poly: ZPolynomial, gamma: float) -> list:
-    """One diagonal cost layer; the constant term is a global phase, skipped."""
+def _cost_terms(poly: ZPolynomial) -> list:
+    """(support, coefficient) of each term in mask order, the support the
+    ascending tuple of its qubits; the constant term is a global phase,
+    skipped."""
     return [
-        sv.ZPhase(mask, gamma * coef)
+        (tuple(q for q in range(mask.bit_length()) if mask >> q & 1), coef)
         for mask, coef in sorted(poly.terms.items())
         if mask != 0
     ]
@@ -96,11 +98,11 @@ def _cost_gates(poly: ZPolynomial, gamma: float) -> list:
 
 def stage_layers(polys, gammas, betas, qubits) -> list:
     """The H column, then per (gamma, beta): cost layers, then the RX mixer."""
-    gates = [sv.H(q) for q in qubits]
+    terms = [term for poly in polys for term in _cost_terms(poly)]
+    gates = [("h", (q,), None) for q in qubits]
     for gamma, beta in zip(gammas, betas):
-        for poly in polys:
-            gates.extend(_cost_gates(poly, gamma))
-        gates.extend(sv.RX(q, -2.0 * beta) for q in qubits)
+        gates += [("zphase", support, gamma * coef) for support, coef in terms]
+        gates += [("rx", (q,), -2.0 * beta) for q in qubits]
     return gates
 
 

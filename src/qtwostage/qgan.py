@@ -57,18 +57,13 @@ def default_spec(n_xi: int) -> GeneratorSpec:
 
 def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
     """H column, RY layer, then n_xi x (CZ chain, RY layer)."""
-    gates = [sv.H(q) for q in range(spec.n_xi)]
-    k = 0
-    for q in range(spec.n_xi):
-        gates.append(sv.RY(q, spec.theta[k]))
-        k += 1
-    for _ in range(spec.n_xi):
-        for q in range(spec.n_xi - 1):
-            gates.append(sv.CZ(q, q + 1))
-        for q in range(spec.n_xi):
-            gates.append(sv.RY(q, spec.theta[k]))
-            k += 1
-    return sv.Circuit(spec.n_xi, gates)
+    n = spec.n_xi
+    gates = [("h", (q,), None) for q in range(n)]
+    for layer in range(n + 1):
+        if layer:
+            gates += [("cz", (q, q + 1), None) for q in range(n - 1)]
+        gates += [("ry", (q,), spec.theta[layer * n + q]) for q in range(n)]
+    return sv.Circuit(n, gates)
 
 
 def _measure(probs: np.ndarray, shots: int | None, rng) -> np.ndarray:

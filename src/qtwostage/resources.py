@@ -4,10 +4,11 @@ One rewrite rule, ``_rewrite``, holds the fixed table (one Euler convention
 per gate, no cancellation pass), so counts are reproducible and layer
 increments stay exactly additive.  Z-string phase blocks synthesize as a CX
 parity ladder onto the lowest support qubit, a single RZ, and the mirrored
-ladder.  A basis gate exists only as the rule's ``(kind, qubits, angle)``
-triple: ``lower_to_basis`` returns a circuit of those triples, and
-``count_and_depth`` tallies them into a row's count columns.  No gate the
-simulator runs lowers to X, so the ``x`` count is kept as schema and reads 0.
+ladder.  A gate is a ``(kind, qubits, angle)`` triple before lowering (see
+``statevec``) and after it: ``lower_to_basis`` returns a circuit of the
+rule's basis triples, and ``count_and_depth`` tallies them into a row's count
+columns.  No gate the simulator runs lowers to X, so the ``x`` count is kept
+as schema and reads 0.
 
 ``sweep_scaling`` builds circuits at zero angles over grids of scenario
 counts and unit counts, each row its configuration columns and then
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import statevec as sv
 from .config import default_params
-from .errors import StructureError
 from .qaoa import VariationalParams, assemble, stage_layers
 from .qgan import default_spec, generator_circuit
 from .ucp import build_hamiltonian
@@ -64,30 +64,22 @@ def _rewrite(gate, n_qubits: int) -> list:
     """The basis gates ``gate`` becomes, as (kind, qubits, angle) triples in
     order: kind "rz" with its angle, or "sx" or "cx" with angle None.
 
-    Exactly the gate kinds ``statevec.apply`` runs (H, RX, RY, CZ, ZPhase)
-    have a rewrite.  Any other object, or a gate ``apply`` would reject on
-    an ``n_qubits`` register (a ZPhase of mask 0 included), is a
+    Exactly the gates ``statevec.apply`` runs have a rewrite: anything
+    ``statevec.check_qubits`` rejects on an ``n_qubits`` register is a
     StructureError here too.
     """
-    if isinstance(gate, sv.ZPhase):
-        mask = gate.mask
-        sv.check_mask(n_qubits, mask)
-        support = [q for q in range(mask.bit_length()) if (mask >> q) & 1]
-        up = [("cx", pair, None) for pair in zip(support[1:], support)]
-        return up[::-1] + [("rz", (support[0],), 2.0 * gate.angle)] + up
-    if isinstance(gate, sv.CZ):
-        c, t = gate.control, gate.target
-        sv.check_qubits(n_qubits, c, t)
-        return _h(t) + [("cx", (c, t), None)] + _h(t)
-    if not isinstance(gate, (sv.H, sv.RX, sv.RY)):
-        raise StructureError(f"unknown gate {gate!r}")
-    q = gate.qubit
-    sv.check_qubits(n_qubits, q)
-    if isinstance(gate, sv.H):
+    kind, qubits, angle = sv.check_qubits(n_qubits, gate)
+    if kind == "zphase":
+        up = [("cx", pair, None) for pair in zip(qubits[1:], qubits)]
+        return up[::-1] + [("rz", qubits[:1], 2.0 * angle)] + up
+    if kind == "cz":
+        return _h(qubits[1]) + [("cx", qubits, None)] + _h(qubits[1])
+    q = qubits[0]
+    if kind == "h":
         return _h(q)
-    if isinstance(gate, sv.RX):
-        return _euler(q, _HALF_PI, gate.angle, _HALF_PI)
-    return _euler(q, 0.0, gate.angle, np.pi)
+    if kind == "rx":
+        return _euler(q, _HALF_PI, angle, _HALF_PI)
+    return _euler(q, 0.0, angle, np.pi)
 
 
 def lower_to_basis(circuit: sv.Circuit) -> sv.Circuit:

@@ -1,5 +1,13 @@
-"""Dense statevector simulation of the five gate kinds the package builds:
-H, RX, RY, CZ and ZPhase.
+"""Dense statevector simulation of the gates the package builds.
+
+A gate is a ``(kind, qubits, angle)`` triple, the same shape as the basis
+gates `resources` lowers it to:
+
+  * ``("h", (q,), None)``, ``("rx", (q,), t)`` and ``("ry", (q,), t)``;
+  * ``("cz", (c, t), None)``;
+  * ``("zphase", support, t)``: exp(-i*t*Z...Z) for the Z-string on the
+    ascending tuple ``support`` of qubits, whose +-1 diagonal is
+    `walsh.reconstruct` of the one-term polynomial.
 
 Conventions:
   * little-endian indexing — qubit ``q`` contributes the bit of weight
@@ -7,13 +15,9 @@ Conventions:
   * global phase is never tracked or compared;
   * a state is its complex128 amplitude array, of shape ``(2**n,)`` or
     ``(rows, 2**n)``: a batch of states that run the same gates, with
-    RX / RY angles scalar or one per row; ``n`` is read from the last
+    rx / ry angles scalar or one per row; ``n`` is read from the last
     axis.  Gates act in place on that array (no gate matrix is ever
     materialized over the full register).
-
-``ZPhase`` applies ``exp(-i*t*Z)`` for the Z-string Z on a support mask,
-whose +-1 diagonal is `walsh.reconstruct` of the one-term polynomial.
-``resources`` lowers exactly these kinds to its hardware basis.
 
 ``sample(probs, shots, rng)`` draws counts from a basis-ordered probability
 vector, of a simulated state or of one computed without a state, and
@@ -23,51 +27,12 @@ one count vector per row, in row order, of a 2-D ``probs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from .config import MAX_QUBITS
 from .errors import CapacityError, StructureError
 from .walsh import ZPolynomial, reconstruct
-
-
-# ---------------------------------------------------------------------------
-# gates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RX:
-    qubit: int
-    angle: float
-
-
-@dataclass(frozen=True)
-class RY:
-    qubit: int
-    angle: float
-
-
-@dataclass(frozen=True)
-class H:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class CZ:
-    control: int
-    target: int
-
-
-@dataclass(frozen=True)
-class ZPhase:
-    """exp(-i*angle*Z...Z) on the qubits set in ``mask``."""
-
-    mask: int
-    angle: float
-
-
-Gate = Union[RX, RY, H, CZ, ZPhase]
 
 
 @dataclass
@@ -96,23 +61,27 @@ def new_zero_state(n_qubits: int) -> np.ndarray:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def check_qubits(n: int, *qubits: int) -> None:
-    """Each qubit lies in [0, n), and no qubit appears twice."""
+# qubits each kind acts on; 0: a zphase acts on a support of any size
+_ARITY = {"h": 1, "rx": 1, "ry": 1, "cz": 2, "zphase": 0}
+
+
+def check_qubits(n: int, gate) -> tuple:
+    """A (kind, qubits, angle) triple of a known kind on at least one qubit,
+    as many as its kind takes, each in [0, n) and none twice; returned."""
+    if type(gate) is not tuple or len(gate) != 3 or gate[0] not in _ARITY:
+        raise StructureError(f"unknown gate {gate!r}")
+    qubits = gate[1]
+    if not qubits or _ARITY[gate[0]] not in (0, len(qubits)):
+        raise StructureError(f"wrong qubit count in {gate!r}")
     for q in qubits:
         if not 0 <= q < n:
             raise StructureError(f"qubit {q} out of range for {n}-qubit register")
-    if len(set(qubits)) < len(qubits):
-        raise StructureError(f"control and target must differ, got {qubits}")
-
-
-def check_mask(n: int, mask: int) -> None:
-    """A Z-string support mask names at least one of the n qubits."""
-    if not 0 < mask < 2**n:
-        raise StructureError(f"ZPhase mask {mask} invalid for {n} qubits")
+    if len(qubits) > 1 and len(set(qubits)) < len(qubits):
+        raise StructureError(f"repeated qubit in {gate!r}")
+    return gate
 
 
 def _apply_single(amps: np.ndarray, n: int, q: int, *u) -> None:
-    check_qubits(n, q)
     # axes (rows, bits above q, bit q, bits below q); u scalar or one per row
     view = amps.reshape(-1, 2 ** (n - 1 - q), 2, 2**q)
     u00, u01, u10, u11 = (np.reshape(c, (-1, 1, 1)) for c in u)
@@ -122,35 +91,30 @@ def _apply_single(amps: np.ndarray, n: int, q: int, *u) -> None:
     view[:, :, 1, :] = u10 * lo + u11 * hi
 
 
-def apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
+def apply(amps: np.ndarray, gate: tuple) -> np.ndarray:
     """Apply one gate in place; returns the same array for chaining."""
     n = amps.shape[-1].bit_length() - 1
+    kind, qubits, angle = check_qubits(n, gate)
 
-    if isinstance(gate, RY):
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        _apply_single(amps, n, gate.qubit, c, -s, s, c)
-    elif isinstance(gate, RX):
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        _apply_single(amps, n, gate.qubit, c, -1j * s, -1j * s, c)
-    elif isinstance(gate, H):
+    if kind in ("rx", "ry"):
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        u = (c, -s, s, c) if kind == "ry" else (c, -1j * s, -1j * s, c)
+        _apply_single(amps, n, qubits[0], *u)
+    elif kind == "h":
         r = _INV_SQRT2
-        _apply_single(amps, n, gate.qubit, r, r, r, -r)
-    elif isinstance(gate, CZ):
-        c, t = gate.control, gate.target
-        check_qubits(n, c, t)
+        _apply_single(amps, n, qubits[0], r, r, r, -r)
+    elif kind == "cz":
         # axis n-q of the (rows,) + (2,)*n view is qubit q; the amplitudes
         # with both bits set are one writable view, negated in place
         sel = [slice(None)] * (n + 1)
-        sel[n - c] = sel[n - t] = 1
+        sel[n - qubits[0]] = sel[n - qubits[1]] = 1
         both = amps.reshape((-1,) + (2,) * n)[tuple(sel)]
         both *= -1.0
-    elif isinstance(gate, ZPhase):
-        check_mask(n, gate.mask)
-        odd = reconstruct(ZPolynomial(n, {gate.mask: 1.0})) < 0
-        f_even = np.exp(-1j * gate.angle)
-        amps *= np.where(odd, np.conj(f_even), f_even)
     else:
-        raise StructureError(f"unknown gate {gate!r}")
+        mask = sum(1 << q for q in qubits)
+        odd = reconstruct(ZPolynomial(n, {mask: 1.0})) < 0
+        f_even = np.exp(-1j * angle)
+        amps *= np.where(odd, np.conj(f_even), f_even)
     return amps
 
 

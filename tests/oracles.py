@@ -5,7 +5,8 @@ claims as checks on the gate-level circuit (`verify_prop1`,
 `verify_nonanticipativity`), the unit-commitment cost one basis state at a
 time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
 (`decode_basis`, `encode_basis`), the exact diagonal phase a synthesized
-Z-string block must equal (`diagonal_phase`), a lowered circuit's
+Z-string block must equal (`diagonal_phase`), the Z-string gate on the
+qubits of a bitmask (`zphase`), a lowered circuit's
 basis-gate triples run by dense matrices (`run_lowered`), the dense Walsh
 transform, the per-term dense diagonal and pointwise evaluation of
 Z-polynomials (`fwht_expand`, `reconstruct_per_term`, `eval_at`), the
@@ -87,8 +88,14 @@ def surrogate_diagonal(
 
 
 # ---------------------------------------------------------------------------
-# lowered circuits
+# gates and lowered circuits
 # ---------------------------------------------------------------------------
+
+def zphase(mask: int, angle) -> tuple:
+    """The ("zphase", support, angle) gate on the qubits set in ``mask``."""
+    support = tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+    return ("zphase", support, angle)
+
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -47,6 +47,7 @@ from oracles import (
     surrogate_diagonal,
     verify_nonanticipativity,
     verify_prop1,
+    zphase,
 )
 
 XI_MAX = 2500.0
@@ -187,7 +188,7 @@ def test_criterion_4_scenario_decision_independence():
     vp_c = random_params(2, 2, np.random.default_rng(31))
     circuit = assemble(gen_c, ham, vp_c)
     q = layout.first_stage_qubits[0]
-    circuit.gates += [sv.H(q), sv.CZ(0, q), sv.H(q)]
+    circuit.gates += [("h", (q,), None), ("cz", (0, q), None), ("h", (q,), None)]
     control = verify_nonanticipativity(sv.run_circuit(circuit), layout)
 
     elapsed = time.perf_counter() - t0
@@ -286,7 +287,7 @@ def test_criterion_8_resource_scaling_trends():
     for n_xi in range(2, 9):
         ham = build_hamiltonian(params, 30.0, n_xi, 0.0, XI_MAX)
         block = [
-            sv.ZPhase(int(m), 0.0) for m in sorted(ham.h2_dep.terms) if m != 0
+            zphase(int(m), 0.0) for m in sorted(ham.h2_dep.terms) if m != 0
         ]
         counts.append(
             count_and_depth(sv.Circuit(ham.layout.n_total, block))["total"]
@@ -303,17 +304,17 @@ def test_criterion_8_resource_scaling_trends():
         q = int(rng.integers(0, n))
         pick = int(rng.integers(0, 5))
         if pick == 0:
-            gates.append(sv.H(q))
+            gates.append(("h", (q,), None))
         elif pick == 1:
-            gates.append(sv.RY(q, float(rng.uniform(-4, 4))))
+            gates.append(("ry", (q,), float(rng.uniform(-4, 4))))
         elif pick == 2:
-            gates.append(sv.RX(q, float(rng.uniform(-4, 4))))
+            gates.append(("rx", (q,), float(rng.uniform(-4, 4))))
         elif pick == 3:
             other = (q + 1 + int(rng.integers(0, n - 1))) % n
-            gates.append(sv.CZ(q, other))
+            gates.append(("cz", (q, other), None))
         else:
-            gates.append(sv.ZPhase(int(rng.integers(1, 2**n)),
-                                   float(rng.uniform(-4, 4))))
+            gates.append(zphase(int(rng.integers(1, 2**n)),
+                                float(rng.uniform(-4, 4))))
     circuit = sv.Circuit(n, gates)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)

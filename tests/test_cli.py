@@ -184,53 +184,59 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, body, flags, named", [
-    ("run", "[qaoa]\np1 = 0\n", [], ""),
-    ("run", "[qaoa]\nmaxiter = 0\n", [], ""),
-    ("run", "", ["--shots", "0"], ""),
-    ("run", "[qaoa]\neval_mode = shots\nshots = -3\n", [], ""),
-    ("gen-data", "[uncertainty]\nn_test = 0\n", [], ""),
-    ("gen-data", "[uncertainty]\nn_data = 10\nn_test = 11\n", [], ""),
-    ("gen-data", "[uncertainty]\nalpha = 0\n", [], ""),
-    ("gen-data", "[uncertainty]\nbeta = nan\n", [], ""),
-    ("gen-data", "[uncertainty]\nxi_max = -2500\n", [], ""),
-    ("train-qgan", "[qgan]\nepochs = -5\n", [], ""),
-    ("train-qgan", "[qgan]\nshots = 0\n", [], ""),
-    ("train-qgan", "[qgan]\nlr_g = 0\n", [], ""),
-    ("train-qgan", "[qgan]\nlr_d = -0.1\n", [], ""),
-    ("train-qgan", "[qgan]\ninit_scale = -1\n", [], ""),
-    ("baselines", "[sweep]\nlambdas = 30, -5\n", [], ""),
-    ("run", "", ["--lambdas", "30,inf"], ""),
-    ("baselines", "[sweep]\nlambdas = nan\n", [], ""),
-    ("run", "", ["--lambdas", "30,-0.5"], ""),
-    ("resources", "[sweep]\nn_values = 4, 3\n", [], ""),
-    ("resources", "[sweep]\nm_values = 0\n", [], ""),
-    ("resources", "[sweep]\nm_values = 31\n", [], ""),
+    ("run", "[qaoa]\np1 = 0\n", [], "[qaoa] p1"),
+    ("run", "[qaoa]\nmaxiter = 0\n", [], "[qaoa] maxiter"),
+    ("run", "", ["--shots", "0"], "[qaoa] shots"),
+    ("run", "[qaoa]\neval_mode = shots\nshots = -3\n", [], "[qaoa] shots"),
+    ("gen-data", "[uncertainty]\nn_test = 0\n", [], "[uncertainty] n_test"),
+    ("gen-data", "[uncertainty]\nn_data = 10\nn_test = 11\n", [],
+     "[uncertainty] n_test must lie in [1, n_data]"),
+    ("gen-data", "[uncertainty]\nalpha = 0\n", [], "[uncertainty] alpha"),
+    ("gen-data", "[uncertainty]\nbeta = nan\n", [], "[uncertainty] beta"),
+    ("gen-data", "[uncertainty]\nxi_max = -2500\n", [],
+     "[uncertainty] xi_max"),
+    ("train-qgan", "[qgan]\nepochs = -5\n", [], "[qgan] epochs"),
+    ("train-qgan", "[qgan]\nshots = 0\n", [], "[qgan] shots"),
+    ("train-qgan", "[qgan]\nlr_g = 0\n", [], "[qgan] lr_g"),
+    ("train-qgan", "[qgan]\nlr_d = -0.1\n", [], "[qgan] lr_d"),
+    ("train-qgan", "[qgan]\ninit_scale = -1\n", [], "[qgan] init_scale"),
+    ("baselines", "[sweep]\nlambdas = 30, -5\n", [], "[sweep] lambdas"),
+    ("run", "", ["--lambdas", "30,inf"], "[sweep] lambdas"),
+    ("baselines", "[sweep]\nlambdas = nan\n", [], "[sweep] lambdas"),
+    ("run", "", ["--lambdas", "30,-0.5"], "[sweep] lambdas"),
+    ("resources", "[sweep]\nn_values = 4, 3\n", [], "[sweep] n_values"),
+    ("resources", "[sweep]\nm_values = 0\n", [], "[sweep] m_values"),
+    ("resources", "[sweep]\nm_values = 31\n", [],
+     "[sweep] n_values and m_values"),
     ("resources", "[sweep]\nn_values = 4611686018427387904\nm_values = 1\n",
-     [], ""),
-    ("run", "[uncertainty]\nn_grid = 8388608\n", [], ""),
+     [], "[sweep] n_values and m_values"),
+    ("run", "[uncertainty]\nn_grid = 8388608\n", [],
+     "[uncertainty] n_grid and [problem] n_units"),
     ("run", "[qaoa]\nshots = many\n", [], "[qaoa] shots"),
-    ("run", "[qaoa]\nshots = -3\n", [], ""),
-    ("run", "[qaoa]\nshots = 0\n", [], ""),
-    ("gen-data", "[uncertainty]\nalpha = inf\n", [], ""),
-    ("gen-data", "[uncertainty]\nbeta = inf\n", [], ""),
-    ("gen-data", "[uncertainty]\nxi_max = inf\n", [], ""),
-    ("train-qgan", "[qgan]\nlr_g = inf\n", [], ""),
-    ("train-qgan", "[qgan]\nlr_d = inf\n", [], ""),
-    ("train-qgan", "[qgan]\ninit_scale = inf\n", [], ""),
-    ("train-qgan", "[qgan]\ninit_scale = 1e308\n", [], ""),
+    ("run", "[qaoa]\nshots = -3\n", [], "[qaoa] shots"),
+    ("run", "[qaoa]\nshots = 0\n", [], "[qaoa] shots"),
+    ("gen-data", "[uncertainty]\nalpha = inf\n", [], "[uncertainty] alpha"),
+    ("gen-data", "[uncertainty]\nbeta = inf\n", [], "[uncertainty] beta"),
+    ("gen-data", "[uncertainty]\nxi_max = inf\n", [],
+     "[uncertainty] xi_max"),
+    ("train-qgan", "[qgan]\nlr_g = inf\n", [], "[qgan] lr_g"),
+    ("train-qgan", "[qgan]\nlr_d = inf\n", [], "[qgan] lr_d"),
+    ("train-qgan", "[qgan]\ninit_scale = inf\n", [], "[qgan] init_scale"),
+    ("train-qgan", "[qgan]\ninit_scale = 1e308\n", [], "[qgan] init_scale"),
     ("train-qgan", "[qgan]\neval_mode = shots\nshots = 9223372036854775808\n",
-     [], ""),
+     [], "[qgan] shots"),
     ("run", "[qaoa]\neval_mode = shots\nshots = 100000000000000000000\n",
-     [], ""),
-    ("run", "", ["--shots", "9223372036854775808"], ""),
-    ("gen-data", "[uncertainty]\nn_grid = 6\n", [], ""),
-    ("run", "[problem]\nn_units = 0\n", [], ""),
-    ("baselines", "[problem]\np_min = 300, 500\n", [], ""),
-    ("train-qgan", "[qgan]\nuse_shots = true\n", [], ""),
+     [], "[qaoa] shots"),
+    ("run", "", ["--shots", "9223372036854775808"], "[qaoa] shots"),
+    ("gen-data", "[uncertainty]\nn_grid = 6\n", [], "[uncertainty] n_grid"),
+    ("run", "[problem]\nn_units = 0\n", [], "[problem] n_units"),
+    ("baselines", "[problem]\np_min = 300, 500\n", [], "[problem] p_min"),
+    ("train-qgan", "[qgan]\nuse_shots = true\n", [],
+     "'use_shots' in [qgan]"),
     ("train-qgan", "[qgan]\neval_mode = sampled\n", [],
      "[qgan] eval_mode"),
-    ("run", "[qaoa]\nn_seeds = 0\n", [], ""),
-    ("run", "", ["--seeds", "0"], ""),
+    ("run", "[qaoa]\nn_seeds = 0\n", [], "[qaoa] n_seeds"),
+    ("run", "", ["--seeds", "0"], "[qaoa] n_seeds"),
     ("run", "", ["--seed", "x"], "[experiment] master_seed"),
     ("run", "", ["--seeds", "x"], "[qaoa] n_seeds"),
     ("run", "", ["--shots", "x"], "[qaoa] shots"),
@@ -255,8 +261,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "lambdas-empty"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags,
                                      named):
-    """Exit 2 with a config error, which names the key whose text does not
-    parse (``named``, empty where the text parses and a check fails)."""
+    """Exit 2 with a config error, which names the key at fault
+    (``named``): the key whose text does not parse, or the key, or for a
+    cross-field check both keys, whose check fails, with its section."""
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
     err = capsys.readouterr().err

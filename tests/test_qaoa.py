@@ -27,6 +27,7 @@ from oracles import (
     surrogate_diagonal,
     verify_nonanticipativity,
     verify_prop1,
+    zphase,
 )
 
 
@@ -88,39 +89,39 @@ def test_assemble_structure():
     # generator block: 2 H, 2 RY, then 2 reps of (1 CZ, 2 RY)
     n_gen = 2 + 2 + 2 * (1 + 2)
     for g in gates[:2]:
-        assert isinstance(g, sv.H)
+        assert g[0] == "h"
     # each stage opens with its superposition column
     h_first = gates[n_gen:n_gen + 3]
-    assert all(isinstance(g, sv.H) for g in h_first)
-    assert [g.qubit for g in h_first] == [2, 3, 4]
+    assert all(g[0] == "h" for g in h_first)
+    assert [g[1] for g in h_first] == [(2,), (3,), (4,)]
 
     pos = n_gen + 3
     h1_masks = sorted(m for m in ham.h1.terms if m != 0)
     for mask in h1_masks:
         g = gates[pos]
-        assert isinstance(g, sv.ZPhase) and g.mask == mask
-        assert g.angle == pytest.approx(0.3 * ham.h1.terms[mask])
+        assert g[:2] == zphase(mask, None)[:2]
+        assert g[2] == pytest.approx(0.3 * ham.h1.terms[mask])
         pos += 1
     for q in layout.first_stage_qubits:
         g = gates[pos]
-        assert isinstance(g, sv.RX) and g.qubit == q
-        assert g.angle == pytest.approx(-0.4)
+        assert g[:2] == ("rx", (q,))
+        assert g[2] == pytest.approx(-0.4)
         pos += 1
 
     h_second = gates[pos:pos + 3]
-    assert all(isinstance(g, sv.H) for g in h_second)
-    assert [g.qubit for g in h_second] == [5, 6, 7]
+    assert all(g[0] == "h" for g in h_second)
+    assert [g[1] for g in h_second] == [(5,), (6,), (7,)]
     pos += 3
     dep_masks = sorted(m for m in ham.h2_dep.terms if m != 0)
     indep_masks = sorted(m for m in ham.h2_indep.terms if m != 0)
     for mask in dep_masks + indep_masks:
         g = gates[pos]
-        assert isinstance(g, sv.ZPhase) and g.mask == mask
+        assert g[:2] == zphase(mask, None)[:2]
         pos += 1
     for q in layout.second_stage_qubits:
         g = gates[pos]
-        assert isinstance(g, sv.RX) and g.qubit == q
-        assert g.angle == pytest.approx(-0.2)
+        assert g[:2] == ("rx", (q,))
+        assert g[2] == pytest.approx(-0.2)
         pos += 1
     assert pos == len(gates)
 
@@ -182,15 +183,21 @@ def test_mapping_block_matches_diagonal_oracle():
     state = final_state(gen, ham, vp)
 
     # replace the synthesized scenario-coupled block by one diagonal phase
-    from qtwostage.qaoa import _cost_gates
+    from qtwostage.qaoa import _cost_terms
     from qtwostage.qgan import generator_circuit
+
+    def cost_gates(poly, gamma):
+        return [("zphase", support, gamma * coef)
+                for support, coef in _cost_terms(poly)]
+
     before = list(generator_circuit(gen).gates)
-    before += [sv.H(q) for q in layout.first_stage_qubits]
-    before += [sv.H(q) for q in layout.second_stage_qubits]
-    before += _cost_gates(ham.h1, vp.gamma1[0])
-    before += [sv.RX(q, -2 * vp.beta1[0]) for q in layout.first_stage_qubits]
-    after = _cost_gates(ham.h2_indep, vp.gamma2[0])
-    after += [sv.RX(q, -2 * vp.beta2[0]) for q in layout.second_stage_qubits]
+    before += [("h", (q,), None) for q in layout.first_stage_qubits]
+    before += [("h", (q,), None) for q in layout.second_stage_qubits]
+    before += cost_gates(ham.h1, vp.gamma1[0])
+    before += [("rx", (q,), -2 * vp.beta1[0]) for q in layout.first_stage_qubits]
+    after = cost_gates(ham.h2_indep, vp.gamma2[0])
+    after += [("rx", (q,), -2 * vp.beta2[0])
+              for q in layout.second_stage_qubits]
     oracle = sv.run_circuit(sv.Circuit(layout.n_total, before))
     diagonal_phase(oracle, reconstruct(ham.h2_dep), vp.gamma2[0])
     sv.run_circuit(sv.Circuit(layout.n_total, after), oracle)
@@ -688,7 +695,8 @@ def test_nonanticipativity_holds_and_control_breaks():
     # negative control: couple a scenario qubit into the first stage
     circ = assemble(gen, ham, vp)
     q = layout.first_stage_qubits[0]
-    circ.gates += [sv.H(q), sv.CZ(0, q), sv.H(q)]  # CX(0, q)
+    circ.gates += [("h", (q,), None), ("cz", (0, q), None),
+                   ("h", (q,), None)]  # CX(0, q)
     broken = sv.run_circuit(circ)
     assert verify_nonanticipativity(broken, layout) > 1e-2
 

@@ -39,25 +39,25 @@ def test_default_spec_layer_count():
     spec = default_spec(3)
     assert len(spec.theta) == 12
     # the ansatz depth is the register width: 3 CZ chains of 2 gates
-    cz = [g for g in generator_circuit(spec).gates if isinstance(g, sv.CZ)]
+    cz = [g for g in generator_circuit(spec).gates if g[0] == "cz"]
     assert len(cz) == 3 * 2
 
 
 def test_circuit_structure():
     spec = GeneratorSpec(3, np.arange(12, dtype=float))
     circ = generator_circuit(spec)
-    kinds = [type(g).__name__ for g in circ.gates]
+    kinds = [kind for kind, _, _ in circ.gates]
     want = (
-        ["H"] * 3
-        + ["RY"] * 3
-        + (["CZ"] * 2 + ["RY"] * 3) * 3
+        ["h"] * 3
+        + ["ry"] * 3
+        + (["cz"] * 2 + ["ry"] * 3) * 3
     )
     assert kinds == want
     # entangler pairs walk down the chain
-    cz = [g for g in circ.gates if isinstance(g, sv.CZ)]
-    assert [(g.control, g.target) for g in cz] == [(0, 1), (1, 2)] * 3
+    cz = [qubits for kind, qubits, _ in circ.gates if kind == "cz"]
+    assert cz == [(0, 1), (1, 2)] * 3
     # RY angles consumed in order
-    ry = [g.angle for g in circ.gates if isinstance(g, sv.RY)]
+    ry = [angle for kind, _, angle in circ.gates if kind == "ry"]
     assert ry == list(range(12))
 
 

@@ -17,7 +17,7 @@ from qtwostage.resources import (
 )
 from qtwostage.ucp import build_hamiltonian
 
-from oracles import run_lowered
+from oracles import run_lowered, zphase
 
 HALF_PI = np.pi / 2.0
 
@@ -46,18 +46,18 @@ def random_circuit(n: int, n_gates: int, rng) -> sv.Circuit:
         kind = int(rng.integers(0, 5))
         q = int(rng.integers(0, n))
         if kind == 0:
-            gates.append(sv.H(q))
+            gates.append(("h", (q,), None))
         elif kind == 1:
-            gates.append(sv.RX(q, float(rng.uniform(-4.0, 4.0))))
+            gates.append(("rx", (q,), float(rng.uniform(-4.0, 4.0))))
         elif kind == 2:
-            gates.append(sv.RY(q, float(rng.uniform(-4.0, 4.0))))
+            gates.append(("ry", (q,), float(rng.uniform(-4.0, 4.0))))
         elif kind == 3:
             other = int(rng.integers(0, n - 1))
             other = other if other < q else other + 1
-            gates.append(sv.CZ(q, other))
+            gates.append(("cz", (q, other), None))
         else:
             mask = int(rng.integers(1, 2**n))
-            gates.append(sv.ZPhase(mask, float(rng.uniform(-4.0, 4.0))))
+            gates.append(zphase(mask, float(rng.uniform(-4.0, 4.0))))
     return sv.Circuit(n, gates)
 
 
@@ -66,7 +66,7 @@ def random_circuit(n: int, n_gates: int, rng) -> sv.Circuit:
 # ---------------------------------------------------------------------------
 
 def test_h_rewrite_sequence():
-    lowered = lower_to_basis(sv.Circuit(2, [sv.H(1)]))
+    lowered = lower_to_basis(sv.Circuit(2, [("h", (1,), None)]))
     assert lowered.gates == [
         ("rz", (1,), HALF_PI), ("sx", (1,), None), ("rz", (1,), HALF_PI),
     ]
@@ -74,7 +74,7 @@ def test_h_rewrite_sequence():
 
 def test_ry_rewrite_sequence():
     theta = 0.9
-    lowered = lower_to_basis(sv.Circuit(1, [sv.RY(0, theta)]))
+    lowered = lower_to_basis(sv.Circuit(1, [("ry", (0,), theta)]))
     assert lowered.gates == [
         ("rz", (0,), 0.0),
         ("sx", (0,), None),
@@ -86,7 +86,7 @@ def test_ry_rewrite_sequence():
 
 def test_rx_rewrite_sequence():
     theta = -1.3
-    lowered = lower_to_basis(sv.Circuit(1, [sv.RX(0, theta)]))
+    lowered = lower_to_basis(sv.Circuit(1, [("rx", (0,), theta)]))
     assert lowered.gates == [
         ("rz", (0,), HALF_PI),
         ("sx", (0,), None),
@@ -97,18 +97,18 @@ def test_rx_rewrite_sequence():
 
 
 def test_cz_rewrite_is_h_conjugated_cx():
-    lowered = lower_to_basis(sv.Circuit(3, [sv.CZ(2, 0)]))
+    lowered = lower_to_basis(sv.Circuit(3, [("cz", (2, 0), None)]))
     assert lowered.gates == h_triples(0) + [("cx", (2, 0), None)] + h_triples(0)
 
 
 def test_zphase_weight_one_is_single_rz():
-    lowered = lower_to_basis(sv.Circuit(3, [sv.ZPhase(0b100, 0.4)]))
+    lowered = lower_to_basis(sv.Circuit(3, [("zphase", (2,), 0.4)]))
     assert lowered.gates == [("rz", (2,), 0.8)]
 
 
 def test_zphase_ladder_structure():
     # support {0, 2, 5}: parity folds down to qubit 0, then unfolds
-    lowered = lower_to_basis(sv.Circuit(6, [sv.ZPhase(0b100101, 0.3)]))
+    lowered = lower_to_basis(sv.Circuit(6, [("zphase", (0, 2, 5), 0.3)]))
     assert lowered.gates == [
         ("cx", (5, 2), None),
         ("cx", (2, 0), None),
@@ -120,20 +120,24 @@ def test_zphase_ladder_structure():
 
 @pytest.mark.parametrize("weight", [2, 3, 5, 8])
 def test_zphase_gate_budget(weight):
-    mask = (1 << weight) - 1
-    lowered = lower_to_basis(sv.Circuit(weight, [sv.ZPhase(mask, 1.0)]))
+    gate = ("zphase", tuple(range(weight)), 1.0)
+    lowered = lower_to_basis(sv.Circuit(weight, [gate]))
     kinds = [kind for kind, _, _ in lowered.gates]
     assert kinds.count("cx") == 2 * (weight - 1)
     assert kinds.count("rz") == 1
 
 
 @pytest.mark.parametrize("gate", [
-    sv.RY(-1, 0.0), sv.CZ(0, -1), sv.H(2), sv.RX(2, 0.3), sv.CZ(0, 0),
-    sv.ZPhase(0b1100, 0.3), sv.ZPhase(-3, 0.3), object(), sv.ZPhase(0, 0.3),
+    ("ry", (-1,), 0.0), ("cz", (0, -1), None), ("h", (2,), None),
+    ("rx", (2,), 0.3), ("cz", (0, 0), None), ("zphase", (2, 3), 0.3),
+    ("zphase", (-1, 0), 0.3), object(), ("zphase", (), 0.3),
+    ("x", (0,), None), ("h", (0,)), ["h", (0,), None], ("h", (0, 1), None),
+    ("cz", (0,), None), ("rx", (), 0.3), ("zphase", (1, 1), 0.3),
 ])
 def test_rewrite_rejects_what_the_simulator_rejects(gate):
-    # a qubit outside [0, n), a control equal to its target, a mask
-    # outside [1, 2^n), or an object that is no gate; at n = 2
+    # a qubit outside [0, n), a repeated qubit, an empty support, the wrong
+    # qubit count for the kind, an unknown kind, or a value that is not a
+    # (kind, qubits, angle) tuple; at n = 2
     circuit = sv.Circuit(2, [gate])
     for consumer in (lower_to_basis, count_and_depth, sv.run_circuit):
         with pytest.raises(StructureError):
@@ -169,10 +173,10 @@ def test_lowering_preserves_action_full_assembly():
 # counting and depth
 # ---------------------------------------------------------------------------
 
-# a weight-1 ZPhase lowers to one rz; a weight-2 one to cx, rz, cx
+# a weight-1 zphase lowers to one rz; a weight-2 one to cx, rz, cx
 
 def test_depth_serial_chain():
-    gates = [sv.ZPhase(0b1, 0.1)] * 7
+    gates = [("zphase", (0,), 0.1)] * 7
     report = count_and_depth(sv.Circuit(1, gates))
     assert report["depth"] == 7
     assert report["rz"] == 7
@@ -180,7 +184,7 @@ def test_depth_serial_chain():
 
 
 def test_depth_parallel_layer():
-    gates = [sv.ZPhase(1 << q, 0.1) for q in range(5)]
+    gates = [("zphase", (q,), 0.1) for q in range(5)]
     report = count_and_depth(sv.Circuit(5, gates))
     assert report["depth"] == 1
     assert report["total"] == 5
@@ -188,7 +192,7 @@ def test_depth_parallel_layer():
 
 def test_depth_shared_qubit_chain():
     # the second block waits on qubit 1 for the whole of the first
-    gates = [sv.ZPhase(0b011, 0.1), sv.ZPhase(0b110, 0.1)]
+    gates = [("zphase", (0, 1), 0.1), ("zphase", (1, 2), 0.1)]
     report = count_and_depth(sv.Circuit(3, gates))
     assert report["depth"] == 6
     assert report["cx"] == 4
@@ -197,8 +201,8 @@ def test_depth_shared_qubit_chain():
 def test_depth_mixed_frontier():
     # the block holds qubits 0 and 1 for 3 layers; the rz on qubit 2 stays
     # in layer 1 and the one on qubit 1 lands in layer 4
-    gates = [sv.ZPhase(0b011, 0.3), sv.ZPhase(0b100, 0.3),
-             sv.ZPhase(0b010, 0.3)]
+    gates = [("zphase", (0, 1), 0.3), ("zphase", (2,), 0.3),
+             ("zphase", (1,), 0.3)]
     report = count_and_depth(sv.Circuit(3, gates))
     assert report["depth"] == 4
     assert report["total"] == 5
@@ -243,7 +247,8 @@ def test_counter_equals_tally_of_lowered_circuit(circuit):
 
 def test_counts_do_not_depend_on_angles():
     def tally(angle):
-        circuit = sv.Circuit(3, [sv.RY(0, angle), sv.RX(1, angle), sv.ZPhase(0b111, angle)])
+        circuit = sv.Circuit(3, [("ry", (0,), angle), ("rx", (1,), angle),
+                                 ("zphase", (0, 1, 2), angle)])
         return count_and_depth(circuit)
 
     assert tally(0.0) == tally(2.1)

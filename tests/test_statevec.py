@@ -1,6 +1,5 @@
 """Simulator checks, including a dense-matrix oracle for every gate kind."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from qtwostage import statevec as sv
 from qtwostage.errors import CapacityError, StructureError
 from qtwostage.qgan import GeneratorSpec, generator_probs
 
-from oracles import diagonal_phase
+from oracles import diagonal_phase, zphase
 
 
 # ---------------------------------------------------------------------------
@@ -18,39 +17,42 @@ from oracles import diagonal_phase
 # (independent of the in-place kernels) and compare actions on random states
 # ---------------------------------------------------------------------------
 
-def _single_qubit_matrix(gate):
-    if isinstance(gate, sv.RY):
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+def _single_qubit_matrix(kind, angle):
+    if kind == "ry":
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if isinstance(gate, sv.RX):
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+    if kind == "rx":
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
         return np.array([[c, -1j * s], [-1j * s, c]])
-    if isinstance(gate, sv.H):
+    if kind == "h":
         return np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    raise AssertionError(gate)
+    raise AssertionError(kind)
 
 
 def _dense_unitary(gate, n):
     """Full 2^n x 2^n matrix with little-endian qubit ordering."""
+    kind, qubits, angle = gate
     dim = 2**n
-    if isinstance(gate, (sv.RY, sv.RX, sv.H)):
-        u = _single_qubit_matrix(gate)
+    if kind in ("ry", "rx", "h"):
+        u = _single_qubit_matrix(kind, angle)
         full = np.eye(1, dtype=complex)
         # kron composes most-significant qubit first
         for q in reversed(range(n)):
-            full = np.kron(full, u if q == gate.qubit else np.eye(2))
+            full = np.kron(full, u if q == qubits[0] else np.eye(2))
         return full
-    if isinstance(gate, sv.CZ):
+    if kind == "cz":
+        control, target = qubits
         full = np.eye(dim, dtype=complex)
         for i in range(dim):
-            if (i >> gate.control) & 1 and (i >> gate.target) & 1:
+            if (i >> control) & 1 and (i >> target) & 1:
                 full[i, i] = -1.0
         return full
-    if isinstance(gate, sv.ZPhase):
+    if kind == "zphase":
+        mask = sum(1 << q for q in qubits)
         diag = np.array(
-            [(-1.0) ** bin(i & gate.mask).count("1") for i in range(dim)]
+            [(-1.0) ** bin(i & mask).count("1") for i in range(dim)]
         )
-        return np.diag(np.exp(-1j * gate.angle * diag))
+        return np.diag(np.exp(-1j * angle * diag))
     raise AssertionError(gate)
 
 
@@ -64,9 +66,9 @@ def test_every_gate_matches_dense_matrix_oracle():
     rng = np.random.default_rng(11)
     n = 3
     gates = [
-        sv.RY(0, 0.7), sv.RY(2, -1.3), sv.RX(2, 0.4),
-        sv.H(0), sv.H(1), sv.CZ(1, 2),
-        sv.ZPhase(0b101, 0.9), sv.ZPhase(0b111, -0.3),
+        ("ry", (0,), 0.7), ("ry", (2,), -1.3), ("rx", (2,), 0.4),
+        ("h", (0,), None), ("h", (1,), None), ("cz", (1, 2), None),
+        ("zphase", (0, 2), 0.9), ("zphase", (0, 1, 2), -0.3),
     ]
     for gate in gates:
         state = _random_state(n, rng)
@@ -87,8 +89,8 @@ def test_random_circuit_matches_matrix_product_oracle():
             q2 = int((q + 1 + rng.integers(n - 1)) % n)
             angle = float(rng.uniform(-np.pi, np.pi))
             gate = [
-                sv.RY(q, angle), sv.RX(q, angle), sv.CZ(q, q2),
-                sv.ZPhase(int(rng.integers(1, 2**n)), angle),
+                ("ry", (q,), angle), ("rx", (q,), angle), ("cz", (q, q2), None),
+                zphase(int(rng.integers(1, 2**n)), angle),
             ][kind]
             ref = _dense_unitary(gate, n) @ ref
             sv.apply(state, gate)
@@ -106,19 +108,19 @@ def test_batch_axis_matches_row_by_row():
         return rng.uniform(-np.pi, np.pi, size=rows)
 
     gates = [
-        sv.H(0), sv.RY(0, per_row()), sv.RX(3, per_row()),
-        sv.RY(1, 0.7), sv.CZ(2, 0), sv.CZ(1, 3),
-        sv.ZPhase(0b1011, 0.9),
-        sv.RY(3, per_row()), sv.RX(0, 1.1),
+        ("h", (0,), None), ("ry", (0,), per_row()), ("rx", (3,), per_row()),
+        ("ry", (1,), 0.7), ("cz", (2, 0), None), ("cz", (1, 3), None),
+        ("zphase", (0, 1, 3), 0.9),
+        ("ry", (3,), per_row()), ("rx", (0,), 1.1),
     ]
     start = np.stack([_random_state(n, rng) for _ in range(rows)])
     batch = sv.run_circuit(sv.Circuit(n, gates), start.copy())
     assert batch.shape == (rows, 2**n)
     for r in range(rows):
         row_gates = [
-            dataclasses.replace(g, angle=g.angle[r])
-            if isinstance(getattr(g, "angle", None), np.ndarray) else g
-            for g in gates
+            (kind, qubits, angle[r])
+            if isinstance(angle, np.ndarray) else (kind, qubits, angle)
+            for kind, qubits, angle in gates
         ]
         single = sv.run_circuit(sv.Circuit(n, row_gates), start[r].copy())
         assert np.array_equal(batch[r], single), r
@@ -166,21 +168,21 @@ def test_zero_state_capacity_guard():
 
 
 def test_ry_pi_flips_qubit():
-    state = sv.apply(sv.new_zero_state(1), sv.RY(0, np.pi))
+    state = sv.apply(sv.new_zero_state(1), ("ry", (0,), np.pi))
     assert np.allclose(sv.probabilities(state), [0, 1], atol=1e-14)
 
 
 def test_little_endian_bit_convention():
-    state = sv.apply(sv.new_zero_state(2), sv.RY(0, np.pi))
+    state = sv.apply(sv.new_zero_state(2), ("ry", (0,), np.pi))
     assert np.argmax(sv.probabilities(state)) == 1
-    state = sv.apply(sv.new_zero_state(2), sv.RY(1, np.pi))
+    state = sv.apply(sv.new_zero_state(2), ("ry", (1,), np.pi))
     assert np.argmax(sv.probabilities(state)) == 2
 
 
 def test_zphase_single_qubit_phases():
     t = 0.37
     state = np.array([0.6, 0.8], dtype=complex)
-    sv.apply(state, sv.ZPhase(1, t))
+    sv.apply(state, ("zphase", (0,), t))
     assert np.allclose(
         state, [0.6 * np.exp(-1j * t), 0.8 * np.exp(1j * t)], atol=1e-14
     )
@@ -188,9 +190,9 @@ def test_zphase_single_qubit_phases():
 
 def test_cz_leaves_probabilities_unchanged():
     state = sv.new_zero_state(2)
-    sv.apply(state, sv.H(0))
+    sv.apply(state, ("h", (0,), None))
     before = sv.probabilities(state).copy()
-    sv.apply(state, sv.CZ(0, 1))
+    sv.apply(state, ("cz", (0, 1), None))
     assert np.allclose(before, [0.5, 0.5, 0, 0])
     assert np.allclose(sv.probabilities(state), before, atol=1e-14)
 
@@ -203,7 +205,7 @@ def test_zphase_equals_diagphase_oracle():
         t = float(rng.uniform(-3, 3))
         a = _random_state(n, rng)
         b = a.copy()
-        sv.apply(a, sv.ZPhase(mask, t))
+        sv.apply(a, zphase(mask, t))
         values = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(2**n)])
         diagonal_phase(b, values, t)
         assert np.allclose(a, b, atol=1e-12)
@@ -212,7 +214,7 @@ def test_zphase_equals_diagphase_oracle():
 def test_diagonal_gates_commute():
     rng = np.random.default_rng(7)
     n = 4
-    gates = [sv.ZPhase(int(rng.integers(1, 16)), float(rng.uniform(-2, 2)))
+    gates = [zphase(int(rng.integers(1, 16)), float(rng.uniform(-2, 2)))
              for _ in range(8)]
     a = _random_state(n, rng)
     b = a.copy()
@@ -228,15 +230,15 @@ def test_diagonal_gates_commute():
 # ---------------------------------------------------------------------------
 
 def test_expectation_examples():
-    plus = sv.apply(sv.new_zero_state(1), sv.H(0))
+    plus = sv.apply(sv.new_zero_state(1), ("h", (0,), None))
     assert abs(sv.expectation_diagonal(plus, np.array([1.0, -1.0]))) < 1e-14
 
-    one = sv.apply(sv.new_zero_state(1), sv.RY(0, np.pi))
+    one = sv.apply(sv.new_zero_state(1), ("ry", (0,), np.pi))
     assert sv.expectation_diagonal(one, np.array([1.0, -1.0])) == pytest.approx(-1.0)
 
     uniform = sv.new_zero_state(2)
-    sv.apply(uniform, sv.H(0))
-    sv.apply(uniform, sv.H(1))
+    sv.apply(uniform, ("h", (0,), None))
+    sv.apply(uniform, ("h", (1,), None))
     assert sv.expectation_diagonal(uniform, np.arange(4.0)) == pytest.approx(1.5)
 
 
@@ -245,7 +247,7 @@ def test_sample_point_mass_and_determinism():
     counts = sv.sample(sv.probabilities(state), 100, np.random.default_rng(0))
     np.testing.assert_array_equal(counts, [100, 0, 0, 0, 0, 0, 0, 0])
 
-    plus = sv.probabilities(sv.apply(sv.new_zero_state(1), sv.H(0)))
+    plus = sv.probabilities(sv.apply(sv.new_zero_state(1), ("h", (0,), None)))
     c1 = sv.sample(plus, 10_000, np.random.default_rng(42))
     c2 = sv.sample(plus, 10_000, np.random.default_rng(42))
     np.testing.assert_array_equal(c1, c2)
@@ -266,20 +268,21 @@ def test_sampling_frequencies_track_probabilities():
 def test_structural_errors():
     state = sv.new_zero_state(2)
     with pytest.raises(StructureError):
-        sv.apply(state, sv.RY(2, 0.1))
+        sv.apply(state, ("ry", (2,), 0.1))
     with pytest.raises(StructureError):
-        sv.apply(state, sv.ZPhase(0, 0.1))
+        sv.apply(state, ("zphase", (), 0.1))
     with pytest.raises(StructureError):
-        sv.apply(state, sv.ZPhase(4, 0.1))
+        sv.apply(state, ("zphase", (2,), 0.1))
     with pytest.raises(StructureError):
-        sv.apply(state, sv.CZ(1, 1))
+        sv.apply(state, ("cz", (1, 1), None))
     with pytest.raises(StructureError):
         sv.run_circuit(sv.Circuit(3, []), state)
 
 
 def test_run_circuit_from_zero():
     # H, then CX(0, 1) as H CZ H on its target
-    circ = sv.Circuit(2, [sv.H(0), sv.H(1), sv.CZ(0, 1), sv.H(1)])
+    circ = sv.Circuit(2, [("h", (0,), None), ("h", (1,), None),
+                          ("cz", (0, 1), None), ("h", (1,), None)])
     state = sv.run_circuit(circ)
     assert np.allclose(sv.probabilities(state), [0.5, 0, 0, 0.5])
 
@@ -290,7 +293,8 @@ def test_two_qubit_gates_hold_no_memory():
     state = sv.new_zero_state(n)
     tracemalloc.start()
     try:
-        for gate in (sv.CZ(3, 17), sv.CZ(17, 3), sv.CZ(19, 0), sv.CZ(0, 19)):
+        for gate in (("cz", (3, 17), None), ("cz", (17, 3), None),
+                     ("cz", (19, 0), None), ("cz", (0, 19), None)):
             sv.apply(state, gate)
         held, peak = tracemalloc.get_traced_memory()
     finally:
