@@ -148,7 +148,14 @@ def cmd_train_qgan(cfg: ExperimentConfig, args) -> int:
 
 
 def _load_test_set(cfg: ExperimentConfig):
-    return _read_column(cfg.out_dir / "test_scenarios.csv", "xi_tilde")
+    """The ``[uncertainty] n_test`` scenarios ``gen-data`` wrote; any other
+    row count is an OSError."""
+    path = cfg.out_dir / "test_scenarios.csv"
+    test = _read_column(path, "xi_tilde")
+    if len(test) != cfg.n_test:
+        raise OSError(f"{path} has {len(test)} rows, but [uncertainty] "
+                      f"n_test is {cfg.n_test}")
+    return test
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
@@ -194,13 +201,19 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                 "trace_first": float(result.trace[0]),
                 "trace_best": float(np.min(result.trace)),
             })
+            # was the restart still improving? the best objective's relative
+            # fall over its last quarter of evaluations, printed only
+            tail = len(result.trace) // 4
+            before = float(np.min(result.trace[:len(result.trace) - tail]))
+            tail_gain = ((before - records[-1]["trace_best"]) / abs(before)
+                         if before else 0.0)
             ratio = (f" ratio={result.best_objective / optimum:.4g}"
                      if optimum > 0 else "")
             print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
                   f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
                   f"wall={wall:.2f}s runs={result.runs} "
                   f"evals={len(result.trace)} "
-                  f"stop: {result.message}{ratio}")
+                  f"stop: {result.message} tail_gain={tail_gain:.3g}{ratio}")
     path = out / "records.jsonl"
     with open(path, "w") as fh:
         for record in records:

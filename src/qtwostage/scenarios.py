@@ -54,9 +54,20 @@ def bin_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def quantile_test_set(values: np.ndarray, n_test: int) -> np.ndarray:
-    """Equal-weight scenarios at the (s + 0.5)/n_test empirical quantiles."""
+    """Equal-weight scenarios at the (s + 0.5)/n_test empirical quantiles.
+
+    This is numpy's default linear rule, ``np.quantile(values, levels)``
+    bitwise, written out from one sort: numpy's own path runs ``np.unique``,
+    which imports ``numpy.ma`` and sets ``gen-data``'s peak memory.
+    """
     levels = (np.arange(n_test) + 0.5) / n_test
-    return np.quantile(values, levels)
+    ordered = np.sort(values)
+    index = levels * (len(ordered) - 1)
+    below = index.astype(np.intp)  # the floor, as no index is negative
+    t = index - below
+    a, b = ordered[below], ordered[np.minimum(below + 1, len(ordered) - 1)]
+    # numpy's _lerp: interpolate from the nearer end point
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def js_agreement(p: np.ndarray, q: np.ndarray) -> float:

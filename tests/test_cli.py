@@ -414,6 +414,10 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert float(line.split(" wall=", 1)[1].split("s ", 1)[0]) >= 0.0
     assert "wall" not in records[0]
     assert float(line.rsplit(" ratio=", 1)[1]) >= 1.0
+    # the tail gain is printed before the ratio, and only printed
+    tail_gain = float(line.split(" tail_gain=", 1)[1].split(" ratio=", 1)[0])
+    assert tail_gain >= 0.0
+    assert "tail_gain" not in records[0]
     record = records[0]
     assert record["lam"] == 30.0
     assert len(record["map"]) == 3
@@ -468,6 +472,19 @@ def test_run_with_generator_for_another_grid_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", tiny_config(tmp_path, n_grid=8)]) == 2
     err = capsys.readouterr().err
     assert "generator.txt has n_xi = 2" in err and "n_grid = 8" in err
+    assert not (out / "records.jsonl").exists()
+
+
+def test_run_with_test_set_for_another_n_test_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "results"
+    cfg_path = tiny_config(tmp_path)  # n_test = 5
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train-qgan", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", tiny_config(tmp_path, n_test=6)]) == 2
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "test_scenarios.csv has 5 rows" in err
+    assert "[uncertainty] n_test is 6" in err
     assert not (out / "records.jsonl").exists()
 
 
@@ -551,10 +568,13 @@ def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):
     (tmp_path / "results").mkdir()
     scenarios = tmp_path / "results" / "test_scenarios.csv"
     for body in ("xi_tilde\nnan\n100.0\n", "xi_tilde\ninf\n",
-                 "xi_tilde\n", "xi\n100.0\n"):
+                 "xi_tilde\n", "xi\n100.0\n",
+                 "xi_tilde\n100.0\n200.0\n300.0\n400.0\n"):  # n_test = 5
         scenarios.write_text(body)
         assert main(["baselines", "--config", cfg_path]) == 2
-        assert "test_scenarios.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "test_scenarios.csv" in err
+    assert "has 4 rows, but [uncertainty] n_test is 5" in err  # the last body
     scenarios.write_bytes(b"xi_tilde\n\xff\n")  # not UTF-8
     assert main(["baselines", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
@@ -619,7 +639,7 @@ def src_env() -> dict:
     return env
 
 
-_NO_SCIPY_STAGES = """
+_NO_SCIPY_OR_MA_STAGES = """
 import json, sys
 import qtwostage.cli as cli
 config = sys.argv[1]
@@ -627,14 +647,16 @@ for stage in ("gen-data", "train-qgan", "run", "baselines", "resources",
               "report"):
     assert cli.main([stage, "--config", config]) == 0, stage
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        for root in ("scipy", "numpy.ma")
+                        if m == root or m.startswith(root + "."))))
 """
 
 
-def test_no_stage_imports_scipy(tmp_path):
-    # the package's runtime needs numpy alone; scipy is a test-only oracle
+def test_no_stage_imports_scipy_or_numpy_ma(tmp_path):
+    # the package's runtime needs numpy alone; scipy is a test-only oracle,
+    # and numpy.ma, which np.quantile imports, would set gen-data's peak RSS
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_STAGES, tiny_config(tmp_path)],
+        [sys.executable, "-c", _NO_SCIPY_OR_MA_STAGES, tiny_config(tmp_path)],
         env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

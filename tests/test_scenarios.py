@@ -105,6 +105,30 @@ def test_quantile_test_set():
     assert abs(qs.mean() - samples.mean()) < 0.02 * samples.mean()
 
 
+def _quantile_oracle(values, n_test):
+    return np.quantile(values, (np.arange(n_test) + 0.5) / n_test)
+
+
+@pytest.mark.parametrize("n_data, n_test", [
+    (1, 1), (2, 1), (2, 2), (7, 1), (7, 3), (7, 7), (8, 5), (8, 8),
+    (2000, 200),  # the default (desk) shape
+    (2000, 2000),  # the paper-grid shape
+])
+def test_quantile_test_set_is_numpy_quantile_bitwise(n_data, n_test):
+    samples = sc.sample_pv(n_data, 3.0, 7.0, 2500.0, seed=n_data + n_test)
+    assert np.array_equal(sc.quantile_test_set(samples, n_test),
+                          _quantile_oracle(samples, n_test))
+
+
+def test_quantile_test_set_with_ties_is_numpy_quantile_bitwise():
+    rng = np.random.Generator(np.random.Philox(9))
+    for n_data in (1, 6, 9, 64):
+        tied = np.round(rng.uniform(0.0, 4.0, size=n_data)) * 625.0
+        for n_test in (1, 3, n_data):
+            assert np.array_equal(sc.quantile_test_set(tied, n_test),
+                                  _quantile_oracle(tied, n_test))
+
+
 def test_js_agreement_examples():
     p = np.array([0.2, 0.5, 0.3])
     assert sc.js_agreement(p, p) == pytest.approx(1.0)
