@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, read_text
+from .config import ExperimentConfig, lambda_key, load_config, read_text
 from .errors import CapacityError, StructureError
 
 N_TRAIN_SETS = 10
@@ -184,7 +184,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         optimum = evaluator.surrogate_optimum()
         for s in range(cfg.qaoa.n_seeds):
             rng = np.random.default_rng(
-                derive_seed(cfg.master_seed, f"qaoa:{lam:g}", s))
+                derive_seed(cfg.master_seed, f"qaoa:{lambda_key(lam)}", s))
             start = time.perf_counter()
             result = optimize(evaluator, cfg.qaoa, rng)
             wall = time.perf_counter() - start  # printed, never recorded
@@ -209,7 +209,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
                          if before else 0.0)
             ratio = (f" ratio={result.best_objective / optimum:.4g}"
                      if optimum > 0 else "")
-            print(f"lam={lam:g} seed={s}: map={records[-1]['map']} "
+            print(f"lam={lambda_key(lam)} seed={s}: map={records[-1]['map']} "
                   f"C(map)={cost_map:.1f} RP={report.rp_value:.1f} "
                   f"wall={wall:.2f}s runs={result.runs} "
                   f"evals={len(result.trace)} "

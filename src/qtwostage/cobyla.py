@@ -15,6 +15,12 @@ trust-region LP with no constraints is solved in closed form,
 d = -delta * g / |g|, where PRIMA runs its Givens-based `trstlp`; the two
 agree in exact arithmetic but round differently.
 
+The first simplex's displacements are lower triangular (each vertex that
+improves on the pole adds -rhobeg along its row), so their inverse is a
+forward substitution, `_lower_inverse`, which gives LAPACK's
+``np.linalg.inv`` bit for bit; a run reaches LAPACK only when rounding
+forces `_repaired` to invert afresh.
+
 The budget is hard: ``fun`` is called at most ``maxfun`` times, also when
 that is fewer than the n + 1 points of the initial simplex.
 """
@@ -84,7 +90,7 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int,
             fval[j], fval[n] = fval[n], fval[j]
             sim[:, n] = x
             sim[j, :j + 1] = -rhobeg
-    simi = np.linalg.inv(sim[:, :n])
+    simi = _lower_inverse(sim[:, :n])
 
     def evaluate_near(x: np.ndarray) -> float:
         """f(x), or the value of a vertex within 1e-4 * rhoend of x."""
@@ -156,6 +162,17 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int,
     else:
         reason = MAXTR_REACHED
     return f"Return from COBYLA because {reason}"
+
+
+def _lower_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of the lower triangular ``a``: row i is (e_i - sum_{k<i}
+    a[i, k] * row k) / a[i, i], summed over whole rows in order, which
+    rounds as LAPACK does (a BLAS dot product of the row does not)."""
+    n = len(a)
+    inv = np.eye(n)
+    for i in range(n):
+        inv[i] = (inv[i] - np.sum(a[i, :i, None] * inv[:i], axis=0)) / a[i, i]
+    return inv
 
 
 def _repaired(sim: np.ndarray, simi: np.ndarray) -> bool:

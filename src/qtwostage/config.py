@@ -27,6 +27,12 @@ PAPER_LAMBDAS = tuple(30.0 + 10.0 * k for k in range(18))
 _LAMBDAS = (30.0, 90.0, 150.0, 200.0)
 
 
+def lambda_key(lam: float) -> str:
+    """The text that names a lambda in restart seeds and printed rows: 6
+    significant digits, so no two lambdas of one sweep may share it."""
+    return f"{lam:g}"
+
+
 def read_text(path) -> str:
     """A whole UTF-8 text file, every line ending read as "\\n"; a file that
     does not decode is an OSError naming it, like any malformed data file."""
@@ -168,6 +174,10 @@ class ExperimentConfig:
         # lam == 0 is allowed as a diagnostic (drops the imbalance penalty)
         if not all(0 <= lam < math.inf for lam in self.lambdas):
             raise StructureError("[sweep] lambdas must each be finite and >= 0")
+        keys = [lambda_key(lam) for lam in self.lambdas]
+        if len(set(keys)) < len(keys):
+            raise StructureError(f"[sweep] lambdas must differ in 6 "
+                                 f"significant digits, got {', '.join(keys)}")
         if any(n < 2 or n & (n - 1) for n in self.n_values):
             raise StructureError("[sweep] n_values must be powers of two >= 2")
         if min(self.m_values) < 1:

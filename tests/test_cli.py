@@ -244,6 +244,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("report", "[experiment]\nmaster_seed = x\n", [],
      "[experiment] master_seed"),
     ("baselines", "[sweep]\nlambdas =\n", [], "[sweep] lambdas"),
+    # restart seeds are keyed by a lambda's 6-significant-digit text
+    ("run", "", ["--lambdas", "30,30.0000001"], "[sweep] lambdas"),
+    ("baselines", "[sweep]\nlambdas = 30, 90, 30\n", [], "[sweep] lambdas"),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -258,7 +261,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "qgan-use-shots-gone", "qgan-eval-mode-word", "n_seeds-zero",
         "seeds-flag-zero", "seed-flag-word", "seeds-flag-word",
         "shots-flag-word", "lambdas-flag-empty", "seed-word",
-        "lambdas-empty"])
+        "lambdas-empty", "lambdas-flag-same-key", "lambdas-repeated"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags,
                                      named):
     """Exit 2 with a config error, which names the key at fault

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qtwostage import cobyla
+from qtwostage import cobyla, qaoa
+from qtwostage.config import QaoaConfig, default_params
+from qtwostage.qgan import GeneratorSpec
+from qtwostage.ucp import build_hamiltonian
 
 N = 16
 RHOBEG = 0.6
@@ -94,3 +99,62 @@ def test_nan_meets_the_extreme_barrier():
     assert message.endswith(cobyla.SMALL_TR_RADIUS)
     best = min(points[1:], key=holed)
     np.testing.assert_allclose(best, [-1.0, -1.0], atol=1e-2)
+
+
+def first_simplex(improved, rhobeg):
+    """The displacements of COBYLA's first simplex, vertex j having improved
+    on the pole where ``improved[j]``: row j is then -rhobeg in columns
+    0..j, and otherwise rhobeg on the diagonal alone."""
+    a = np.eye(len(improved)) * rhobeg
+    for j, up in enumerate(improved):
+        if up:
+            a[j, :j + 1] = -rhobeg
+    return a
+
+
+@pytest.mark.parametrize("rhobeg", sorted({qaoa.COBYLA_RHOBEG, RHOBEG, 1.0}))
+def test_first_inverse_is_lapacks_bitwise(rhobeg):
+    # every improvement pattern up to n = 10, and a sample of them at n = 16,
+    # the size of a desk restart; int64 views tell signed zeros apart
+    patterns = [p for n in range(1, 11)
+                for p in itertools.product((False, True), repeat=n)]
+    patterns += list(np.random.default_rng(3).integers(0, 2, (100, N)) > 0)
+    for improved in patterns:
+        a = first_simplex(improved, rhobeg)
+        got, want = cobyla._lower_inverse(a), np.linalg.inv(a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            improved
+
+
+def counting_inv(monkeypatch):
+    calls, real = [], np.linalg.inv
+
+    def inv(a):
+        calls.append(a.shape)
+        return real(a)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return calls
+
+
+@pytest.mark.parametrize("maxfun", [40, 5000])
+@pytest.mark.parametrize("objective", [bowl, wavy_bowl])
+def test_runs_call_no_lapack(monkeypatch, objective, maxfun):
+    # the first inverse is a forward substitution; only a repair after
+    # damaging rounding inverts afresh
+    calls = counting_inv(monkeypatch)
+    cobyla.minimize(objective, X0, rhobeg=RHOBEG, rhoend=1e-3,
+                    maxfun=maxfun)
+    assert calls == []
+
+
+def test_desk_restart_calls_no_lapack(monkeypatch):
+    # the desk run's shape: 3 scenario qubits, the three-unit fleet, 16
+    # angles and a 400-evaluation exact budget
+    ham = build_hamiltonian(default_params(), 90.0, 3, 0.0, 2500.0)
+    theta = np.random.default_rng(5).uniform(-1, 1, 12)
+    evaluator = qaoa.FactorizedEvaluator(GeneratorSpec(3, theta), ham)
+    calls = counting_inv(monkeypatch)
+    result = qaoa.optimize(evaluator, QaoaConfig(),
+                           np.random.default_rng(11))
+    assert len(result.trace) == QaoaConfig().maxiter
+    assert calls == []
