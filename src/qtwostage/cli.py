@@ -168,16 +168,16 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
 
     out = cfg.out_dir
     n_xi = cfg.n_grid.bit_length() - 1
-    spec = load_generator(out / "generator.txt").spec
-    if spec.n_xi != n_xi:
-        raise OSError(f"{out / 'generator.txt'} has n_xi = {spec.n_xi}, but "
+    gen = load_generator(out / "generator.txt")
+    if gen.n_xi != n_xi:
+        raise OSError(f"{out / 'generator.txt'} has n_xi = {gen.n_xi}, but "
                       f"[uncertainty] n_grid = {cfg.n_grid} needs {n_xi}")
     test = _load_test_set(cfg)
     records = []
     for lam in cfg.lambdas:
         report = evaluate(test, cfg.problem, lam)
-        evaluator = FactorizedEvaluator(
-            spec, build_hamiltonian(cfg.problem, lam, n_xi, 0.0, cfg.xi_max))
+        ham = build_hamiltonian(cfg.problem, lam, n_xi, 0.0, cfg.xi_max)
+        evaluator = FactorizedEvaluator(gen.theta, ham)
         # no angles reach below this, so best_objective / optimum >= 1 says
         # how far a restart stopped from a perfectly adapted recourse; shot
         # noise in a sampled best_objective can put the ratio below 1

@@ -258,8 +258,10 @@ _PAPER = {"sweep": {"lambdas": " ".join(map(repr, PAPER_LAMBDAS))},
 def load_config(path: str | None, flags=None) -> ExperimentConfig:
     """Defaults overlaid with an optional INI file, then with the keys the
     parsed command-line ``flags`` set: file < --paper < explicit flags.
-    Unknown keys are rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    Unknown sections and keys are rejected, [DEFAULT] among them: the
+    parser's default section is the empty name, which no header can give."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     if path is not None:
         parser.read_string(read_text(path), source=path)
     if flags is not None:

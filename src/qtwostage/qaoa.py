@@ -31,7 +31,7 @@ from . import statevec as sv
 from .cobyla import minimize
 from .config import MAX_QUBITS, QaoaConfig
 from .errors import CapacityError, StructureError
-from .qgan import GeneratorSpec, generator_circuit, generator_probs
+from .qgan import generator_circuit, generator_probs
 from .ucp import ProblemHamiltonian
 from .walsh import ZPolynomial, reconstruct
 
@@ -107,11 +107,12 @@ def stage_layers(polys, gammas, betas, qubits) -> list:
 
 
 def assemble(
-    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
+    theta: np.ndarray, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> sv.Circuit:
-    """Generator block, then the first stage, then the second stage."""
+    """Generator block at angles ``theta`` on the layout's scenario register,
+    then the first stage, then the second stage."""
     layout = ham.layout
-    gates = list(generator_circuit(spec).gates)
+    gates = list(generator_circuit(layout.n_xi, theta).gates)
     gates += stage_layers([ham.h1], vp.gamma1, vp.beta1,
                           layout.first_stage_qubits)
     gates += stage_layers([ham.h2_dep, ham.h2_indep], vp.gamma2, vp.beta2,
@@ -120,9 +121,9 @@ def assemble(
 
 
 def final_state(
-    spec: GeneratorSpec, ham: ProblemHamiltonian, vp: VariationalParams
+    theta: np.ndarray, ham: ProblemHamiltonian, vp: VariationalParams
 ) -> np.ndarray:
-    return sv.run_circuit(assemble(spec, ham, vp))
+    return sv.run_circuit(assemble(theta, ham, vp))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ class FactorizedEvaluator:
     costs are a view of ``ham.diagonal``; P(s) and h1 are read once.
     """
 
-    def __init__(self, spec: GeneratorSpec, ham: ProblemHamiltonian):
+    def __init__(self, theta: np.ndarray, ham: ProblemHamiltonian):
         layout = ham.layout
         if layout.n_total > MAX_QUBITS:
             raise CapacityError(
@@ -172,7 +173,7 @@ class FactorizedEvaluator:
         # column x * 2^n_xi + s holds that pair's cost over b, h1(x) included:
         # a C-order view of the diagonal, so table.ravel() is the diagonal
         self.table = layout.split(ham.diagonal).reshape(2**m, -1)
-        self.scenario_probs = generator_probs(spec)
+        self.scenario_probs = generator_probs(n_xi, theta)
         h1 = {mask >> n_xi: c for mask, c in ham.h1.terms.items()}
         self.h1 = reconstruct(ZPolynomial(m, h1))
         # per-stage angle scales: the largest |Z coefficient| of h1 and the

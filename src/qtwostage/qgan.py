@@ -22,7 +22,6 @@ import numpy as np
 
 from . import statevec as sv
 from .config import TrainConfig, read_text
-from .errors import StructureError
 from .scenarios import js_agreement
 
 BATCH_AMPS = 2**22  # amplitudes one batched generator run may hold: 64 MiB
@@ -32,38 +31,16 @@ BATCH_AMPS = 2**22  # amplitudes one batched generator run may hold: 64 MiB
 # generator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Angles of the n_xi-qubit ansatz, whose depth is n_xi CZ-chain layers:
-    one set, or a 2-D ``theta`` holding one column per circuit."""
-
-    n_xi: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if self.n_xi < 1:
-            raise StructureError("generator needs n_xi >= 1")
-        want = self.n_xi * (self.n_xi + 1)
-        if len(self.theta) != want:
-            raise StructureError(
-                f"theta must have length {want}, got {len(self.theta)}"
-            )
-
-
-def default_spec(n_xi: int) -> GeneratorSpec:
-    """Zero angles."""
-    return GeneratorSpec(n_xi, np.zeros(n_xi * (n_xi + 1)))
-
-
-def generator_circuit(spec: GeneratorSpec) -> sv.Circuit:
-    """H column, RY layer, then n_xi x (CZ chain, RY layer)."""
-    n = spec.n_xi
-    gates = [("h", (q,), None) for q in range(n)]
-    for layer in range(n + 1):
+def generator_circuit(n_xi: int, theta: np.ndarray) -> sv.Circuit:
+    """H column, RY layer, then n_xi x (CZ chain, RY layer): the ansatz
+    depth is the register width, so ``theta`` holds n_xi * (n_xi + 1)
+    angles, or that many rows with one column per circuit."""
+    gates = [("h", (q,), None) for q in range(n_xi)]
+    for layer in range(n_xi + 1):
         if layer:
-            gates += [("cz", (q, q + 1), None) for q in range(n - 1)]
-        gates += [("ry", (q,), spec.theta[layer * n + q]) for q in range(n)]
-    return sv.Circuit(n, gates)
+            gates += [("cz", (q, q + 1), None) for q in range(n_xi - 1)]
+        gates += [("ry", (q,), theta[layer * n_xi + q]) for q in range(n_xi)]
+    return sv.Circuit(n_xi, gates)
 
 
 def _measure(probs: np.ndarray, shots: int | None, rng) -> np.ndarray:
@@ -71,12 +48,13 @@ def _measure(probs: np.ndarray, shots: int | None, rng) -> np.ndarray:
     return probs if shots is None else sv.sample(probs, shots, rng) / shots
 
 
-def generator_probs(spec: GeneratorSpec, shots: int | None = None,
+def generator_probs(n_xi: int, theta: np.ndarray, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Exact output distribution, or empirical frequencies at `shots`; a 2-D
-    ``spec.theta`` gives one row per column, sampled in column order."""
-    amps = np.tile(sv.new_zero_state(spec.n_xi), (*spec.theta.shape[1:], 1))
-    probs = sv.probabilities(sv.run_circuit(generator_circuit(spec), amps))
+    ``theta`` gives one row per column, sampled in column order."""
+    amps = np.tile(sv.new_zero_state(n_xi), (*theta.shape[1:], 1))
+    probs = sv.probabilities(sv.run_circuit(generator_circuit(n_xi, theta),
+                                            amps))
     return _measure(probs, shots, rng)
 
 
@@ -175,31 +153,32 @@ class Adam:
 # generator gradient via the parameter-shift rule
 # ---------------------------------------------------------------------------
 
-def probability_jacobian(spec: GeneratorSpec, shots: int | None = None,
+def probability_jacobian(n_xi: int, theta: np.ndarray,
+                         shots: int | None = None,
                          rng: np.random.Generator | None = None) -> np.ndarray:
     """d p_s / d theta_j by the parameter-shift rule; shape (params, 2^n).
 
     The angle sets theta_0 + pi/2, theta_0 - pi/2, theta_1 + pi/2, ... run
     in that order, batched up to ``BATCH_AMPS`` amplitudes per run.
     """
-    n = len(spec.theta)
-    angles = np.repeat(spec.theta[:, None], 2 * n, axis=1)
+    n = len(theta)
+    angles = np.repeat(theta[:, None], 2 * n, axis=1)
     angles[range(n), range(0, 2 * n, 2)] += np.pi / 2
     angles[range(n), range(1, 2 * n, 2)] -= np.pi / 2
-    rows = max(1, BATCH_AMPS >> spec.n_xi)
+    rows = max(1, BATCH_AMPS >> n_xi)
     probs = np.concatenate([
-        generator_probs(GeneratorSpec(spec.n_xi, angles[:, i:i + rows]),
-                        shots, rng) for i in range(0, 2 * n, rows)])
+        generator_probs(n_xi, angles[:, i:i + rows], shots, rng)
+        for i in range(0, 2 * n, rows)])
     return (probs[0::2] - probs[1::2]) / 2.0
 
 
-def generator_gradient(spec: GeneratorSpec, disc: Discriminator,
+def generator_gradient(n_xi: int, theta: np.ndarray, disc: Discriminator,
                        p: np.ndarray, shots: int | None = None,
                        rng: np.random.Generator | None = None) -> np.ndarray:
     """Gradient of -log D(p_theta) w.r.t. theta at the observed p; ``shots``
     and ``rng`` read the Jacobian's circuits as in ``generator_probs``."""
     _, input_grad = disc.backward(p, 1.0)  # BCE with target 1 == -log D
-    return probability_jacobian(spec, shots, rng) @ input_grad
+    return probability_jacobian(n_xi, theta, shots, rng) @ input_grad
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +187,8 @@ def generator_gradient(spec: GeneratorSpec, disc: Discriminator,
 
 @dataclass(frozen=True)
 class TrainedGenerator:
-    spec: GeneratorSpec
+    n_xi: int
+    theta: np.ndarray
     best_epoch: int
     train_score: float
     test_score: float
@@ -232,7 +212,7 @@ def train(
     best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
 
     def evaluate(epoch: int) -> np.ndarray:  # theta's exact distribution
-        p_exact = generator_probs(GeneratorSpec(n_xi, theta))
+        p_exact = generator_probs(n_xi, theta)
         score = float(np.mean([js_agreement(p_exact, t) for t in target_test]))
         if score > best["score"]:
             train_score = float(
@@ -246,7 +226,6 @@ def train(
     for epoch in range(cfg.epochs):
         p_exact = evaluate(epoch)
 
-        spec = GeneratorSpec(n_xi, theta)
         target = target_train[int(rng.integers(len(target_train)))]
         # measured from the distribution `evaluate` already simulated at theta
         fake = _measure(p_exact, cfg.shots, rng)
@@ -256,63 +235,58 @@ def train(
         opt_d.step(disc.parameters(),
                    [gr + gf for gr, gf in zip(grads_real, grads_fake)])
 
-        grad = generator_gradient(spec, disc, fake, cfg.shots, rng)
+        grad = generator_gradient(n_xi, theta, disc, fake, cfg.shots, rng)
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)
-    return TrainedGenerator(GeneratorSpec(n_xi, best["theta"]),
-                            best["epoch"], best["train"], best["score"])
+    return TrainedGenerator(n_xi, best["theta"], best["epoch"], best["train"],
+                            best["score"])
 
 
 # ---------------------------------------------------------------------------
 # flat text serialization
 # ---------------------------------------------------------------------------
 
-def generator_to_text(gen: TrainedGenerator) -> str:
-    lines = [
-        f"n_xi = {gen.spec.n_xi}",
-        f"reps = {gen.spec.n_xi}",  # the ansatz depth
-        f"best_epoch = {gen.best_epoch}",
-        f"train_score = {gen.train_score!r}",
-        f"test_score = {gen.test_score!r}",
-        "theta = " + ",".join(repr(float(t)) for t in gen.spec.theta),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def generator_from_text(text: str) -> TrainedGenerator:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        n_xi = int(fields["n_xi"])
-        if int(fields["reps"]) != n_xi:
-            raise StructureError(f"reps must equal n_xi = {n_xi}")
-        theta = np.array([float(v) for v in fields["theta"].split(",")])
-        if not np.all(np.isfinite(theta)):
-            raise StructureError("generator angles must be finite")
-        return TrainedGenerator(
-            spec=GeneratorSpec(n_xi, theta),
-            best_epoch=int(fields["best_epoch"]),
-            train_score=float(fields["train_score"]),
-            test_score=float(fields["test_score"]),
-        )
-    except (KeyError, ValueError) as err:  # StructureError is a ValueError
-        raise StructureError(f"malformed generator record: {err}") from err
+# the record's keys, in the order `save_generator` writes them
+_RECORD_KEYS = ("n_xi", "reps", "best_epoch", "train_score", "test_score",
+                "theta")
 
 
 def save_generator(gen: TrainedGenerator, path) -> None:
+    """One ``key = value`` line per key; reps, the ansatz depth, is n_xi."""
+    values = (gen.n_xi, gen.n_xi, gen.best_epoch, repr(gen.train_score),
+              repr(gen.test_score), ",".join(repr(float(t)) for t in gen.theta))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(generator_to_text(gen))
+        fh.writelines(f"{k} = {v}\n" for k, v in zip(_RECORD_KEYS, values))
 
 
 def load_generator(path) -> TrainedGenerator:
-    """A malformed file is an OSError naming it, like any bad data file."""
+    """`save_generator`'s record, each key once; a malformed file is an
+    OSError naming it, like any bad data file."""
+    fields = {}
     try:
-        return generator_from_text(read_text(path))
-    except StructureError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+        for line in read_text(path).splitlines():
+            if not line.strip():
+                continue
+            # a line without "=" is all key: unknown, or empty-valued, which
+            # then fails to parse
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _RECORD_KEYS or key in fields:
+                raise ValueError(f"unexpected line {line.strip()!r}")
+            fields[key] = value
+        n_xi = int(fields["n_xi"])
+        if n_xi < 1:
+            raise ValueError("generator needs n_xi >= 1")
+        if int(fields["reps"]) != n_xi:
+            raise ValueError(f"reps must equal n_xi = {n_xi}")
+        theta = np.array([float(v) for v in fields["theta"].split(",")])
+        if len(theta) != n_xi * (n_xi + 1):
+            raise ValueError(f"theta must have length {n_xi * (n_xi + 1)}, "
+                             f"got {len(theta)}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("generator angles must be finite")
+        return TrainedGenerator(n_xi, theta, int(fields["best_epoch"]),
+                                float(fields["train_score"]),
+                                float(fields["test_score"]))
+    except (KeyError, ValueError) as err:
+        raise OSError(f"{path}: malformed generator record: {err}") from err

@@ -35,7 +35,7 @@ import numpy as np
 from . import statevec as sv
 from .config import default_params
 from .qaoa import VariationalParams, assemble, stage_layers
-from .qgan import default_spec, generator_circuit
+from .qgan import generator_circuit
 from .ucp import build_hamiltonian
 
 _BASIS_KINDS = ("rz", "sx", "x", "cx")
@@ -116,14 +116,15 @@ def count_and_depth(circuit: sv.Circuit) -> dict:
 def _sweep_circuit(n_xi: int, n_units: int, p1: int, p2: int) -> sv.Circuit:
     """The circuit of one sweep row, at zero angles; its family follows
     from (n_units, p1, p2) as in the module docstring."""
-    spec = default_spec(n_xi)
+    theta = np.zeros(n_xi * (n_xi + 1))
     if n_units == 0:
-        return generator_circuit(spec)
+        return generator_circuit(n_xi, theta)
     # any lam > 0 keeps the gap^2 terms, whose support is all that counts
     ham = build_hamiltonian(default_params(n_units), 30.0, n_xi, 0.0, 2500.0)
     zero1, zero2 = np.zeros(p1), np.zeros(p2)
     if p1 and p2:
-        return assemble(spec, ham, VariationalParams(zero1, zero1, zero2, zero2))
+        return assemble(theta, ham,
+                        VariationalParams(zero1, zero1, zero2, zero2))
     layout = ham.layout
     if p1:
         gates = stage_layers([ham.h1], zero1, zero1, layout.first_stage_qubits)

@@ -27,7 +27,7 @@ from qtwostage import statevec as sv
 from qtwostage.config import UcpParams
 from qtwostage.errors import StructureError
 from qtwostage.qaoa import VariationalParams, final_state, stage_layers
-from qtwostage.qgan import Discriminator, GeneratorSpec, _sigmoid, generator_probs
+from qtwostage.qgan import Discriminator, _sigmoid, generator_probs
 from qtwostage.ucp import RegisterLayout, build_hamiltonian
 from qtwostage.walsh import ZPolynomial, _pruned, reconstruct
 
@@ -208,7 +208,7 @@ def _row_stage_probs(table: np.ndarray, gammas, betas) -> np.ndarray:
 
 
 def row_major_joint(
-    spec: GeneratorSpec, ham, vp: VariationalParams
+    theta: np.ndarray, ham, vp: VariationalParams
 ) -> np.ndarray:
     """P(s) * P1(x) * |phi_{x,s}(b)|^2 over a transposed table of the cost.
 
@@ -224,7 +224,7 @@ def row_major_joint(
     rows = (layout.split(ham.diagonal)
             .transpose(1, 2, 0).reshape(-1, 2**m))
     first = _row_stage_probs(h1[None, :], vp.gamma1, vp.beta1)[0]
-    weights = np.outer(first, generator_probs(spec))
+    weights = np.outer(first, generator_probs(n_xi, theta))
     dispatch = _row_stage_probs(rows, vp.gamma2, vp.beta2)
     return (weights.reshape(-1, 1) * dispatch).T.ravel()
 
@@ -234,7 +234,8 @@ def row_major_joint(
 # ---------------------------------------------------------------------------
 
 def verify_prop1(
-    spec: GeneratorSpec,
+    n_xi: int,
+    theta: np.ndarray,
     params: UcpParams,
     lam: float,
     xi_min: float,
@@ -243,17 +244,17 @@ def verify_prop1(
 ) -> float:
     """|full-circuit expectation - factorized recomputation|.
 
-    Both sides read the problem from ``params``, ``lam`` and the generator
-    alone.
+    Both sides read the problem from ``params``, ``lam`` and the n_xi-qubit
+    generator's angles ``theta`` alone.
     The factorized side never builds the joint circuit: first-stage
     amplitudes come from a first-stage-only circuit, scenario weights from
     the generator alone, and each second-stage value from an independently
     simulated dispatch-register circuit with the commitment bits and the
     scenario value substituted as plain numbers.
     """
-    n_xi, m = spec.n_xi, params.n_units
+    m = params.n_units
     ham = build_hamiltonian(params, lam, n_xi, xi_min, xi_max)
-    lhs = sv.expectation_diagonal(final_state(spec, ham, vp), ham.diagonal)
+    lhs = sv.expectation_diagonal(final_state(theta, ham, vp), ham.diagonal)
 
     # first-stage-only circuit on an M-qubit register
     h1_local = ZPolynomial(
@@ -262,7 +263,7 @@ def verify_prop1(
     gates1 = stage_layers([h1_local], vp.gamma1, vp.beta1, range(m))
     first_probs = sv.probabilities(sv.run_circuit(sv.Circuit(m, gates1)))
 
-    scenario_probs = generator_probs(spec)
+    scenario_probs = generator_probs(n_xi, theta)
     grid = np.linspace(xi_min, xi_max, 2**n_xi)
 
     rhs = 0.0

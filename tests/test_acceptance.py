@@ -30,7 +30,7 @@ from qtwostage.qaoa import (
     optimize,
     random_params,
 )
-from qtwostage.qgan import GeneratorSpec, TrainedGenerator, train
+from qtwostage.qgan import TrainedGenerator, train
 from qtwostage.resources import count_and_depth, lower_to_basis, sweep_scaling
 from qtwostage.scenarios import (
     bin_to_grid,
@@ -74,9 +74,8 @@ def train_generator(n_grid: int, seed: int) -> TrainedGenerator:
                  np.random.default_rng(seed))
 
 
-def random_generator(n_xi: int, rng) -> GeneratorSpec:
-    theta = rng.uniform(-1.0, 1.0, size=n_xi * (n_xi + 1))
-    return GeneratorSpec(n_xi, theta)
+def random_generator(n_xi: int, rng) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, size=n_xi * (n_xi + 1))
 
 
 def test_criterion_1_grid_expansion_sparsity():
@@ -142,7 +141,7 @@ def test_criterion_3_factorized_objective_identity():
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
         worst_abs = max(worst_abs, verify_prop1(
-            gen, params_s, 30.0 * scale, 0.0, XI_MAX * scale, vp))
+            2, gen, params_s, 30.0 * scale, 0.0, XI_MAX * scale, vp))
 
     # full-scale companion: residual relative to the objective magnitude
     params_f = default_params()
@@ -151,7 +150,7 @@ def test_criterion_3_factorized_objective_identity():
     for _ in range(3):
         gen = random_generator(2, rng)
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params_f, 30.0, 0.0, XI_MAX, vp)
+        residual = verify_prop1(2, gen, params_f, 30.0, 0.0, XI_MAX, vp)
         lhs = FactorizedEvaluator(gen, ham_f)(vp)
         worst_rel = max(worst_rel, residual / max(1.0, abs(lhs)))
 
@@ -234,7 +233,7 @@ def test_criterion_6_baseline_values():
 
 def test_criterion_7_end_to_end_solution_quality():
     t0 = time.perf_counter()
-    gen = train_generator(4, 0).spec
+    gen = train_generator(4, 0).theta
     test = quantile_test_set(sample_pv(2000, 3.0, 7.0, XI_MAX, seed=500), 200)
     cfg = QaoaConfig(p1=4, p2=4, maxiter=400)
 

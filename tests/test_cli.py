@@ -247,6 +247,10 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     # restart seeds are keyed by a lambda's 6-significant-digit text
     ("run", "", ["--lambdas", "30,30.0000001"], "[sweep] lambdas"),
     ("baselines", "[sweep]\nlambdas = 30, 90, 30\n", [], "[sweep] lambdas"),
+    # [DEFAULT] is a section like any other, not keys for every section
+    ("report", "[DEFAULT]\nmaster_seed = 5\nbogus = 1\n", [], "[DEFAULT]"),
+    ("train-qgan", "[DEFAULT]\nepochs = 5\n[qgan]\n", [], "[DEFAULT]"),
+    ("run", "[DEFAULT]\nepochs = 5\n[qaoa]\n", [], "[DEFAULT]"),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -261,7 +265,9 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "qgan-use-shots-gone", "qgan-eval-mode-word", "n_seeds-zero",
         "seeds-flag-zero", "seed-flag-word", "seeds-flag-word",
         "shots-flag-word", "lambdas-flag-empty", "seed-word",
-        "lambdas-empty", "lambdas-flag-same-key", "lambdas-repeated"])
+        "lambdas-empty", "lambdas-flag-same-key", "lambdas-repeated",
+        "default-section", "default-section-beside-qgan",
+        "default-section-beside-qaoa"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags,
                                      named):
     """Exit 2 with a config error, which names the key at fault
@@ -452,6 +458,9 @@ def test_run_malformed_generator_is_exit_2(tmp_path, capsys):
         valid.replace("0.1,0.2,", ""),  # too few angles
         valid.replace("0.3", "nan"),
         valid.replace("reps = 2", "reps = 1"),
+        valid + "bogus = 1\n",  # unknown key
+        valid + "angles in radians\n",  # a line with no "="
+        valid + "theta = 0.6,0.5,0.4,0.3,0.2,0.1\n",  # repeated key
     ):
         (out / "generator.txt").write_text(text)
         assert main(["run", "--config", cfg_path]) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from qtwostage import cobyla, qaoa
 from qtwostage.config import QaoaConfig, default_params
-from qtwostage.qgan import GeneratorSpec
 from qtwostage.ucp import build_hamiltonian
 
 N = 16
@@ -152,7 +151,7 @@ def test_desk_restart_calls_no_lapack(monkeypatch):
     # angles and a 400-evaluation exact budget
     ham = build_hamiltonian(default_params(), 90.0, 3, 0.0, 2500.0)
     theta = np.random.default_rng(5).uniform(-1, 1, 12)
-    evaluator = qaoa.FactorizedEvaluator(GeneratorSpec(3, theta), ham)
+    evaluator = qaoa.FactorizedEvaluator(theta, ham)
     calls = counting_inv(monkeypatch)
     result = qaoa.optimize(evaluator, QaoaConfig(),
                            np.random.default_rng(11))

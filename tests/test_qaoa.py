@@ -16,7 +16,7 @@ from qtwostage.qaoa import (
     optimize,
     random_params,
 )
-from qtwostage.qgan import GeneratorSpec, generator_probs
+from qtwostage.qgan import generator_probs
 from qtwostage.ucp import RegisterLayout, build_hamiltonian
 from qtwostage.walsh import reconstruct, zpoly_add
 
@@ -31,10 +31,11 @@ from oracles import (
 )
 
 
-def make_generator(n_xi: int, theta=None) -> GeneratorSpec:
+def make_generator(n_xi: int, theta=None) -> np.ndarray:
+    """The generator's angles: ``theta``, or zeros."""
     if theta is None:
         theta = np.zeros(n_xi * (n_xi + 1))
-    return GeneratorSpec(n_xi, np.asarray(theta, dtype=float))
+    return np.asarray(theta, dtype=float)
 
 
 def case_study(lam: float, n_xi: int = 2):
@@ -132,7 +133,7 @@ def test_zero_angles_give_product_state():
     gen = make_generator(2, theta)
     vp = VariationalParams(*np.zeros((4, 1)))
     probs = sv.probabilities(final_state(gen, ham, vp))
-    p_s = generator_probs(gen)
+    p_s = generator_probs(2, gen)
     want = np.tile(p_s, 64) / 64.0
     np.testing.assert_allclose(probs, want, atol=1e-12)
 
@@ -155,7 +156,7 @@ def test_objective_matches_product_oracle():
 
     # scenario s is the low two bits of a basis index; the 64 decision
     # states are uniform at zero angles
-    weights = np.tile(generator_probs(gen), 64) / 64.0
+    weights = np.tile(generator_probs(2, gen), 64) / 64.0
     want = float(weights @ surrogate_diagonal(params, 30.0, 2, 0.0, 2500.0))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -190,7 +191,7 @@ def test_mapping_block_matches_diagonal_oracle():
         return [("zphase", support, gamma * coef)
                 for support, coef in _cost_terms(poly)]
 
-    before = list(generator_circuit(gen).gates)
+    before = list(generator_circuit(2, gen).gates)
     before += [("h", (q,), None) for q in layout.first_stage_qubits]
     before += [("h", (q,), None) for q in layout.second_stage_qubits]
     before += cost_gates(ham.h1, vp.gamma1[0])
@@ -291,7 +292,7 @@ def test_surrogate_optimum_and_scales_match_enumeration():
     params, ham = case_study(30.0)
     gen = make_generator(2, np.random.default_rng(71).uniform(-1, 1, 6))
     evaluator = FactorizedEvaluator(gen, ham)
-    p_s = generator_probs(gen)
+    p_s = generator_probs(2, gen)
     grid = np.linspace(0.0, 2500.0, 4)
     bits = [tuple((k >> i) & 1 for i in range(3)) for k in range(8)]
     # cost[x][s][b]: start-up, generation and imbalance penalty
@@ -652,7 +653,7 @@ def test_prop1_residual_small():
     rng = np.random.default_rng(23)
     for _ in range(5):
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params, 30.0 * 1e-3, 0.0, 2500.0 * 1e-3,
+        residual = verify_prop1(2, gen, params, 30.0 * 1e-3, 0.0, 2500.0 * 1e-3,
                                 vp)
         assert residual < 1e-9
 
@@ -667,7 +668,7 @@ def test_prop1_case_study_scale_relative():
     rng = np.random.default_rng(23)
     for _ in range(3):
         vp = random_params(2, 2, rng)
-        residual = verify_prop1(gen, params, 30.0, 0.0, 2500.0, vp)
+        residual = verify_prop1(2, gen, params, 30.0, 0.0, 2500.0, vp)
         assert residual < 1e-8 * abs(evaluator(vp))
 
 
@@ -675,11 +676,11 @@ def test_prop1_zero_angles_and_empty_second_stage():
     params = default_params()
     gen = make_generator(2)
     zero = VariationalParams(*np.zeros((4, 1)))
-    assert verify_prop1(gen, params, 30.0, 0.0, 2500.0, zero) < 1e-6
+    assert verify_prop1(2, gen, params, 30.0, 0.0, 2500.0, zero) < 1e-6
 
     no_second = VariationalParams(np.array([0.4]), np.array([0.2]),
                                   np.zeros(0), np.zeros(0))
-    assert verify_prop1(gen, params, 30.0, 0.0, 2500.0, no_second) < 1e-6
+    assert verify_prop1(2, gen, params, 30.0, 0.0, 2500.0, no_second) < 1e-6
 
 
 def test_nonanticipativity_holds_and_control_breaks():

@@ -3,17 +3,12 @@ import pytest
 
 from qtwostage import qgan, statevec as sv
 from qtwostage.config import TrainConfig
-from qtwostage.errors import StructureError
 from qtwostage.qgan import (
     Adam,
     Discriminator,
-    GeneratorSpec,
-    default_spec,
     generator_circuit,
-    generator_from_text,
     generator_gradient,
     generator_probs,
-    generator_to_text,
     probability_jacobian,
     train,
 )
@@ -27,51 +22,37 @@ from qtwostage.scenarios import (
 from oracles import bce_loss, forward
 
 
-def test_spec_validates_theta_length():
-    GeneratorSpec(2, np.zeros(6))
-    with pytest.raises(StructureError):
-        GeneratorSpec(2, np.zeros(5))
-    with pytest.raises(StructureError):
-        GeneratorSpec(0, np.zeros(0))
-
-
-def test_default_spec_layer_count():
-    spec = default_spec(3)
-    assert len(spec.theta) == 12
-    # the ansatz depth is the register width: 3 CZ chains of 2 gates
-    cz = [g for g in generator_circuit(spec).gates if g[0] == "cz"]
-    assert len(cz) == 3 * 2
-
-
 def test_circuit_structure():
-    spec = GeneratorSpec(3, np.arange(12, dtype=float))
-    circ = generator_circuit(spec)
-    kinds = [kind for kind, _, _ in circ.gates]
-    want = (
-        ["h"] * 3
-        + ["ry"] * 3
-        + (["cz"] * 2 + ["ry"] * 3) * 3
-    )
-    assert kinds == want
-    # entangler pairs walk down the chain
-    cz = [qubits for kind, qubits, _ in circ.gates if kind == "cz"]
-    assert cz == [(0, 1), (1, 2)] * 3
-    # RY angles consumed in order
-    ry = [angle for kind, _, angle in circ.gates if kind == "ry"]
-    assert ry == list(range(12))
+    # the ansatz depth is the register width: 3 CZ chains of 2 gates, and
+    # 3 * (3 + 1) angles, as at the zero angles of a resource sweep
+    for theta in (np.arange(12, dtype=float), np.zeros(12)):
+        circ = generator_circuit(3, theta)
+        kinds = [kind for kind, _, _ in circ.gates]
+        want = (
+            ["h"] * 3
+            + ["ry"] * 3
+            + (["cz"] * 2 + ["ry"] * 3) * 3
+        )
+        assert kinds == want
+        # entangler pairs walk down the chain
+        cz = [qubits for kind, qubits, _ in circ.gates if kind == "cz"]
+        assert cz == [(0, 1), (1, 2)] * 3
+        # RY angles consumed in order
+        ry = [angle for kind, _, angle in circ.gates if kind == "ry"]
+        assert ry == list(theta)
 
 
 def test_zero_angles_give_uniform():
     for n in (1, 2, 3):
-        p = generator_probs(default_spec(n))
+        p = generator_probs(n, np.zeros(n * (n + 1)))
         np.testing.assert_allclose(p, np.full(2**n, 2.0**-n), atol=1e-12)
 
 
 def test_sampled_probs():
-    spec = GeneratorSpec(2, np.array([0.3, -0.8, 0.5, 0.1, -0.2, 0.9]))
-    exact = generator_probs(spec)
+    theta = np.array([0.3, -0.8, 0.5, 0.1, -0.2, 0.9])
+    exact = generator_probs(2, theta)
     rng = np.random.default_rng(7)
-    freq = generator_probs(spec, shots=100_000, rng=rng)
+    freq = generator_probs(2, theta, shots=100_000, rng=rng)
     assert abs(freq.sum() - 1.0) < 1e-12
     assert np.max(np.abs(freq - exact)) < 0.01
 
@@ -111,8 +92,7 @@ def test_discriminator_gradients_match_finite_differences():
 def test_probability_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     theta = rng.uniform(-1, 1, size=6)
-    spec = GeneratorSpec(2, theta)
-    jac = probability_jacobian(spec)
+    jac = probability_jacobian(2, theta)
     h = 1e-5
     for j in range(6):
         plus = theta.copy()
@@ -120,8 +100,8 @@ def test_probability_jacobian_matches_finite_differences():
         minus = theta.copy()
         minus[j] -= h
         fd = (
-            generator_probs(GeneratorSpec(2, plus))
-            - generator_probs(GeneratorSpec(2, minus))
+            generator_probs(2, plus)
+            - generator_probs(2, minus)
         ) / (2 * h)
         np.testing.assert_allclose(jac[j], fd, atol=1e-7)
 
@@ -130,9 +110,8 @@ def test_probability_jacobian_samples_in_shift_order():
     # the batched draws must equal today's loop: theta_j + pi/2, then
     # theta_j - pi/2, for j in order, on one rng
     theta = np.random.default_rng(4).uniform(-1, 1, size=12)
-    spec = GeneratorSpec(3, theta)
     rng = np.random.default_rng(8)
-    jac = probability_jacobian(spec, 700, rng)
+    jac = probability_jacobian(3, theta, 700, rng)
 
     ref_rng = np.random.default_rng(8)
     ref = np.empty_like(jac)
@@ -141,7 +120,7 @@ def test_probability_jacobian_samples_in_shift_order():
         for sign in (1, -1):
             shifted = theta.copy()
             shifted[j] += sign * np.pi / 2
-            p.append(generator_probs(GeneratorSpec(3, shifted), 700, ref_rng))
+            p.append(generator_probs(3, shifted, 700, ref_rng))
         ref[j] = (p[0] - p[1]) / 2.0
     assert np.array_equal(jac, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -150,13 +129,12 @@ def test_probability_jacobian_samples_in_shift_order():
 @pytest.mark.parametrize("batch_rows", [1, 3, 5])
 def test_probability_jacobian_chunks_match_one_batch(monkeypatch, batch_rows):
     theta = np.random.default_rng(6).uniform(-1, 1, size=6)
-    spec = GeneratorSpec(2, theta)
-    exact = probability_jacobian(spec)
-    sampled = probability_jacobian(spec, 300, np.random.default_rng(2))
+    exact = probability_jacobian(2, theta)
+    sampled = probability_jacobian(2, theta, 300, np.random.default_rng(2))
     monkeypatch.setattr(qgan, "BATCH_AMPS", batch_rows * 4)
-    assert np.array_equal(probability_jacobian(spec), exact)
+    assert np.array_equal(probability_jacobian(2, theta), exact)
     assert np.array_equal(
-        probability_jacobian(spec, 300, np.random.default_rng(2)), sampled)
+        probability_jacobian(2, theta, 300, np.random.default_rng(2)), sampled)
 
 
 @pytest.mark.parametrize("n_xi", [3, 6])  # the workloads' scenario registers
@@ -169,7 +147,7 @@ def test_probability_jacobian_is_one_circuit_run(monkeypatch, n_xi):
         return run(*args, **kwargs)
 
     monkeypatch.setattr(sv, "run_circuit", counted)
-    jac = probability_jacobian(default_spec(n_xi))
+    jac = probability_jacobian(n_xi, np.zeros(n_xi * (n_xi + 1)))
     assert jac.shape == (n_xi * (n_xi + 1), 2**n_xi)
     assert len(calls) == 1
 
@@ -177,12 +155,11 @@ def test_probability_jacobian_is_one_circuit_run(monkeypatch, n_xi):
 def test_generator_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     theta = rng.uniform(-1, 1, size=6)
-    spec = GeneratorSpec(2, theta)
     disc = Discriminator(4, rng)
-    grad = generator_gradient(spec, disc, generator_probs(spec))
+    grad = generator_gradient(2, theta, disc, generator_probs(2, theta))
 
     def loss(t):
-        p = generator_probs(GeneratorSpec(2, t))
+        p = generator_probs(2, t)
         return bce_loss(forward(disc, p), 1.0)
 
     h = 1e-4
@@ -217,7 +194,7 @@ def test_uniform_target_zero_init_scores_one_at_epoch_zero():
     assert got.best_epoch == 0
     assert got.test_score == 1.0
     assert got.train_score == 1.0
-    np.testing.assert_array_equal(got.spec.theta, np.zeros(6))
+    np.testing.assert_array_equal(got.theta, np.zeros(6))
 
 
 def test_train_is_deterministic_per_seed():
@@ -227,7 +204,7 @@ def test_train_is_deterministic_per_seed():
     cfg = TrainConfig(epochs=25)
     got_a = train([target], [target], cfg, rng_a)
     got_b = train([target], [target], cfg, rng_b)
-    np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
+    np.testing.assert_array_equal(got_a.theta, got_b.theta)
     assert got_a.test_score == got_b.test_score
     assert got_a.best_epoch == got_b.best_epoch
 
@@ -237,7 +214,7 @@ def test_train_with_shots_is_deterministic_per_seed():
     cfg = TrainConfig(epochs=10, lr_g=0.05, lr_d=0.05, shots=500)
     got_a = train([target], [target], cfg, np.random.default_rng(42))
     got_b = train([target], [target], cfg, np.random.default_rng(42))
-    np.testing.assert_array_equal(got_a.spec.theta, got_b.spec.theta)
+    np.testing.assert_array_equal(got_a.theta, got_b.theta)
     assert got_a.best_epoch > 0  # the sampled gradients moved theta
 
 
@@ -282,19 +259,24 @@ def test_train_improves_on_skewed_target():
     assert got.test_score > 0.97
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     gen = qgan.TrainedGenerator(
-        spec=GeneratorSpec(2, np.array([0.1, -2.5e-3, 1.0 / 3.0,
-                                        0.0, -7.0, 1e-300])),
+        n_xi=2,
+        theta=np.array([0.1, -2.5e-3, 1.0 / 3.0, 0.0, -7.0, 1e-300]),
         best_epoch=37,
         train_score=0.987654321,
         test_score=0.991234567,
     )
-    text = generator_to_text(gen)
-    assert text.splitlines()[:2] == ["n_xi = 2", "reps = 2"]
-    back = generator_from_text(text)
-    np.testing.assert_array_equal(back.spec.theta, gen.spec.theta)
-    assert back.spec.n_xi == gen.spec.n_xi
+    path = tmp_path / "generator.txt"
+    qgan.save_generator(gen, path)
+    # one `key = value` line per field, every float as its repr
+    assert path.read_bytes() == (
+        b"n_xi = 2\nreps = 2\nbest_epoch = 37\ntrain_score = 0.987654321\n"
+        b"test_score = 0.991234567\n"
+        b"theta = 0.1,-0.0025,0.3333333333333333,0.0,-7.0,1e-300\n")
+    back = qgan.load_generator(path)
+    np.testing.assert_array_equal(back.theta, gen.theta)
+    assert back.n_xi == gen.n_xi
     assert back.best_epoch == gen.best_epoch
     assert back.train_score == gen.train_score
     assert back.test_score == gen.test_score
@@ -302,19 +284,21 @@ def test_serialization_round_trip():
 
 def test_save_load(tmp_path):
     gen = qgan.TrainedGenerator(
-        spec=GeneratorSpec(1, np.array([3.14159, -0.5])),
+        n_xi=1, theta=np.array([3.14159, -0.5]),
         best_epoch=0, train_score=1.0, test_score=1.0,
     )
     path = tmp_path / "generator.txt"
     qgan.save_generator(gen, path)
     back = qgan.load_generator(path)
-    np.testing.assert_array_equal(back.spec.theta, gen.spec.theta)
+    np.testing.assert_array_equal(back.theta, gen.theta)
 
 
 def test_load_rejects_malformed_record(tmp_path):
+    path = tmp_path / "generator.txt"
     valid = ("n_xi = 1\nreps = 1\nbest_epoch = 0\ntrain_score = 1\n"
              "test_score = 1\ntheta = 0.5,-0.25\n")
-    assert generator_from_text(valid).spec.n_xi == 1
+    path.write_text(valid)
+    assert qgan.load_generator(path).n_xi == 1
     malformed = [
         "n_xi = 2\n",
         "n_xi = x\ntheta = 1.0\nreps = 1\n"
@@ -324,12 +308,18 @@ def test_load_rejects_malformed_record(tmp_path):
         valid.replace("0.5,-0.25", "0.5"),  # too few angles
         valid.replace("0.5", "nan"),
         valid.replace("-0.25", "-inf"),
+        valid.replace("n_xi = 1\nreps = 1", "n_xi = 0\nreps = 0"),
+        # n_xi * (n_xi + 1) = 2 angles, but no register has -2 qubits
+        valid.replace("n_xi = 1\nreps = 1", "n_xi = -2\nreps = -2"),
+        valid.replace("n_xi = 1\nreps = 1", "n_xi = 2\nreps = 2")
+        .replace("0.5,-0.25", "0.1,0.2,0.3,0.4,0.5"),  # 5 angles, n_xi = 2
+        valid + "bogus = 1\n",  # a key the record does not hold
+        valid + "angles in radians\n",  # a line with no "="
+        valid + "theta = 0.25,0.5\n",  # a key given twice
     ]
-    for text in malformed:
-        with pytest.raises(StructureError):
-            generator_from_text(text)
     # a malformed file is an OSError that names it
-    path = tmp_path / "generator.txt"
-    path.write_text(malformed[-1])
-    with pytest.raises(OSError, match="generator.txt"):
-        qgan.load_generator(path)
+    for text in malformed:
+        path.write_text(text)
+        with pytest.raises(OSError,
+                           match="generator.txt: malformed generator record"):
+            qgan.load_generator(path)

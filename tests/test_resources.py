@@ -7,7 +7,6 @@ from qtwostage import statevec as sv
 from qtwostage.config import ExperimentConfig, default_params
 from qtwostage.errors import StructureError
 from qtwostage.qaoa import VariationalParams, assemble, random_params
-from qtwostage.qgan import GeneratorSpec, default_spec
 from qtwostage.resources import (
     SWEEP_FIELDS,
     _sweep_circuit,
@@ -164,8 +163,8 @@ def test_lowering_preserves_action_full_assembly():
     # the production circuit: generator + both stage blocks, random angles
     rng = np.random.default_rng(7)
     ham = build_hamiltonian(default_params(), 30.0, 2, 0.0, 2500.0)
-    spec = GeneratorSpec(2, rng.uniform(-1.0, 1.0, size=6))
-    circuit = assemble(spec, ham, random_params(2, 2, rng))
+    theta = rng.uniform(-1.0, 1.0, size=6)
+    circuit = assemble(theta, ham, random_params(2, 2, rng))
     assert_unitary_equivalent(circuit, rng)
 
 
@@ -343,7 +342,7 @@ def test_full_assembly_row_counts_the_simulated_circuit(n_xi, n_units, p1, p2):
     ham = build_hamiltonian(default_params(n_units), 30.0, n_xi, 0.0, 2500.0)
     zero = VariationalParams(np.zeros(p1), np.zeros(p1), np.zeros(p2),
                              np.zeros(p2))
-    report = count_and_depth(assemble(default_spec(n_xi), ham, zero))
+    report = count_and_depth(assemble(np.zeros(n_xi * (n_xi + 1)), ham, zero))
     (row,) = [
         r for r in sweep_scaling([2**n_xi], [n_units], p1, p2)
         if r["include_qgan"] and r["M"] == n_units

@@ -7,7 +7,7 @@ import pytest
 
 from qtwostage import statevec as sv
 from qtwostage.errors import CapacityError, StructureError
-from qtwostage.qgan import GeneratorSpec, generator_probs
+from qtwostage.qgan import generator_probs
 
 from oracles import diagonal_phase, zphase
 
@@ -164,7 +164,7 @@ def test_zero_state_capacity_guard():
         sv.new_zero_state(29)
     # the generator's batched path starts from the same checked state
     with pytest.raises(CapacityError):
-        generator_probs(GeneratorSpec(29, np.zeros(29 * 30)))
+        generator_probs(29, np.zeros(29 * 30))
 
 
 def test_ry_pi_flips_qubit():
