@@ -44,24 +44,19 @@ NAN_INF_X = "NaN or Inf occurs in x."
 DAMAGING_ROUNDING = "rounding errors are becoming damaging."
 
 
-def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int,
-             f0: float | None = None) -> str:
+def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
     """Minimize ``fun`` from ``x0``, the trust radius going rhobeg -> rhoend.
 
     Returns PRIMA's stop message.  The caller sees every evaluation through
-    ``fun`` and keeps what it needs of them, such as the best point.  Given
-    ``f0 = fun(x0)``, the run is the one whose first call returned f0, with
-    that call added to ``maxfun`` (which counts only calls of ``fun``).
+    ``fun`` and keeps what it needs of them, such as the best point.
     """
     x0 = np.array(x0, dtype=float)
     n = x0.size
     nf = 0
-    if f0 is not None:
-        maxfun += 1
 
-    def evaluate(x: np.ndarray, known: float | None = None) -> float:
+    def evaluate(x: np.ndarray) -> float:
         nonlocal nf
-        f = float(fun(x) if known is None else known)
+        f = float(fun(x))
         nf += 1
         return FUNCMAX if np.isnan(f) else min(max(f, -REALMAX), FUNCMAX)
 
@@ -82,7 +77,7 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int,
         else:
             j = k - 1
             x[j] += rhobeg
-        fval[j] = evaluate(x, f0 if k == 0 else None)
+        fval[j] = evaluate(x)
         reason = stop_reason(x)
         if reason:
             return f"Return from COBYLA because {reason}"

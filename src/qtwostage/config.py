@@ -259,9 +259,10 @@ def load_config(path: str | None, flags=None) -> ExperimentConfig:
     """Defaults overlaid with an optional INI file, then with the keys the
     parsed command-line ``flags`` set: file < --paper < explicit flags.
     Unknown sections and keys are rejected, [DEFAULT] among them: the
-    parser's default section is the empty name, which no header can give."""
+    parser's default section is the empty name, which no header can give.
+    Values are literal: ``%`` is no template character."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       default_section="")
+                                       default_section="", interpolation=None)
     if path is not None:
         parser.read_string(read_text(path), source=path)
     if flags is not None:

@@ -258,10 +258,10 @@ def optimize(
     A run that stops before the budget (in shots mode, noise shrinks the
     trust region to ``rhoend`` within a few hundred evaluations) is followed
     by another from the best point so far, with what is left of the budget,
-    until ``cfg.maxiter`` evaluations are spent; an exact rerun is given its
-    start's value.  In shots mode a rerun draws afresh at its start, and as
-    the least of noisy estimates is biased low, the returned objective comes
-    from a fresh draw at the chosen angles, which gives the marginal too.
+    until ``cfg.maxiter`` evaluations are spent; in either mode a rerun
+    evaluates its start again.  In shots mode, as the least of noisy
+    estimates is biased low, the returned objective comes from a fresh draw
+    at the chosen angles, which gives the marginal too.
     """
     sigma1, sigma2 = evaluator.scales
     divisor = VariationalParams(
@@ -279,20 +279,20 @@ def optimize(
             best["x"] = x.copy()
         return value
 
-    x, f0, runs = random_params(cfg.p1, cfg.p2, rng).to_vector(), None, 0
+    x, runs = random_params(cfg.p1, cfg.p2, rng).to_vector(), 0
     # a run with maxfun >= 1 calls ``fun`` at least once, so the loop ends;
     # ``minimize`` is looked up as ``qaoa.minimize`` at call time, so a
     # wrapper installed there sees every objective evaluation
     while len(trace) < cfg.maxiter:
         message = minimize(fun, x, rhobeg=COBYLA_RHOBEG, rhoend=COBYLA_TOL,
-                           maxfun=cfg.maxiter - len(trace), f0=f0)
+                           maxfun=cfg.maxiter - len(trace))
         runs += 1
         if best["x"] is None:
             raise StructureError(
                 f"none of {len(trace)} objective evaluations was finite "
                 f"({message})"
             )
-        x, f0 = best["x"], (best["value"] if cfg.shots is None else None)
+        x = best["x"]
     vp_best = VariationalParams.from_vector(cfg.p1, cfg.p2, x / divisor)
 
     if cfg.shots is None:

@@ -109,6 +109,10 @@ lambdas = 30, 200
     # --shots sets [qaoa] keys only, on every subcommand
     cfg = load_config(None, parse_args("train-qgan", "--shots", "500"))
     assert cfg.qgan.shots is None and cfg.qaoa.shots == 500
+    # values are literal: % is no template character
+    for out_dir in ("out%1", "%(x)s"):
+        path = write_config(tmp_path, f"[output]\ndir = {out_dir}\n")
+        assert load_config(path).out_dir == Path(out_dir)
 
 
 def test_load_config_accepts_zero_lambda(tmp_path):

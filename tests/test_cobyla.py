@@ -60,22 +60,6 @@ def test_follows_scipy_cobyla(objective):
         assert best < 1e-4 and ref.fun < 1e-4
 
 
-@pytest.mark.parametrize("maxfun", [0, 3, 40, 5000])
-@pytest.mark.parametrize("objective", [bowl, wavy_bowl])
-def test_given_start_value_is_the_run_that_evaluated_it(objective, maxfun):
-    # with f0 = fun(x0) and a budget of K calls, fun sees exactly what a run
-    # without f0 and with K + 1 calls sees after its first point
-    fun, given = recording(objective)
-    message = cobyla.minimize(fun, X0, rhobeg=RHOBEG, rhoend=1e-3,
-                              maxfun=maxfun, f0=objective(X0))
-    fun, full = recording(objective)
-    ref = cobyla.minimize(fun, X0, rhobeg=RHOBEG, rhoend=1e-3,
-                          maxfun=maxfun + 1)
-    assert len(given) == len(full) - 1 <= maxfun
-    assert np.asarray(given).tobytes() == np.asarray(full[1:]).tobytes()
-    assert message == ref
-
-
 @pytest.mark.parametrize("maxfun", [3, 40])
 def test_budget_stops_after_exactly_maxfun_calls(maxfun):
     # 3 stops inside the 17-point initial simplex, 40 after it

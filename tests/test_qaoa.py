@@ -358,9 +358,8 @@ def test_optimize_is_deterministic():
     a = optimize(evaluator, cfg, np.random.default_rng(21))
     b = optimize(evaluator, cfg, np.random.default_rng(21))
     np.testing.assert_array_equal(a.trace, b.trace)
-    # the rerun is given its start's value: no evaluation is spent twice
     assert a.runs > 1
-    assert len(set(a.trace.tolist())) == len(a.trace) == cfg.maxiter
+    assert len(a.trace) == cfg.maxiter
     np.testing.assert_array_equal(a.best_params.to_vector(),
                                   b.best_params.to_vector())
     assert a.best_objective == min(a.trace)
@@ -482,17 +481,19 @@ def test_shots_restart_spends_the_budget_after_a_trust_region_stop():
         np.asarray(values).tobytes()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
-    # at depth 2 some reruns start where x / scale * scale != x, so a start
-    # rebuilt from the physical angles would differ in its last bits
-    runs = []  # per run: its start, budget, given f0 and evaluations
+@pytest.mark.parametrize("shots, seed", [
+    *(pytest.param(1000, seed, id=str(seed)) for seed in range(4)),
+    pytest.param(None, 21, id="exact-21")])
+def test_reruns_start_at_the_best_scaled_point(monkeypatch, shots, seed):
+    # shots: at depth 2 some reruns start where x / scale * scale != x, so a
+    # start rebuilt from the physical angles would differ in its last bits;
+    # exact: the toy problem's first run stops before its budget
+    runs = []  # per run: its start, budget and evaluations
     seen = []  # every evaluated (scaled point, value), in order
     package_minimize = qaoa.minimize
 
     def recording_minimize(fun, x0, **kwargs):
-        run = {"x0": np.array(x0), "maxfun": kwargs["maxfun"], "evals": 0,
-               "f0": kwargs.get("f0")}
+        run = {"x0": np.array(x0), "maxfun": kwargs["maxfun"], "evals": 0}
         runs.append(run)
 
         def recorded(x):
@@ -503,7 +504,11 @@ def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
         return package_minimize(recorded, x0, **kwargs)
 
     monkeypatch.setattr(qaoa, "minimize", recording_minimize)
-    evaluator, cfg = shots_case(p=2)
+    if shots is None:
+        evaluator = FactorizedEvaluator(make_generator(1), toy_problem())
+        cfg = QaoaConfig(p1=1, p2=1, maxiter=60)
+    else:
+        evaluator, cfg = shots_case(p=2)
     result = optimize(evaluator, cfg, np.random.default_rng(seed))
 
     assert len(runs) == result.runs > 1
@@ -512,14 +517,16 @@ def test_reruns_start_at_the_best_scaled_point(monkeypatch, seed):
     spent = 0
     for run in runs:
         assert run["maxfun"] == cfg.maxiter - spent
-        # a shots run, rerun or not, draws afresh at its start
-        assert run["f0"] is None
+        # a run, rerun or not, evaluates its start first
         assert seen[spent][0].tobytes() == run["x0"].tobytes()
         if spent:
             # the first of the lowest values so far, its point bit for bit
             earlier = [value for _, value in seen[:spent]]
-            x_best = seen[int(np.argmin(earlier))][0]
-            assert run["x0"].tobytes() == x_best.tobytes()
+            i_best = int(np.argmin(earlier))
+            assert run["x0"].tobytes() == seen[i_best][0].tobytes()
+            if shots is None:
+                # exact: the start's value again, where shots draw afresh
+                assert seen[spent][1] == earlier[i_best]
         spent += run["evals"]
 
 
@@ -542,19 +549,21 @@ def test_rerun_loop_ends_when_each_run_evaluates_once(monkeypatch):
 
 def test_exact_first_run_at_maxfun_is_one_cobyla_run():
     # the desk and paper-grid regime: the first run spends the budget, so
-    # the rerun loop never runs and results stay bit for bit
+    # the rerun loop never runs and results stay bit for bit; at depth 2 and
+    # at the desk's depth 4 and budget 400
     _, ham = case_study(90.0)
     gen = make_generator(2, np.random.default_rng(61).uniform(-1, 1, 6))
     evaluator = FactorizedEvaluator(gen, ham)
-    cfg = QaoaConfig(p1=2, p2=2, maxiter=100)
-    values, message = one_cobyla_run(evaluator, cfg, 67)
-    assert "MAXFUN" in message
+    for p, maxiter in ((2, 100), (4, 400)):
+        cfg = QaoaConfig(p1=p, p2=p, maxiter=maxiter)
+        values, message = one_cobyla_run(evaluator, cfg, 67)
+        assert "MAXFUN" in message
 
-    result = optimize(evaluator, cfg, np.random.default_rng(67))
-    assert result.runs == 1
-    assert result.message == message
-    assert result.trace.tobytes() == np.asarray(values).tobytes()
-    assert result.best_objective == min(values)
+        result = optimize(evaluator, cfg, np.random.default_rng(67))
+        assert result.runs == 1
+        assert result.message == message
+        assert result.trace.tobytes() == np.asarray(values).tobytes()
+        assert result.best_objective == min(values)
 
 
 def test_shots_best_objective_comes_from_the_final_draw(monkeypatch):
