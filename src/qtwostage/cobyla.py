@@ -4,11 +4,12 @@ A port of the unconstrained path of Zhang's PRIMA rewrite of COBYLA (Powell
 1994, "A direct search optimization method that models the objective and
 constraint functions by linear interpolation"), which is what
 ``scipy.optimize.minimize(method="COBYLA")`` runs.  Without constraints the
-merit function is the objective itself and the penalty parameter never
-leaves its floor.  PRIMA's filter, which only picks the point to return,
-is left to the caller, who sees every evaluation.  The control flow is
-PRIMA's: the initial simplex, `_update_pole`, the choice of the point to
-drop (`_drop_for_step`), the geometry step (`_geometry_step`),
+merit function is the objective itself, and with no penalty parameter the
+pole moves only when `_replace` changes the simplex (PRIMA also re-poles each
+iteration and after each rho reduction).  PRIMA's filter, which only picks
+the point to return, is left to the caller, who sees every evaluation.  The
+control flow is PRIMA's: the initial simplex, `_update_pole`, the choice of
+the point to drop (`_drop_for_step`), the geometry step (`_geometry_step`),
 the radius update (`_trust_radius`), the reduction of rho (`_reduce_rho`) and
 the moderated extreme barrier on objective values.  One thing differs: the
 trust-region LP with no constraints is solved in closed form,
@@ -21,8 +22,8 @@ forward substitution, `_lower_inverse`, which gives LAPACK's
 ``np.linalg.inv`` bit for bit; a run reaches LAPACK only when rounding
 forces `_repaired` to invert afresh.
 
-The budget is hard: ``fun`` is called at most ``maxfun`` times, also when
-that is fewer than the n + 1 points of the initial simplex.
+The budget is hard: ``fun`` is called at most ``max(maxfun, 0)`` times, also
+when that is fewer than the n + 1 points of the initial simplex.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
     Returns PRIMA's stop message.  The caller sees every evaluation through
     ``fun`` and keeps what it needs of them, such as the best point.
     """
+    if maxfun <= 0:
+        return f"Return from COBYLA because {MAXFUN_REACHED}"
     x0 = np.array(x0, dtype=float)
     n = x0.size
     nf = 0
@@ -103,9 +106,6 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
 
     rho = delta = rhobeg
     for _ in range(10 * maxfun):
-        if not _update_pole(sim, simi, fval):
-            reason = DAMAGING_ROUNDING
-            break
         adequate_geo = np.all(np.sum(sim[:, :n] ** 2, axis=0) <= 4 * delta**2)
         g = (fval[:n] - fval[n]) @ simi
         gnorm = np.linalg.norm(g)
@@ -151,9 +151,6 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
                 break
             delta = max(0.5 * rho, _reduce_rho(rho, rhoend))
             rho = _reduce_rho(rho, rhoend)
-            if not _update_pole(sim, simi, fval):
-                reason = DAMAGING_ROUNDING
-                break
     else:
         reason = MAXTR_REACHED
     return f"Return from COBYLA because {reason}"

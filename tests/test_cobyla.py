@@ -60,9 +60,10 @@ def test_follows_scipy_cobyla(objective):
         assert best < 1e-4 and ref.fun < 1e-4
 
 
-@pytest.mark.parametrize("maxfun", [3, 40])
+@pytest.mark.parametrize("maxfun", [0, 1, 3, 40])
 def test_budget_stops_after_exactly_maxfun_calls(maxfun):
-    # 3 stops inside the 17-point initial simplex, 40 after it
+    # 0 calls nothing, 1 and 3 stop inside the 17-point initial simplex, 40
+    # after it
     fun, points = recording(bowl)
     message = cobyla.minimize(fun, X0, rhobeg=RHOBEG, rhoend=1e-6,
                               maxfun=maxfun)
@@ -70,18 +71,49 @@ def test_budget_stops_after_exactly_maxfun_calls(maxfun):
     assert message == "Return from COBYLA because " + cobyla.MAXFUN_REACHED
 
 
+def holed(x):
+    """NaN at the origin, and a bowl around (-1, ..., -1) elsewhere."""
+    return float("nan") if not np.any(x) else float(np.sum((x + 1) ** 2))
+
+
 def test_nan_meets_the_extreme_barrier():
     # a NaN start counts as FUNCMAX, so the first finite vertex becomes the
     # centre of the search; a NaN compared as is would never be left
-    def holed(x):
-        return float("nan") if not np.any(x) else float(np.sum((x + 1) ** 2))
-
     fun, points = recording(holed)
     message = cobyla.minimize(fun, np.zeros(2), rhobeg=1.0, rhoend=1e-3,
                               maxfun=200)
     assert message.endswith(cobyla.SMALL_TR_RADIUS)
     best = min(points[1:], key=holed)
     np.testing.assert_allclose(best, [-1.0, -1.0], atol=1e-2)
+
+
+@pytest.mark.parametrize("objective, x0, rhobeg", [
+    (bowl, X0, RHOBEG), (wavy_bowl, X0, RHOBEG), (holed, np.zeros(2), 1.0)],
+    ids=["bowl", "wavy_bowl", "holed"])
+def test_pole_is_least_whenever_the_loop_reads_it(monkeypatch, objective,
+                                                   x0, rhobeg):
+    # the loop re-poles only inside _replace: the pole must already hold the
+    # least value on entry to each _replace and after each that succeeds,
+    # and one more _update_pole must return True and change no bit
+    calls, real = [], cobyla._replace
+
+    def pole_settled(sim, simi, fval):
+        assert fval[-1] == fval.min()
+        before = [a.copy() for a in (sim, simi, fval)]
+        assert cobyla._update_pole(sim, simi, fval)
+        for a, b in zip(before, (sim, simi, fval)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def replace(jdrop, d, f, sim, simi, fval):
+        pole_settled(sim, simi, fval)
+        ok = real(jdrop, d, f, sim, simi, fval)
+        if ok:
+            pole_settled(sim, simi, fval)
+        calls.append(ok)
+        return ok
+    monkeypatch.setattr(cobyla, "_replace", replace)
+    cobyla.minimize(objective, x0, rhobeg=rhobeg, rhoend=1e-3, maxfun=400)
+    assert len(calls) > 20 and all(calls)
 
 
 def first_simplex(improved, rhobeg):
