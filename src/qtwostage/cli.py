@@ -13,6 +13,9 @@ with the same configuration are byte-identical.
 
 Each subcommand imports the numeric modules it uses when it runs, so loading
 a config, ``--help``, a config error and ``report`` never import numpy.
+The process entry, `entry`, keeps OpenSSL's libcrypto unmapped where the
+interpreter has built-in SHA-2; ``main``, which callers may run in-process,
+leaves ``sys.modules`` as it finds it.
 
 Exit codes: 0 success, 1 runtime invariant violation or out of memory, 2 I/O
 or configuration error.
@@ -363,5 +366,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry of ``qtwostage`` and ``python -m qtwostage.cli``.
+
+    Where the interpreter has its own SHA-2 (``_sha2`` from 3.12, ``_sha256``
+    and ``_sha512`` on 3.11), ``_hashlib`` is blocked before any stage
+    imports numpy, so ``hashlib``, ``hmac`` and the ``secrets`` that
+    ``numpy.random`` imports use the built-in digests and never map OpenSSL's
+    libcrypto.  SHA-256 is the same from either backend, so every
+    `derive_seed` value is too.  A process that has loaded ``_hashlib``
+    keeps it.
+    """
+    from importlib.util import find_spec
+
+    if find_spec("_sha2") or (find_spec("_sha256") and find_spec("_sha512")):
+        sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

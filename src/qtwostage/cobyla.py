@@ -50,7 +50,11 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
 
     Returns PRIMA's stop message.  The caller sees every evaluation through
     ``fun`` and keeps what it needs of them, such as the best point.
+    The radii must satisfy PRIMA's 0 < rhoend <= rhobeg < inf.
     """
+    if not 0 < rhoend <= rhobeg < np.inf:
+        raise ValueError(f"COBYLA needs 0 < rhoend <= rhobeg < inf, got "
+                         f"rhobeg={rhobeg!r}, rhoend={rhoend!r}")
     if maxfun <= 0:
         return f"Return from COBYLA because {MAXFUN_REACHED}"
     x0 = np.array(x0, dtype=float)

@@ -725,6 +725,112 @@ def test_settings_and_report_import_no_numpy(tmp_path):
     assert len(steps) == 5
 
 
+# whether numpy.random and hashlib are loaded, and whether _hashlib is blocked
+_HASHLIB_STATE = """
+print(json.dumps([m in sys.modules for m in ("numpy.random", "hashlib")]
+                 + [sys.modules.get("_hashlib", "absent") is None]))
+"""
+
+_STAGES_THROUGH_ENTRY = """
+import json, runpy, sys
+config = sys.argv[1]
+for stage in ("gen-data", "train-qgan", "run"):
+    sys.argv = ["qtwostage", stage, "--config", config]
+    try:
+        runpy.run_module("qtwostage.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, (stage, exc.code)
+""" + _HASHLIB_STATE
+
+_STAGES_THROUGH_MAIN = """
+import json, sys
+import qtwostage.cli as cli
+for stage in ("gen-data", "train-qgan", "run"):
+    assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
+""" + _HASHLIB_STATE
+
+
+def test_entry_never_loads_openssl_and_main_changes_nothing(tmp_path):
+    # the process entry blocks _hashlib, so the stages that draw random
+    # numbers hash with the interpreter's own SHA-2 and never map libcrypto;
+    # main, which tests and the traced benchmark call in-process, leaves the
+    # interpreter's modules alone
+    config = tiny_config(tmp_path)
+    outputs = []
+    for code in (_STAGES_THROUGH_ENTRY, _STAGES_THROUGH_MAIN):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, config],
+            env=src_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert outputs == [[True, True, True], [True, True, False]]
+
+
+# derive_seed's values from OpenSSL's SHA-256
+PINNED_SEEDS = {
+    (0, "data", 0): 14406483460395927058,
+    (3, "qgan", 0): 261452667282290448,
+    (7, "test-data", 0): 17272187900178576623,
+    (2**64 - 1, "qaoa:30", 9): 8622199358862685749,
+}
+
+_SEEDS_WITHOUT_HASHLIB = """
+import json, sys
+sys.modules["_hashlib"] = None
+from qtwostage.cli import derive_seed
+triples = json.loads(sys.argv[1])
+print(json.dumps([derive_seed(*t) for t in triples]))
+"""
+
+
+def test_seeds_are_the_same_from_either_sha256():
+    assert {t: derive_seed(*t) for t in PINNED_SEEDS} == PINNED_SEEDS
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEEDS_WITHOUT_HASHLIB,
+         json.dumps(list(PINNED_SEEDS))],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seeds = json.loads(proc.stdout.splitlines()[-1])
+    assert seeds == list(PINNED_SEEDS.values())
+
+
+_GEN_DATA_WITHOUT_BUILTIN_SHA2 = """
+import json, runpy, sys
+for name in ("_sha2", "_sha256", "_sha512"):
+    sys.modules[name] = None
+sys.argv = ["qtwostage", "gen-data", "--config", sys.argv[1]]
+try:
+    runpy.run_module("qtwostage.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sys.modules.get("_hashlib") is not None]))
+"""
+
+
+def test_entry_keeps_openssl_without_builtin_sha2(tmp_path):
+    # an interpreter built without its own SHA-2 must keep _hashlib, since
+    # random and derive_seed would find no SHA-2 otherwise
+    (tmp_path / "entry").mkdir()
+    (tmp_path / "main").mkdir()
+    config = tiny_config(tmp_path / "entry")
+    proc = subprocess.run(
+        [sys.executable, "-c", _GEN_DATA_WITHOUT_BUILTIN_SHA2, config],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, True]
+    assert main(["gen-data", "--config", tiny_config(tmp_path / "main")]) == 0
+    entry_out = tmp_path / "entry" / "results"
+    main_out = tmp_path / "main" / "results"
+    names = sorted(p.name for p in main_out.iterdir())
+    assert sorted(p.name for p in entry_out.iterdir()) == names
+    assert "test_scenarios.csv" in names
+    for name in names:
+        assert (entry_out / name).read_bytes() == (main_out / name).read_bytes()
+
+
 def test_report_accepts_explicit_path(tmp_path, capsys):
     records = tmp_path / "r.jsonl"
     # at 8 or more values numpy sums pairwise, in eight running sums

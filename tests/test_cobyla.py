@@ -71,6 +71,20 @@ def test_budget_stops_after_exactly_maxfun_calls(maxfun):
     assert message == "Return from COBYLA because " + cobyla.MAXFUN_REACHED
 
 
+@pytest.mark.parametrize("rhobeg, rhoend", [
+    (-0.5, 1e-3), (0.0, 1e-3), (1e-310, 0.0), (1e-3, 0.6),
+    (float("inf"), 1e-3), (float("nan"), 1e-3),
+])
+def test_radii_outside_prima_range_raise_before_any_call(rhobeg, rhoend):
+    # PRIMA needs 0 < rhoend <= rhobeg < inf; outside it a run can end in a
+    # singular simplex, a division by zero or a stop after n + 1 calls
+    fun, points = recording(wavy_bowl)
+    with pytest.raises(ValueError, match="rhobeg.*rhoend"):
+        cobyla.minimize(fun, X0[:3], rhobeg=rhobeg, rhoend=rhoend,
+                        maxfun=400)
+    assert points == []
+
+
 def holed(x):
     """NaN at the origin, and a bowl around (-1, ..., -1) elsewhere."""
     return float("nan") if not np.any(x) else float(np.sum((x + 1) ** 2))
