@@ -24,23 +24,19 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
-import itertools
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
-from .config import ExperimentConfig, lambda_key, load_config, read_text
-from .errors import CapacityError, StructureError
+from .config import (ExperimentConfig, StructureError, lambda_key,
+                     load_config, read_text)
 
 N_TRAIN_SETS = 10
 N_TEST_SETS = 5
-
-_DOMAIN_ERRORS = (StructureError, CapacityError)
 
 
 def derive_seed(master: int, role: str, index: int) -> int:
@@ -66,9 +62,9 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_column(path: Path, column: str):
-    """One column of finite numbers, as an array; any malformed file is an
-    OSError."""
+def _read_column(path: Path, column: str, key: str, rows: int):
+    """One column of finite numbers, as an array, with as many rows as
+    ``[uncertainty] key`` says, ``rows``; any other file is an OSError."""
     import numpy as np
 
     reader = csv.DictReader(io.StringIO(read_text(path)))
@@ -84,8 +80,9 @@ def _read_column(path: Path, column: str):
             raise OSError(f"{path} line {reader.line_num}: {value} "
                           f"is not a finite number")
         values.append(value)
-    if not values:
-        raise OSError(f"{path} has no data rows")
+    if len(values) != rows:
+        raise OSError(f"{path} has {len(values)} rows, but [uncertainty] "
+                      f"{key} is {rows}")
     return np.array(values)
 
 
@@ -121,10 +118,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
 def _read_dist(path: Path, n_grid: int):
     """The probabilities of one dist file: ``n_grid`` rows, none below
     -1e-12, summing to 1 within 1e-9; anything else is an OSError."""
-    probs = _read_column(path, "prob")
-    if len(probs) != n_grid:
-        raise OSError(f"{path} has {len(probs)} rows, but [uncertainty] "
-                      f"n_grid is {n_grid}")
+    probs = _read_column(path, "prob", "n_grid", n_grid)
     if abs(float(probs.sum()) - 1.0) > 1e-9 or (probs < -1e-12).any():
         raise OSError(f"{path}: probabilities must be a normalized "
                       f"distribution")
@@ -151,14 +145,9 @@ def cmd_train_qgan(cfg: ExperimentConfig, args) -> int:
 
 
 def _load_test_set(cfg: ExperimentConfig):
-    """The ``[uncertainty] n_test`` scenarios ``gen-data`` wrote; any other
-    row count is an OSError."""
-    path = cfg.out_dir / "test_scenarios.csv"
-    test = _read_column(path, "xi_tilde")
-    if len(test) != cfg.n_test:
-        raise OSError(f"{path} has {len(test)} rows, but [uncertainty] "
-                      f"n_test is {cfg.n_test}")
-    return test
+    """The ``[uncertainty] n_test`` scenarios ``gen-data`` wrote."""
+    return _read_column(cfg.out_dir / "test_scenarios.csv", "xi_tilde",
+                        "n_test", cfg.n_test)
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
@@ -230,19 +219,18 @@ def cmd_baselines(cfg: ExperimentConfig, args) -> int:
     from .ucp import bits_to_string
 
     test = _load_test_set(cfg)
-    all_x = list(itertools.product((0, 1), repeat=cfg.problem.n_units))
+    reports = [evaluate(test, cfg.problem, lam) for lam in cfg.lambdas]
+    # every report's per_x_costs lists the commitments in one order
     header = ["lam", "rp", "eev", "rp_x", "ev_x"] + [
-        f"cost_{bits_to_string(x)}" for x in all_x
+        f"cost_{bits_to_string(x)}" for x in reports[0].per_x_costs
     ]
-    rows = []
-    for lam in cfg.lambdas:
-        report = evaluate(test, cfg.problem, lam)
-        rows.append(
-            [_fmt(lam), _fmt(report.rp_value), _fmt(report.eev_value),
-             bits_to_string(report.rp_solution),
-             bits_to_string(report.ev_solution)]
-            + [_fmt(report.per_x_costs[x]) for x in all_x]
-        )
+    rows = [
+        [_fmt(lam), _fmt(report.rp_value), _fmt(report.eev_value),
+         bits_to_string(report.rp_solution),
+         bits_to_string(report.ev_solution)]
+        + [_fmt(cost) for cost in report.per_x_costs.values()]
+        for lam, report in zip(cfg.lambdas, reports)
+    ]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "baselines.csv"
     _write_csv(path, header, rows)
@@ -350,12 +338,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-    except (OSError, configparser.Error, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         return args.func(cfg, args)
-    except _DOMAIN_ERRORS as exc:
+    except StructureError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a capacity shortfall the settings imply

@@ -2,8 +2,9 @@
 
 The problem data, QGAN training, QAOA and experiment settings, the INI
 grammar, which reads each command-line flag as the key it sets, the register
-caps, and `read_text`, the reader of every data file.  No numpy: loading
-settings, a config error and `report` start without it.
+caps, `read_text`, the reader of every data file, and `StructureError`, the
+one exception type of a broken invariant.  No numpy: loading settings, a
+config error and `report` start without it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import StructureError
+
+class StructureError(ValueError):
+    """A broken invariant: a bad setting, index, register size or shape."""
+
 
 MAX_QUBITS = 28  # the statevector simulator's register cap
 MAX_Z_QUBITS = 63  # a Z-polynomial's support mask is a signed 64-bit integer
@@ -264,7 +268,10 @@ def load_config(path: str | None, flags=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        default_section="", interpolation=None)
     if path is not None:
-        parser.read_string(read_text(path), source=path)
+        try:
+            parser.read_string(read_text(path), source=path)
+        except configparser.Error as exc:  # INI syntax, which names the file
+            raise StructureError(str(exc)) from exc
     if flags is not None:
         if flags.paper:
             parser.read_dict(_PAPER)

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import statevec as sv
 from .cobyla import minimize
-from .config import MAX_QUBITS, QaoaConfig
-from .errors import CapacityError, StructureError
+from .config import MAX_QUBITS, QaoaConfig, StructureError
 from .qgan import generator_circuit, generator_probs
 from .ucp import ProblemHamiltonian
 from .walsh import ZPolynomial, reconstruct
@@ -165,7 +164,7 @@ class FactorizedEvaluator:
     def __init__(self, theta: np.ndarray, ham: ProblemHamiltonian):
         layout = ham.layout
         if layout.n_total > MAX_QUBITS:
-            raise CapacityError(
+            raise StructureError(
                 f"{layout.n_total} qubits exceed the {MAX_QUBITS}-qubit cap"
             )
         m, n_xi = layout.n_units, layout.n_xi

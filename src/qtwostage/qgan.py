@@ -9,8 +9,9 @@ non-saturating cross-entropy pair; the generator gradient flows through
 the parameter-shift rule chained with the discriminator's input gradient.
 Its shifted angle sets run as one batched simulation of the same ansatz.
 
-Model selection keeps the epoch with the best mean test agreement
-(1 - Jensen-Shannon divergence) rather than the final epoch.
+Model selection keeps the epoch with the best mean training agreement
+(1 - Jensen-Shannon divergence), not the final epoch, and only then scores
+that epoch on the test distributions.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def train(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> TrainedGenerator:
-    """Adversarial training; returns the epoch with the best test agreement."""
+    """Adversarial training; keeps the epoch of best training agreement."""
     size = len(target_train[0])
     n_xi = size.bit_length() - 1
 
@@ -209,18 +210,14 @@ def train(
     opt_d = Adam(disc.parameters(), cfg.lr_d)
     opt_g = Adam([theta], cfg.lr_g)
 
-    best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "train": 0.0}
+    best = {"score": -1.0, "epoch": -1, "theta": theta.copy(), "probs": None}
 
     def evaluate(epoch: int) -> np.ndarray:  # theta's exact distribution
         p_exact = generator_probs(n_xi, theta)
-        score = float(np.mean([js_agreement(p_exact, t) for t in target_test]))
+        score = float(np.mean([js_agreement(p_exact, t) for t in target_train]))
         if score > best["score"]:
-            train_score = float(
-                np.mean([js_agreement(p_exact, t) for t in target_train])
-            )
-            best.update(
-                score=score, epoch=epoch, theta=theta.copy(), train=train_score
-            )
+            best.update(score=score, epoch=epoch, theta=theta.copy(),
+                        probs=p_exact)
         return p_exact
 
     for epoch in range(cfg.epochs):
@@ -239,8 +236,9 @@ def train(
         opt_g.step([theta], [grad])
 
     evaluate(cfg.epochs)
-    return TrainedGenerator(n_xi, best["theta"], best["epoch"], best["train"],
-                            best["score"])
+    test_score = np.mean([js_agreement(best["probs"], t) for t in target_test])
+    return TrainedGenerator(n_xi, best["theta"], best["epoch"], best["score"],
+                            float(test_score))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_QUBITS
-from .errors import CapacityError, StructureError
+from .config import MAX_QUBITS, StructureError
 from .walsh import ZPolynomial, reconstruct
 
 
@@ -48,7 +47,7 @@ class Circuit:
 def new_zero_state(n_qubits: int) -> np.ndarray:
     """Amplitudes of the all-zeros basis state on ``n_qubits`` qubits."""
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+        raise StructureError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return amps

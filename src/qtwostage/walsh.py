@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_Z_QUBITS
-from .errors import StructureError
+from .config import MAX_Z_QUBITS, StructureError
 
 ZERO_THRESHOLD = 1e-12
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from qtwostage import statevec as sv
-from qtwostage.config import UcpParams
-from qtwostage.errors import StructureError
+from qtwostage.config import StructureError, UcpParams
 from qtwostage.qaoa import VariationalParams, final_state, stage_layers
 from qtwostage.qgan import Discriminator, _sigmoid, generator_probs
 from qtwostage.ucp import RegisterLayout, build_hamiltonian

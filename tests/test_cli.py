@@ -11,8 +11,8 @@ import pytest
 
 from qtwostage import qaoa
 from qtwostage.cli import build_parser, derive_seed, main
-from qtwostage.config import PAPER_LAMBDAS, ExperimentConfig, load_config
-from qtwostage.errors import StructureError
+from qtwostage.config import (PAPER_LAMBDAS, ExperimentConfig,
+                              StructureError, load_config)
 
 
 def write_config(tmp_path, body: str) -> str:
@@ -255,6 +255,11 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     ("report", "[DEFAULT]\nmaster_seed = 5\nbogus = 1\n", [], "[DEFAULT]"),
     ("train-qgan", "[DEFAULT]\nepochs = 5\n[qgan]\n", [], "[DEFAULT]"),
     ("run", "[DEFAULT]\nepochs = 5\n[qaoa]\n", [], "[DEFAULT]"),
+    # a file the INI grammar cannot read is named, as write_config names it
+    ("report", "[qgan]\nepochs = 3\n[qgan]\nepochs = 4\n", [], "config.ini"),
+    ("report", "epochs = 3\n[qgan]\n", [], "config.ini"),
+    ("report", "[qgan]\nepochs = 3\nepochs = 4\n", [], "config.ini"),
+    ("report", "[qgan]\nepochs\n", [], "config.ini"),
 ], ids=["p1", "maxiter", "shots-flag", "eval-shots", "n_test-zero",
         "n_test-above-n_data", "alpha", "beta-nan", "xi_max", "epochs", "qgan-shots",
         "lr_g", "lr_d", "init_scale", "later-lambda", "lambda-flag",
@@ -271,12 +276,14 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "shots-flag-word", "lambdas-flag-empty", "seed-word",
         "lambdas-empty", "lambdas-flag-same-key", "lambdas-repeated",
         "default-section", "default-section-beside-qgan",
-        "default-section-beside-qaoa"])
+        "default-section-beside-qaoa", "ini-duplicate-section",
+        "ini-key-before-section", "ini-duplicate-key", "ini-bare-word"])
 def test_bad_configuration_is_exit_2(tmp_path, capsys, command, body, flags,
                                      named):
     """Exit 2 with a config error, which names the key at fault
     (``named``): the key whose text does not parse, or the key, or for a
-    cross-field check both keys, whose check fails, with its section."""
+    cross-field check both keys, whose check fails, with its section; or
+    the file, where the INI grammar cannot read it."""
     path = write_config(tmp_path, body + f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main([command, "--config", path, *flags]) == 2
     err = capsys.readouterr().err
@@ -373,10 +380,14 @@ def test_train_qgan_without_data_is_exit_2(tmp_path, capsys):
     assert "dist_03.csv line 2" in capsys.readouterr().err
     x0 = first.split(",")[0]
     # a non-finite cell, a header without rows, a missing column
-    for body in (f"{header}\n{x0},nan\n", f"{header}\n", f"xi,p\n{x0},1\n"):
+    for body, named in (
+            (f"{header}\n{x0},nan\n", "dist_03.csv line 2"),
+            (f"{header}\n", "dist_03.csv has 0 rows, but [uncertainty] "
+                            "n_grid is 4"),
+            (f"xi,p\n{x0},1\n", "dist_03.csv lacks a 'prob' column")):
         dist.write_text(body)
         assert main(["train-qgan", "--config", cfg_path]) == 2
-        assert "dist_03.csv" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     # files sized for another n_grid, a short file, non-distributions
     assert main(["gen-data", "--config", tiny_config(tmp_path, n_grid=8)]) == 0
@@ -583,14 +594,16 @@ def test_baselines_malformed_scenarios_is_exit_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     (tmp_path / "results").mkdir()
     scenarios = tmp_path / "results" / "test_scenarios.csv"
-    for body in ("xi_tilde\nnan\n100.0\n", "xi_tilde\ninf\n",
-                 "xi_tilde\n", "xi\n100.0\n",
-                 "xi_tilde\n100.0\n200.0\n300.0\n400.0\n"):  # n_test = 5
+    rows = "test_scenarios.csv has {} rows, but [uncertainty] n_test is 5"
+    for body, named in (("xi_tilde\nnan\n100.0\n", "test_scenarios.csv line 2"),
+                        ("xi_tilde\ninf\n", "test_scenarios.csv line 2"),
+                        ("xi_tilde\n", rows.format(0)),
+                        ("xi\n100.0\n", "lacks a 'xi_tilde' column"),
+                        ("xi_tilde\n100.0\n200.0\n300.0\n400.0\n",
+                         rows.format(4))):
         scenarios.write_text(body)
         assert main(["baselines", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert "test_scenarios.csv" in err
-    assert "has 4 rows, but [uncertainty] n_test is 5" in err  # the last body
+        assert named in capsys.readouterr().err
     scenarios.write_bytes(b"xi_tilde\n\xff\n")  # not UTF-8
     assert main(["baselines", "--config", cfg_path]) == 2
     err = capsys.readouterr().err

@@ -5,8 +5,8 @@ import pytest
 
 from qtwostage import cobyla, qaoa
 from qtwostage import statevec as sv
-from qtwostage.config import QaoaConfig, UcpParams, default_params
-from qtwostage.errors import CapacityError, StructureError
+from qtwostage.config import (QaoaConfig, StructureError, UcpParams,
+                              default_params)
 from qtwostage.qaoa import (
     FactorizedEvaluator,
     VariationalParams,
@@ -315,7 +315,8 @@ def test_surrogate_optimum_and_scales_match_enumeration():
 def test_evaluator_over_the_qubit_cap_is_capacity_error():
     # 23 scenario qubits + 2 * 3 decision qubits: one over the cap
     ham = build_hamiltonian(default_params(), 30.0, 23, 0.0, 2500.0)
-    with pytest.raises(CapacityError):
+    with pytest.raises(StructureError,
+                       match="29 qubits exceed the 28-qubit cap"):
         FactorizedEvaluator(make_generator(23), ham)
     assert "diagonal" not in vars(ham)  # refused before allocating
 

@@ -209,6 +209,20 @@ def test_train_is_deterministic_per_seed():
     assert got_a.best_epoch == got_b.best_epoch
 
 
+def test_train_chooses_its_epoch_without_the_test_set():
+    # the test distributions score the chosen epoch and never choose it
+    target = np.array([0.6, 0.2, 0.15, 0.05])
+    uniform = np.full(4, 0.25)
+    cfg = TrainConfig(epochs=25)
+    got = [train([target], test, cfg, np.random.default_rng(42))
+           for test in ([target], [uniform])]
+    np.testing.assert_array_equal(got[0].theta, got[1].theta)
+    assert got[0].best_epoch == got[1].best_epoch > 0
+    assert got[0].train_score == got[1].train_score == got[0].test_score
+    assert got[1].test_score == js_agreement(
+        generator_probs(2, got[1].theta), uniform)
+
+
 def test_train_with_shots_is_deterministic_per_seed():
     target = np.array([0.6, 0.2, 0.15, 0.05])
     cfg = TrainConfig(epochs=10, lr_g=0.05, lr_d=0.05, shots=500)

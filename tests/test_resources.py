@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qtwostage import statevec as sv
-from qtwostage.config import ExperimentConfig, default_params
-from qtwostage.errors import StructureError
+from qtwostage.config import (ExperimentConfig, StructureError,
+                              default_params)
 from qtwostage.qaoa import VariationalParams, assemble, random_params
 from qtwostage.resources import (
     SWEEP_FIELDS,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtwostage import statevec as sv
-from qtwostage.errors import CapacityError, StructureError
+from qtwostage.config import StructureError
 from qtwostage.qgan import generator_probs
 
 from oracles import diagonal_phase, zphase
@@ -158,12 +158,12 @@ def test_zero_state_examples():
 
 
 def test_zero_state_capacity_guard():
-    with pytest.raises(CapacityError):
+    with pytest.raises(StructureError, match=r"must be in \[1, 28\], got 0"):
         sv.new_zero_state(0)
-    with pytest.raises(CapacityError):
+    with pytest.raises(StructureError, match=r"must be in \[1, 28\], got 29"):
         sv.new_zero_state(29)
     # the generator's batched path starts from the same checked state
-    with pytest.raises(CapacityError):
+    with pytest.raises(StructureError, match=r"must be in \[1, 28\], got 29"):
         generator_probs(29, np.zeros(29 * 30))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtwostage import config, ucp, walsh
-from qtwostage.errors import StructureError
+from qtwostage.config import StructureError
 
 from oracles import (
     classical_surrogate,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtwostage import walsh
-from qtwostage.errors import StructureError
+from qtwostage.config import StructureError
 
 from oracles import eval_at, fwht_expand, reconstruct_per_term
 
