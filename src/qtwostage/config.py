@@ -33,8 +33,9 @@ _LAMBDAS = (30.0, 90.0, 150.0, 200.0)
 
 def lambda_key(lam: float) -> str:
     """The text that names a lambda in restart seeds and printed rows: 6
-    significant digits, so no two lambdas of one sweep may share it."""
-    return f"{lam:g}"
+    significant digits, so no two lambdas of one sweep may share it; -0
+    reads as 0, which it equals."""
+    return f"{lam + 0.0:g}"
 
 
 def read_text(path) -> str:

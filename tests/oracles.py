@@ -4,8 +4,10 @@ No CLI stage runs any of these.  They hold the paper's two structural
 claims as checks on the gate-level circuit (`verify_prop1`,
 `verify_nonanticipativity`), the unit-commitment cost one basis state at a
 time (`classical_surrogate`, `surrogate_diagonal`) with its index plumbing
-(`decode_basis`, `encode_basis`), the exact diagonal phase a synthesized
-Z-string block must equal (`diagonal_phase`), the Z-string gate on the
+(`decode_basis`, `encode_basis`), the recourse minimum over one whole
+(scenario, level combination) cost table (`table_second_stage_best`), the
+exact diagonal phase a synthesized Z-string block must equal
+(`diagonal_phase`), the Z-string gate on the
 qubits of a bitmask (`zphase`), a lowered circuit's
 basis-gate triples run by dense matrices (`run_lowered`), the dense Walsh
 transform, the per-term dense diagonal and pointwise evaluation of
@@ -20,6 +22,8 @@ Test modules import them as ``from oracles import ...``: ``tests/`` has no
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -50,6 +54,23 @@ def classical_surrogate(x, b, xi: float, params: UcpParams,
         + sum(params.unit_cost[i] * y[i] for i in range(params.n_units))
         + lam * gap * gap
     )
+
+
+def table_second_stage_best(x, xi, params: UcpParams, lam: float):
+    """The (S,) row minima of one (scenario, level combination) table of
+    generation + lam * |imbalance|, with supply and generation summed left
+    to right over the committed units."""
+    committed = [i for i in range(params.n_units) if x[i]]
+    levels = np.zeros((2 ** len(committed), params.n_units))
+    levels[:, committed] = list(itertools.product(
+        *[(params.p_min[i], params.p_max[i]) for i in committed]
+    ))
+    supply = generation = 0.0
+    for i in committed:
+        supply = supply + levels[:, i]
+        generation = generation + params.unit_cost[i] * levels[:, i]
+    gap = (params.demand - np.asarray(xi, dtype=float))[:, None] - supply
+    return (generation + lam * np.abs(gap)).min(axis=1)
 
 
 def decode_basis(index: int, layout: RegisterLayout):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from qtwostage import baselines as bl
 from qtwostage.config import PAPER_LAMBDAS, UcpParams, default_params
 from qtwostage.scenarios import quantile_test_set, sample_pv
+
+from oracles import table_second_stage_best
 
 
 def single_scenario(xi: float) -> np.ndarray:
@@ -172,7 +175,7 @@ def random_fleet(rng, n_units: int) -> UcpParams:
     )
 
 
-@pytest.mark.parametrize("n_units", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_units", [1, 2, 3, 4, 5, 6])
 def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
     rng = np.random.default_rng(100 + n_units)
     for trial in range(20):
@@ -189,3 +192,36 @@ def test_array_evaluator_matches_scalar_scan_bitwise(n_units):
             assert bl.expected_cost(x, xi, params, lam) == \
                 scalar_expected_cost(x, xi, params, lam)
 
+
+# ---------------------------------------------------------------------------
+# the streaming minimum: O(S) memory, the table's bytes
+# ---------------------------------------------------------------------------
+
+def wide_case(n_units: int = 6, n_test: int = 2000):
+    params = default_params(n_units)
+    rng = np.random.default_rng(6)
+    xi = rng.uniform(-100.0, params.demand + 200.0, size=n_test)
+    xi[0] = params.demand - sum(params.p_max)  # an exact balance
+    return params, xi
+
+
+def test_second_stage_best_holds_no_combination_table():
+    params, xi = wide_case()
+    x = (1,) * params.n_units
+    bl.second_stage_best(x, xi, params, 90.0)  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        bl.second_stage_best(x, xi, params, 90.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (S, 2**6) table alone is 64 vectors of S floats
+    assert peak < 16 * xi.nbytes
+
+
+@pytest.mark.parametrize("lam", [0.0, 30.0, 90.0])
+def test_second_stage_best_bytes_equal_the_table_minimum(lam):
+    params, xi = wide_case()
+    for x in itertools.product((0, 1), repeat=params.n_units):
+        assert (bl.second_stage_best(x, xi, params, lam).tobytes()
+                == table_second_stage_best(x, xi, params, lam).tobytes())

@@ -251,6 +251,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     # restart seeds are keyed by a lambda's 6-significant-digit text
     ("run", "", ["--lambdas", "30,30.0000001"], "[sweep] lambdas"),
     ("baselines", "[sweep]\nlambdas = 30, 90, 30\n", [], "[sweep] lambdas"),
+    ("baselines", "", ["--lambdas", "0,-0"], "[sweep] lambdas"),
     # [DEFAULT] is a section like any other, not keys for every section
     ("report", "[DEFAULT]\nmaster_seed = 5\nbogus = 1\n", [], "[DEFAULT]"),
     ("train-qgan", "[DEFAULT]\nepochs = 5\n[qgan]\n", [], "[DEFAULT]"),
@@ -275,6 +276,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         "seeds-flag-zero", "seed-flag-word", "seeds-flag-word",
         "shots-flag-word", "lambdas-flag-empty", "seed-word",
         "lambdas-empty", "lambdas-flag-same-key", "lambdas-repeated",
+        "lambdas-flag-signed-zero",
         "default-section", "default-section-beside-qgan",
         "default-section-beside-qaoa", "ini-duplicate-section",
         "ini-key-before-section", "ini-duplicate-key", "ini-bare-word"])
