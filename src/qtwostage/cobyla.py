@@ -16,11 +16,13 @@ trust-region LP with no constraints is solved in closed form,
 d = -delta * g / |g|, where PRIMA runs its Givens-based `trstlp`; the two
 agree in exact arithmetic but round differently.
 
-The first simplex's displacements are lower triangular (each vertex that
-improves on the pole adds -rhobeg along its row), so their inverse is a
-forward substitution, `_lower_inverse`, which gives LAPACK's
-``np.linalg.inv`` bit for bit; a run reaches LAPACK only when rounding
-forces `_repaired` to invert afresh.
+Every vector and matrix product is an ``np.einsum`` contraction, which
+numpy sums in its own loops: none reaches BLAS, so no iterate depends on
+the OpenBLAS kernel the CPU selects.  The first simplex's displacements are
+lower triangular (each vertex that improves on the pole adds -rhobeg along
+its row), so their inverse is a forward substitution, `_lower_inverse`,
+which gives LAPACK's ``np.linalg.inv`` bit for bit; a run reaches LAPACK
+only when rounding forces `_repaired` to invert afresh.
 
 The budget is hard: ``fun`` is called at most ``max(maxfun, 0)`` times, also
 when that is fewer than the n + 1 points of the initial simplex.
@@ -97,9 +99,10 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
     def evaluate_near(x: np.ndarray) -> float:
         """f(x), or the value of a vertex within 1e-4 * rhoend of x."""
         centre = sim[:, n]
-        distsq = np.append(np.sum((x[:, None] - (centre[:, None] + sim[:, :n]))
-                                  ** 2, axis=0), np.sum((x - centre) ** 2))
-        j = int(np.argmin(distsq))
+        distsq = np.concatenate((
+            ((x[:, None] - (centre[:, None] + sim[:, :n])) ** 2).sum(axis=0),
+            [((x - centre) ** 2).sum()]))
+        j = int(distsq.argmin())
         return fval[j] if distsq[j] <= (1e-4 * rhoend) ** 2 else evaluate(x)
 
     def insert(jdrop, d: np.ndarray, f: float, x: np.ndarray) -> str | None:
@@ -110,13 +113,13 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
 
     rho = delta = rhobeg
     for _ in range(10 * maxfun):
-        adequate_geo = np.all(np.sum(sim[:, :n] ** 2, axis=0) <= 4 * delta**2)
-        g = (fval[:n] - fval[n]) @ simi
-        gnorm = np.linalg.norm(g)
+        adequate_geo = ((sim[:, :n] ** 2).sum(axis=0) <= 4 * delta**2).all()
+        g = _gradient(fval, simi)
+        gnorm = _norm(g)
         d = -delta * g / gnorm if 0 < gnorm < np.inf else np.zeros(n)
         # delta >= rho: PRIMA's short step (dnorm <= rho / 10) implies trfail
-        dnorm = min(delta, np.linalg.norm(d))
-        preref = -(d @ g)
+        dnorm = min(delta, _norm(d))
+        preref = -_dot(d, g)
         trfail = not preref > 1e-6 * EPS * rho
         if trfail:
             bad_trstep = True
@@ -141,9 +144,9 @@ def minimize(fun, x0, *, rhobeg: float, rhoend: float, maxfun: int) -> str:
         # dnorm is the step taken before delta shrank: not delta <= rho alone
         reduce_rho = (bad_trstep and adequate_geo
                       and max(delta, dnorm) <= rho)
-        distsq = np.sum(sim[:, :n] ** 2, axis=0)
-        if improve_geo and not np.all(distsq <= 4 * delta**2):
-            jdrop_geo = int(np.argmax(distsq))
+        distsq = (sim[:, :n] ** 2).sum(axis=0)
+        if improve_geo and not (distsq <= 4 * delta**2).all():
+            jdrop_geo = int(distsq.argmax())
             d = _geometry_step(jdrop_geo, delta / 2, fval, simi)
             x = sim[:, n] + d
             reason = insert(jdrop_geo, d, evaluate_near(x), x)
@@ -178,29 +181,38 @@ def _repaired(sim: np.ndarray, simi: np.ndarray) -> bool:
     identity: rounding has become damaging.
     """
     n = len(simi)
-    erri = np.max(np.abs(simi @ sim[:, :n] - np.eye(n)))
+    erri = _inverse_error(simi, sim[:, :n])
     if erri > 0.1 or np.isnan(erri):
         fresh = np.linalg.inv(sim[:, :n])
-        erri_fresh = np.max(np.abs(fresh @ sim[:, :n] - np.eye(n)))
+        erri_fresh = _inverse_error(fresh, sim[:, :n])
         if erri_fresh < erri or (np.isnan(erri) and not np.isnan(erri_fresh)):
             simi[:] = fresh
             erri = erri_fresh
     return bool(erri <= 1)
 
 
+def _inverse_error(inv: np.ndarray, a: np.ndarray) -> float:
+    """max |inv a - I|, the product by numpy's own loop (no GEMM)."""
+    return np.abs(np.einsum("ij,jk->ik", inv, a) - np.eye(len(a))).max()
+
+
 def _update_pole(sim: np.ndarray, simi: np.ndarray,
                  fval: np.ndarray) -> bool:
-    """Move the vertex with the least value (the first of ties) to column n."""
+    """Move the vertex with the least value (the first of ties) to column n.
+
+    Only a move is checked with `_repaired`: a pole that stays leaves
+    ``simi`` as `_replace` has just checked it.
+    """
     n = len(simi)
-    jopt = int(np.argmin(fval)) if fval.min() < fval[n] else n
+    jopt = int(fval.argmin()) if fval.min() < fval[n] else n
     if jopt < n:
         sim[:, n] += sim[:, jopt]
         shift = sim[:, jopt].copy()
         sim[:, jopt] = 0
         sim[:, :n] -= shift[:, None]
-        simi[jopt, :] = -np.sum(simi, axis=0)
-    if not _repaired(sim, simi):
-        return False
+        simi[jopt, :] = -simi.sum(axis=0)
+        if not _repaired(sim, simi):
+            return False
     fval[[jopt, n]] = fval[[n, jopt]]
     return True
 
@@ -212,14 +224,14 @@ def _replace(jdrop, d, f, sim, simi, fval) -> bool:
         return True
     if jdrop < n:
         sim[:, jdrop] = d
-        row = simi[jdrop, :] / (simi[jdrop, :] @ d)
-        simi -= np.outer(simi @ d, row)
+        row = simi[jdrop, :] / _dot(simi[jdrop, :], d)
+        simi -= np.outer(np.einsum("ij,j->i", simi, d), row)
         simi[jdrop, :] = row
     else:
         sim[:, n] += d
         sim[:, :n] -= d[:, None]
-        simid = simi @ d
-        simi += np.outer(simid, np.sum(simi, axis=0) / (1 - np.sum(simid)))
+        simid = np.einsum("ij,j->i", simi, d)
+        simi += np.outer(simid, simi.sum(axis=0) / (1 - simid.sum()))
     if not _repaired(sim, simi):
         return False
     fval[jdrop] = f
@@ -230,28 +242,40 @@ def _drop_for_step(ximproved, d, delta, rho, sim, simi):
     """The vertex the trust-region point replaces, or None to discard it."""
     n = len(simi)
     if ximproved:
-        distsq = np.append(np.sum((sim[:, :n] - d[:, None]) ** 2, axis=0),
-                           np.sum(d * d))
+        distsq = np.concatenate((((sim[:, :n] - d[:, None]) ** 2).sum(axis=0),
+                                 [(d * d).sum()]))
     else:
-        distsq = np.append(np.sum(sim[:, :n] ** 2, axis=0), 0.0)
+        distsq = np.concatenate(((sim[:, :n] ** 2).sum(axis=0), [0.0]))
     weight = np.maximum(1, distsq / max(rho, delta / 10) ** 2)
-    simid = simi @ d
-    score = weight * np.abs(np.append(simid, 1 - np.sum(simid)))
+    simid = np.einsum("ij,j->i", simi, d)
+    score = weight * np.abs(np.concatenate((simid, [1 - simid.sum()])))
     if not ximproved:
         score[n] = -1
     score[np.isnan(score)] = -1
-    if np.any(score > 0):
-        return int(np.argmax(score))
-    return int(np.argmax(distsq)) if ximproved else None
+    if (score > 0).any():
+        return int(score.argmax())
+    return int(distsq.argmax()) if ximproved else None
 
 
 def _geometry_step(jdrop, delbar, fval, simi) -> np.ndarray:
     """A step of length delbar normal to the face opposite vertex jdrop."""
-    n = len(simi)
     d = simi[jdrop, :]
-    d = delbar * (d / np.linalg.norm(d))
-    g = (fval[:n] - fval[n]) @ simi
-    return -d if -(d @ g) < d @ g else d
+    d = delbar * (d / _norm(d))
+    dg = _dot(d, _gradient(fval, simi))
+    return -d if -dg < dg else d
+
+
+def _gradient(fval: np.ndarray, simi: np.ndarray) -> np.ndarray:
+    """The gradient of the linear model interpolating the simplex."""
+    return np.einsum("i,ij->j", fval[:-1] - fval[-1], simi)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return np.einsum("i,i->", a, b)
+
+
+def _norm(a: np.ndarray) -> float:
+    return np.sqrt(_dot(a, a))
 
 
 def _trust_radius(delta, dnorm, ratio) -> float:

@@ -209,7 +209,7 @@ class FactorizedEvaluator:
         generator's distribution; no angles reach below it.
         """
         best = self.table.min(axis=0).reshape(len(self.h1), -1)  # (x, s)
-        return float(np.min(best @ self.scenario_probs))
+        return float(np.min(np.einsum("xs,s->x", best, self.scenario_probs)))
 
 
 def _estimate(
@@ -219,7 +219,8 @@ def _estimate(
     rng: np.random.Generator | None,
 ) -> float:
     if shots is None:
-        return float(probs @ diag)
+        # numpy's own loop: ``probs @ diag`` rounds as the BLAS kernel does
+        return float(np.einsum("i,i->", probs, diag))
     return _sample_mean(sv.sample(probs, shots, rng), diag, shots)
 
 

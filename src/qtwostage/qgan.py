@@ -8,6 +8,8 @@ it is to be real data.  Both are trained with Adam on the standard
 non-saturating cross-entropy pair; the generator gradient flows through
 the parameter-shift rule chained with the discriminator's input gradient.
 Its shifted angle sets run as one batched simulation of the same ansatz.
+Every product is an ``np.einsum`` contraction in numpy's own loops, so no
+trained angle depends on which BLAS kernel the CPU selects.
 
 Model selection keeps the epoch with the best mean training agreement
 (1 - Jensen-Shannon divergence), not the final epoch, and only then scores
@@ -89,11 +91,12 @@ class Discriminator:
         acts = [a]
         pre = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = w @ a + b
+            z = np.einsum("ij,j->i", w, a) + b
             pre.append(z)
             a = np.where(z > 0, z, _LEAK * z)
             acts.append(a)
-        return acts, pre, float((self.weights[-1] @ a + self.biases[-1])[0])
+        logit = np.einsum("ij,j->i", self.weights[-1], a) + self.biases[-1]
+        return acts, pre, float(logit[0])
 
     def backward(self, p: np.ndarray, target: float):
         """Gradients of BCE(D(p), target) w.r.t. weights and the input.
@@ -108,12 +111,12 @@ class Discriminator:
         grads_b = [None] * len(self.biases)
         grads_w[-1] = np.outer(delta, acts[-1])
         grads_b[-1] = delta.copy()
-        back = self.weights[-1].T @ delta
+        back = np.einsum("ij,i->j", self.weights[-1], delta)
         for layer in range(len(self.weights) - 2, -1, -1):
             back = back * np.where(pre[layer] > 0, 1.0, _LEAK)
             grads_w[layer] = np.outer(back, acts[layer])
             grads_b[layer] = back.copy()
-            back = self.weights[layer].T @ back
+            back = np.einsum("ij,i->j", self.weights[layer], back)
         return [*grads_w, *grads_b], back * self.input_scale
 
 
@@ -179,7 +182,8 @@ def generator_gradient(n_xi: int, theta: np.ndarray, disc: Discriminator,
     """Gradient of -log D(p_theta) w.r.t. theta at the observed p; ``shots``
     and ``rng`` read the Jacobian's circuits as in ``generator_probs``."""
     _, input_grad = disc.backward(p, 1.0)  # BCE with target 1 == -log D
-    return probability_jacobian(n_xi, theta, shots, rng) @ input_grad
+    jacobian = probability_jacobian(n_xi, theta, shots, rng)
+    return np.einsum("js,s->j", jacobian, input_grad)
 
 
 # ---------------------------------------------------------------------------

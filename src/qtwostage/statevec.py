@@ -141,7 +141,7 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
 
 def expectation_diagonal(amps: np.ndarray, diag: np.ndarray) -> float:
     """<state| diag(diag) |state> for a real diagonal of the state's shape."""
-    return float(probabilities(amps) @ diag)
+    return float(np.einsum("i,i->", probabilities(amps), diag))
 
 
 def sample(probs: np.ndarray, shots: int,

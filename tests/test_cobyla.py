@@ -187,3 +187,60 @@ def test_desk_restart_calls_no_lapack(monkeypatch):
                            np.random.default_rng(11))
     assert len(result.trace) == QaoaConfig().maxiter
     assert calls == []
+
+
+def always_recheck_update_pole(sim, simi, fval):
+    """`_update_pole` re-checking ``simi`` with `_repaired` also when the
+    pole stays, as the port once did."""
+    n = len(simi)
+    jopt = int(np.argmin(fval)) if fval.min() < fval[n] else n
+    if jopt < n:
+        sim[:, n] += sim[:, jopt]
+        shift = sim[:, jopt].copy()
+        sim[:, jopt] = 0
+        sim[:, :n] -= shift[:, None]
+        simi[jopt, :] = -np.sum(simi, axis=0)
+    if not cobyla._repaired(sim, simi):
+        return False
+    fval[[jopt, n]] = fval[[n, jopt]]
+    return True
+
+
+def desk_objective():
+    """A desk restart's objective of the scaled angles, at unit scales."""
+    ham = build_hamiltonian(default_params(), 90.0, 3, 0.0, 2500.0)
+    evaluator = qaoa.FactorizedEvaluator(
+        np.random.default_rng(5).uniform(-1, 1, 12), ham)
+    divisor = np.repeat([evaluator.scales[0], 1.0, evaluator.scales[1], 1.0],
+                        4)
+    return lambda x: evaluator(
+        qaoa.VariationalParams.from_vector(4, 4, x / divisor))
+
+
+@pytest.mark.parametrize("objective, x0, rhobeg, maxfun", [
+    (bowl, X0, RHOBEG, 2000), (wavy_bowl, X0, RHOBEG, 2000),
+    (holed, np.zeros(2), 1.0, 200),
+    (desk_objective(), np.linspace(0.1, 1.6, 16), qaoa.COBYLA_RHOBEG, 400)],
+    ids=["bowl", "wavy_bowl", "holed", "desk"])
+def test_a_pole_that_stays_is_not_rechecked(monkeypatch, objective, x0,
+                                            rhobeg, maxfun):
+    # `_replace` has just checked simi, so re-checking it where the pole
+    # stays changes no evaluated point, bit for bit; it only costs calls
+    def run():
+        calls, real = [], cobyla._repaired
+
+        def repaired(sim, simi):
+            calls.append(None)
+            return real(sim, simi)
+        monkeypatch.setattr(cobyla, "_repaired", repaired)
+        fun, points = recording(objective)
+        message = cobyla.minimize(fun, x0, rhobeg=rhobeg, rhoend=1e-3,
+                                  maxfun=maxfun)
+        return np.array(points), message, len(calls)
+
+    points, message, calls = run()
+    monkeypatch.setattr(cobyla, "_update_pole", always_recheck_update_pole)
+    want_points, want_message, want_calls = run()
+    assert points.tobytes() == want_points.tobytes()
+    assert message == want_message
+    assert calls < want_calls

@@ -2,7 +2,10 @@
 
 Each stub's ``perfbench/run.py`` logs its checkout's name and ``--seconds``
 to a file beside the checkouts, then prints the next value of its own list
-as the last-line JSON record the real benchmark prints.
+as the last-line JSON record the real benchmark prints.  Above the record,
+as the real benchmark does, it prints ``name value unit`` lines: a wall
+time ``run_s`` of twice that value, the gated value itself, and a
+non-time line the tool ignores.
 """
 
 import json
@@ -20,6 +23,9 @@ log = Path.cwd().parent / "log.txt"
 with log.open("a") as f:
     f.write(f"{name} {sys.argv[sys.argv.index('--seconds') + 1]}\\n")
 n = sum(line.split()[0] == name for line in log.read_text().splitlines())
+print(f"run_s {2 * peaks[name][n - 1]:>14.6g} s")
+print(f"peak_rss_mb {peaks[name][n - 1]:>14.6g} MB")
+print("arena_kb 5 kB")
 print("info {}")
 print(json.dumps({"correct": correct, "attempted": 1, "failed": 0,
                   "metrics": {"peak_rss_mb": {"value": peaks[name][n - 1],
@@ -63,13 +69,18 @@ def test_pairs_alternate_and_summarize(tmp_path):
         "parent 7", "change 7", "change 7", "parent 7", "parent 7",
         "change 7", ""]
     lines = proc.stdout.splitlines()
-    assert lines[-2:] == [
-        # one win, one tie, one loss; ratios 0.9, 1, 13/11
+    assert lines[-3:] == [
+        # one win, one tie, one loss; ratios 0.9, 1, 13/11, whose
+        # quartiles are 0.95 and 12/11
         "peak_rss_mb MB: parent 11 [10.5, 11.5], change 12 [10.5, 12.5], "
-        "ratio 1.0000, change wins 1/3 (lower is better)",
+        "ratio 1.0000 [0.9500, 1.0909], change wins 1/3 (lower is better)",
         "run_evals count: parent 10 [10, 10], change 10 [10, 10], "
-        "ratio 1.0000, change wins 0/3 (higher is better)",
+        "ratio 1.0000 [1.0000, 1.0000], change wins 0/3 (higher is better)",
+        # the gated peak_rss_mb line and the kB line give no ungated line
+        "ungated run_s s: parent 22 [21, 23], change 24 [21, 25], "
+        "ratio 1.0000 [0.9500, 1.0909], change wins 1/3 (lower is better)",
     ]
+    assert lines[0] == "pair 1 parent: peak_rss_mb=10 run_evals=10 run_s=20"
 
 
 def test_one_pair_and_explicit_seconds(tmp_path):
@@ -78,8 +89,14 @@ def test_one_pair_and_explicit_seconds(tmp_path):
     proc = pairs(parent, change, "--pairs", "1", "--seconds", "1")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "log.txt").read_text() == "parent 1\nchange 1\n"
-    assert proc.stdout.splitlines()[-2].startswith(
-        "peak_rss_mb MB: parent 10 [10, 10], change 11 [11, 11], ratio 1.1000")
+    assert proc.stdout.splitlines()[-3:] == [
+        "peak_rss_mb MB: parent 10 [10, 10], change 11 [11, 11], "
+        "ratio 1.1000 [1.1000, 1.1000], change wins 0/1 (lower is better)",
+        "run_evals count: parent 10 [10, 10], change 10 [10, 10], "
+        "ratio 1.0000 [1.0000, 1.0000], change wins 0/1 (higher is better)",
+        "ungated run_s s: parent 20 [20, 20], change 22 [22, 22], "
+        "ratio 1.1000 [1.1000, 1.1000], change wins 0/1 (lower is better)",
+    ]
 
 
 def test_a_failed_run_stops_with_exit_1(tmp_path):

@@ -244,7 +244,10 @@ def test_evaluator_matches_row_major_oracle_bitwise():
                 for vp in (raw, unit_phase(raw, evaluator)):
                     want = row_major_joint(gen, ham, vp)
                     assert evaluator.joint(vp).tobytes() == want.tobytes()
-                    assert evaluator(vp) == float(want @ ham.diagonal)
+                    # the evaluator's own contraction: ``@`` goes through
+                    # BLAS, whose kernels round differently
+                    assert evaluator(vp) == float(
+                        np.einsum("i,i->", want, ham.diagonal))
 
     # one shots draw: the same multinomial, summed left to right
     shots = 5000
@@ -319,6 +322,28 @@ def test_evaluator_over_the_qubit_cap_is_capacity_error():
                        match="29 qubits exceed the 28-qubit cap"):
         FactorizedEvaluator(make_generator(23), ham)
     assert "diagonal" not in vars(ham)  # refused before allocating
+
+
+@pytest.mark.parametrize("n_units", [4, 5, 6])
+def test_identical_units_share_their_first_stage_marginal(n_units):
+    # P1 sees only h1 = sum_i d_i x_i and one beta per layer, so unit i's
+    # marginal depends only on d_i and the angles: `default_params` repeats
+    # unit i as unit i + 3, and no angles tell the two apart (README,
+    # "Limitations"); the distinct units 0 and 1 serve as the control
+    ham = build_hamiltonian(default_params(n_units), 90.0, 1, 0.0, 2500.0)
+    evaluator = FactorizedEvaluator(make_generator(1), ham)
+    x = np.arange(2**n_units)
+    bits = (x[:, None] >> np.arange(n_units)) & 1  # (commitment, unit)
+    rng = np.random.default_rng(29)
+    control = 0.0
+    for _ in range(100):
+        raw = random_params(4, 4, rng)
+        for vp in (raw, unit_phase(raw, evaluator)):
+            on = np.sum(evaluator.first_stage(vp)[:, None] * bits, axis=0)
+            for i in range(n_units - 3):
+                assert abs(on[i] - on[i + 3]) <= 1e-12
+            control = max(control, abs(on[0] - on[1]))
+    assert control > 0.1
 
 
 def test_map_solution():

@@ -14,17 +14,22 @@ last output line is a JSON record with ``correct`` true and ``failed`` 0;
 any other run stops the comparison with exit 1.
 
 For every ``end_to_end`` metric of the parent's BENCHMARK.json it then
-prints one line: each side's median and quartiles, the median of the
-per-pair ratios change / parent, and the pairs the change won.  Whether
-lower or higher wins comes from the metric's ``better``; a tie counts for
-neither side.  ``--seconds`` defaults to the file's ``run_seconds``.  Only
-the standard library is used, and nothing in either checkout is changed.
+prints one line: each side's median and quartiles, the median and
+quartiles of the per-pair ratios change / parent, and the pairs the change
+won.  Whether lower or higher wins comes from the metric's ``better``; a
+tie counts for neither side.  The same lines follow, each marked
+``ungated``, for the wall times (unit ``s``) a run prints as ``name value
+unit`` lines above its record and its BENCHMARK.json gates no bound on,
+such as ``run_s`` and ``train_qgan_s``; lower wins.  ``--seconds`` defaults
+to the file's ``run_seconds``.  Only the standard library is used, and
+nothing in either checkout is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -35,8 +40,14 @@ def benchmark_file(root: Path) -> dict:
     return json.loads((root / "BENCHMARK.json").read_text())
 
 
+# a wall time the benchmark prints above its record: ``name value s``
+TIME_LINE = re.compile(
+    r"([a-z_][a-z0-9_.]*) +([-+]?(?:[0-9.]+(?:e[-+]?[0-9]+)?|inf)|nan) s")
+
+
 def run_once(root: Path, args) -> dict:
-    """The metric values of one untraced run in checkout ``root``."""
+    """The metric values of one untraced run in checkout ``root``: its
+    record's, then the wall times of the lines above it."""
     argv = [*benchmark_file(root)["command"], "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", f"{args.seconds:g}",
             "--trace", "0"]
@@ -51,7 +62,12 @@ def run_once(root: Path, args) -> dict:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         raise SystemExit(f"pairs: a run in {root} failed "
                          f"(exit {proc.returncode}): {' '.join(argv)}")
-    return {name: m["value"] for name, m in record["metrics"].items()}
+    values = {name: m["value"] for name, m in record["metrics"].items()}
+    for line in lines[:-1]:
+        match = TIME_LINE.fullmatch(line.strip())
+        if match:
+            values.setdefault(match[1], float(match[2]))
+    return values
 
 
 def quartiles(values: list) -> tuple:
@@ -64,7 +80,10 @@ def quartiles(values: list) -> tuple:
 def summary(metric: dict, parent: list, change: list) -> str:
     name, better = metric["name"], metric["better"]
     ratios = [c / p for p, c in zip(parent, change) if p != 0]
-    ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
+    ratio = "n/a"
+    if ratios:
+        q1, q3 = quartiles(ratios)
+        ratio = f"{statistics.median(ratios):.4f} [{q1:.4f}, {q3:.4f}]"
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     sides = []
@@ -101,10 +120,17 @@ def main(argv=None) -> int:
             values[side].append(metrics)
             shown = " ".join(f"{k}={v:.6g}" for k, v in sorted(metrics.items()))
             print(f"pair {pair} {side}: {shown}", flush=True)
-    for metric in listed["end_to_end"]:
-        name = metric["name"]
-        print(summary(metric, [m[name] for m in values["parent"]],
-                      [m[name] for m in values["change"]]))
+    gated = listed["end_to_end"]
+    names = {m["name"] for m in gated}
+    runs = values["parent"] + values["change"]
+    ungated = [{"name": name, "unit": "s", "better": "lower"}
+               for name in runs[0]
+               if name not in names and all(name in m for m in runs)]
+    for label, metrics in (("", gated), ("ungated ", ungated)):
+        for metric in metrics:
+            name = metric["name"]
+            print(label + summary(metric, [m[name] for m in values["parent"]],
+                                  [m[name] for m in values["change"]]))
     return 0
 
 
